@@ -34,7 +34,6 @@ from .paramtheory import (
     tricirc_families,
 )
 from .search import (
-    SearchCapError,
     SearchSpec,
     confirm_nonexistence_bicirc_odd,
     search_bicirculant,
@@ -153,10 +152,13 @@ def _cmd_check(args) -> int:
         _emit(base, args.out)
         return 0 if verdict.holds else 1
     if args.what == "local3":
-        if args.vertex is not None:
-            reports = [is_locally_3isoregular_at(g, args.vertex)]
+        if args.vertex is None:
+            vertices = range(g.n)
+        elif 0 <= args.vertex < g.n:
+            vertices = [args.vertex]
         else:
-            reports = [is_locally_3isoregular_at(g, x) for x in range(g.n)]
+            raise InputError(f"--vertex {args.vertex} outside 0..{g.n - 1}")
+        reports = [is_locally_3isoregular_at(g, x) for x in vertices]
         holds = any(r.holds for r in reports)
         base["locally_3isoregular"] = holds
         base["vertices"] = [r.to_json() for r in reports]
@@ -297,13 +299,25 @@ def _cmd_families(args) -> int:
     return 0
 
 
+def _default_jobs() -> int:
+    """Worker count from ISOREG_JOBS, an integer >= 1; 1 when unset."""
+    text = os.environ.get("ISOREG_JOBS", "1")
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise InputError(f"ISOREG_JOBS must be an integer >= 1, got {text!r}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="isoreg",
         description="Strongly regular multicirculants: construction, "
         "3-isoregularity checks, certificates, exhaustive searches.",
     )
-    default_jobs = int(os.environ.get("ISOREG_JOBS", "1"))
+    default_jobs = _default_jobs()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="construct a graph and write it out")
@@ -364,17 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SearchCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, Graph6Error) as exc:
+    except (InputError, ValueError) as exc:  # SearchCapError, Graph6Error included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

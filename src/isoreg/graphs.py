@@ -135,12 +135,10 @@ class Graph:
 
 def bits_to_vertices(bits: int) -> list[int]:
     out = []
-    v = 0
     while bits:
-        if bits & 1:
-            out.append(v)
-        bits >>= 1
-        v += 1
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
     return out
 
 

@@ -89,3 +89,78 @@ def brute_valency(g: Graph, subset) -> int:
         if all(g.adjacent(v, u) for u in members):
             count += 1
     return count
+
+
+def backtracking_isomorphism(g: Graph, h: Graph):
+    """Reference isomorphism test: recursive backtracking that checks each
+    candidate pair by pair with ``adjacent``, after degree-based color
+    refinement.  Slow and limited by the recursion depth, but simple enough
+    to trust; the iterative search in isoreg is compared against it."""
+    from isoreg import invariant_fingerprint
+
+    if g.n != h.n:
+        return None
+    if invariant_fingerprint(g) != invariant_fingerprint(h):
+        return None
+
+    def refined_colors(x: Graph) -> list[int]:
+        colors = x.degrees()
+        for _ in range(x.n):
+            signatures = [
+                (colors[u], tuple(sorted(colors[v] for v in x.neighbors(u)))) for u in range(x.n)
+            ]
+            palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
+            new = [palette[sig] for sig in signatures]
+            if new == colors:
+                break
+            colors = new
+        return colors
+
+    g_colors = refined_colors(g)
+    h_colors = refined_colors(h)
+    if sorted(g_colors) != sorted(h_colors):
+        return None
+    class_size: dict[int, int] = {}
+    for c in g_colors:
+        class_size[c] = class_size.get(c, 0) + 1
+    remaining = set(range(g.n))
+    start = min(remaining, key=lambda u: (class_size[g_colors[u]], -g.degree(u), u))
+    order = [start]
+    placed = 1 << start
+    remaining.remove(start)
+    while remaining:
+        nxt = max(remaining, key=lambda u: ((g.row(u) & placed).bit_count(), g.degree(u), -u))
+        order.append(nxt)
+        placed |= 1 << nxt
+        remaining.remove(nxt)
+
+    n = g.n
+    mapping = [-1] * n
+    used = [False] * n
+    h_by_color: dict[int, list[int]] = {}
+    for w in range(n):
+        h_by_color.setdefault(h_colors[w], []).append(w)
+
+    def extend(idx: int) -> bool:
+        if idx == n:
+            return True
+        u = order[idx]
+        for w in h_by_color.get(g_colors[u], ()):
+            if used[w]:
+                continue
+            ok = True
+            for j in range(idx):
+                v = order[j]
+                if g.adjacent(u, v) != h.adjacent(w, mapping[v]):
+                    ok = False
+                    break
+            if ok:
+                mapping[u] = w
+                used[w] = True
+                if extend(idx + 1):
+                    return True
+                used[w] = False
+                mapping[u] = -1
+        return False
+
+    return mapping if extend(0) else None

@@ -84,6 +84,8 @@ def test_check_local3_and_tvertex(capsys):
     assert code == 0 and json.loads(out)["locally_3isoregular"]
     code, out, _ = run_cli(capsys, "check", "local3", "petersen", "--vertex", "0")
     assert code == 1
+    code, out, _ = run_cli(capsys, "check", "local3", "petersen", "--vertex", "9")
+    assert code == 1 and json.loads(out)["vertices"][0]["x"] == 9
     code, out, _ = run_cli(capsys, "check", "tvertex", "petersen", "--t", "4")
     assert code == 0
     code, out, _ = run_cli(capsys, "check", "tvertex", "p4-not-a-tag")
@@ -162,6 +164,22 @@ def test_jobs_env_default(capsys, monkeypatch):
     monkeypatch.delenv("ISOREG_JOBS")
     args = build_parser().parse_args(["search", "bicirc", "--n", "5"])
     assert args.jobs == 1
+
+
+def test_bad_jobs_env_is_usage_error(capsys, monkeypatch):
+    for value in ("abc", "0", "-2", ""):
+        monkeypatch.setenv("ISOREG_JOBS", value)
+        code, out, err = run_cli(capsys, "search", "bicirc", "--n", "5")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ISOREG_JOBS must be an integer >= 1")
+
+
+def test_check_local3_vertex_out_of_range(capsys):
+    # Negative indices must not wrap around to the last vertices.
+    for vertex in ("99", "10", "-1"):
+        code, out, err = run_cli(capsys, "check", "local3", "petersen", "--vertex", vertex)
+        assert code == 2 and out == ""
+        assert err == f"error: --vertex {vertex} outside 0..9\n"
 
 
 def test_search_cap_is_usage_error(capsys):
