@@ -213,8 +213,12 @@ def _cmd_replay(args) -> int:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load certificate: {exc}") from exc
-    outcome = replay_certificate(payload)
-    verdict_ok = claim_holds(Certificate.from_json(payload))
+    try:
+        cert = Certificate.from_json(payload)
+        outcome = replay_certificate(cert)
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed certificate: {exc!r}") from exc
+    verdict_ok = claim_holds(cert)
     _emit(
         {
             "replay_ok": outcome.ok,
@@ -228,6 +232,8 @@ def _cmd_replay(args) -> int:
 
 def _cmd_search(args) -> int:
     jobs = args.jobs
+    claim_ok = True
+    extra = {}
     if args.mode == "bicirc":
         spec = SearchSpec(
             n=args.n,
@@ -240,40 +246,29 @@ def _cmd_search(args) -> int:
             use_pruning=not args.no_prune,
         )
         result = search_bicirculant(spec, jobs=jobs)
-        claim_ok = True
     elif args.mode == "tricirc":
         if args.params is None:
             raise InputError("tricirculant search needs --params")
         result = search_tricirculant_srg(
             args.n, _parse_params(args.params), jobs=jobs, use_pruning=not args.no_prune
         )
-        claim_ok = True
     elif args.mode == "bicirc-odd":
         run = confirm_nonexistence_bicirc_odd(args.n, jobs=jobs)
         result = run.result
         claim_ok = run.iso3_count == 0 and run.locally_iso3_classes == 0 and run.structure_ok
-        for survivor in result.survivors:
-            sys.stdout.write(json.dumps(survivor.to_json(), sort_keys=True) + "\n")
-        summary = {
-            "summary": {
-                "mode": args.mode,
-                "n": args.n,
-                "family_index": run.family_index,
-                "iso3_survivors": run.iso3_count,
-                "locally_iso3_classes": run.locally_iso3_classes,
-                "structure_ok": run.structure_ok,
-                "structure_failures": list(run.structure_failures),
-                "stats": result.stats.to_json(),
-            }
+        extra = {
+            "family_index": run.family_index,
+            "iso3_survivors": run.iso3_count,
+            "locally_iso3_classes": run.locally_iso3_classes,
+            "structure_ok": run.structure_ok,
+            "structure_failures": list(run.structure_failures),
         }
-        sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
-        return 0 if claim_ok else 1
     else:
         raise InputError(f"unknown search mode {args.mode!r}")
     for survivor in result.survivors:
         sys.stdout.write(json.dumps(survivor.to_json(), sort_keys=True) + "\n")
-    summary = {"summary": {"mode": args.mode, "n": args.n, "stats": result.stats.to_json()}}
-    sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
+    summary = {"mode": args.mode, "n": args.n, **extra, "stats": result.stats.to_json()}
+    sys.stdout.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
     return 0 if claim_ok else 1
 
 

@@ -6,6 +6,11 @@ member.  A graph is k-isoregular when, for every j <= k, the valency of a
 j-subset depends only on the isomorphism type of its induced subgraph.
 Everything here enumerates subsets exhaustively; witnesses are the first
 violations in lexicographic scan order so regressions are deterministic.
+
+Triples have one kernel, ``_triple_scan``: a bit-row scan that returns the
+valency per induced edge count and the first violation.  The search's
+``triples_isoregular`` and the j = 3 level of ``is_k_isoregular`` and
+``iso_profile`` all run it.
 """
 
 from __future__ import annotations
@@ -151,33 +156,89 @@ class KIsoregularity:
         return self.holds
 
 
+def _triple_scan(g: Graph) -> tuple[Optional[IsoWitness], list[Optional[int]]]:
+    """Valency of every triple, in lexicographic order, by bit-row intersection.
+
+    Returns the first violation (the first triple of the violating induced
+    edge count paired with the first triple disagreeing with it), or None,
+    and the valency seen per induced edge count 0..3 (None while unseen).
+    """
+    rows = g.rows()
+    n = g.n
+    vals: list[Optional[int]] = [None, None, None, None]
+    first: list = [None, None, None, None]
+    for a in range(n):
+        ra = rows[a]
+        for b in range(a + 1, n):
+            rb = rows[b]
+            rab = ra & rb
+            eab = (ra >> b) & 1
+            for c in range(b + 1, n):
+                rc = rows[c]
+                e = eab + ((ra >> c) & 1) + ((rb >> c) & 1)
+                # rab & rc cannot contain a, b or c: rows carry no loops.
+                val = (rab & rc).bit_count()
+                if vals[e] is None:
+                    vals[e] = val
+                    first[e] = (a, b, c)
+                elif vals[e] != val:
+                    witness = IsoWitness(
+                        IsoType(3, _CODE_BY_EDGES3[e]), first[e], vals[e], (a, b, c), val
+                    )
+                    return witness, vals
+    return None, vals
+
+
+def triples_isoregular(g: Graph) -> tuple[bool, Optional[list[Optional[int]]]]:
+    """Constancy of triple valencies by induced edge count; together with
+    strong regularity this is exactly 3-isoregularity.  On success the
+    valencies are indexed by induced edge count, None for absent counts."""
+    witness, vals = _triple_scan(g)
+    return (True, vals) if witness is None else (False, None)
+
+
+def _valencies(g: Graph, k: int) -> tuple[Optional[IsoWitness], dict[IsoType, int]]:
+    """One lexicographic pass over the subsets of size 1..k.
+
+    Returns the first violation, or None, and the valency of every type of
+    the sizes completed before it.
+    """
+    if k not in (1, 2, 3, 4):
+        raise ValueError("k must be between 1 and 4")
+    full = (1 << g.n) - 1
+    valencies: dict[IsoType, int] = {}
+    for j in range(1, k + 1):
+        if j == 3:
+            witness, vals = _triple_scan(g)
+            if witness is not None:
+                return witness, valencies
+            for e, val in enumerate(vals):
+                if val is not None:
+                    valencies[IsoType(3, _CODE_BY_EDGES3[e])] = val
+            continue
+        first: dict[int, tuple[tuple[int, ...], int]] = {}
+        for subset in combinations(range(g.n), j):
+            code = iso_type(g, subset).code
+            mask = full
+            for v in subset:
+                mask &= g.row(v)
+            valency = mask.bit_count()
+            seen = first.setdefault(code, (subset, valency))
+            if seen[1] != valency:
+                return IsoWitness(IsoType(j, code), seen[0], seen[1], subset, valency), valencies
+        for code, (_, valency) in first.items():
+            valencies[IsoType(j, code)] = valency
+    return None, valencies
+
+
 def is_k_isoregular(g: Graph, k: int) -> KIsoregularity:
     """Exhaustive check over all subsets of size <= k, k in 1..4.
 
     On failure the witness pairs the first subset of the violating type
     (in lexicographic order) with the first subset disagreeing with it.
     """
-    if k not in (1, 2, 3, 4):
-        raise ValueError("k must be between 1 and 4")
-    full = (1 << g.n) - 1
-    for j in range(1, k + 1):
-        first: dict[int, tuple[tuple[int, ...], int]] = {}
-        for subset in combinations(range(g.n), j):
-            if j == 3:
-                code = _triple_type_code(g, *subset)
-            else:
-                code = iso_type(g, subset).code
-            mask = full
-            for v in subset:
-                mask &= g.row(v)
-            valency = mask.bit_count()
-            seen = first.get(code)
-            if seen is None:
-                first[code] = (subset, valency)
-            elif seen[1] != valency:
-                witness = IsoWitness(IsoType(j, code), seen[0], seen[1], subset, valency)
-                return KIsoregularity(False, k, witness)
-    return KIsoregularity(True, k)
+    witness, _ = _valencies(g, k)
+    return KIsoregularity(witness is None, k, witness)
 
 
 @dataclass(frozen=True)
@@ -203,21 +264,15 @@ class IsoProfile:
 
 def iso_profile(g: Graph, k: int) -> Optional[IsoProfile]:
     """The profile when g is k-isoregular; None otherwise."""
-    if not is_k_isoregular(g, k).holds:
+    witness, seen = _valencies(g, k)
+    if witness is not None:
         return None
     valencies: dict[str, int] = {}
     vacuous: set[str] = set()
     for j in range(1, k + 1):
-        seen: dict[int, int] = {}
-        for subset in combinations(range(g.n), j):
-            t = iso_type(g, subset)
-            if t.code not in seen:
-                seen[t.code] = subset_valency(g, subset)
         for t in TYPES_BY_SIZE[j]:
-            if t.code in seen:
-                valencies[t.name] = seen[t.code]
-            else:
-                valencies[t.name] = 0
+            valencies[t.name] = seen.get(t, 0)
+            if t not in seen:
                 vacuous.add(t.name)
     return IsoProfile(k, valencies, frozenset(vacuous))
 
@@ -254,60 +309,39 @@ class NonEdgeLocalParams:
         return {"Rp": self.rp, "Wp": self.wp, "V": self.v, "vacuous": sorted(self.vacuous)}
 
 
-def _pair_buckets(g: Graph, x: int, y: int) -> Optional[list[Optional[int]]]:
-    """Per-bucket triple valency for the pair, buckets by adjacency of z to
-    {x, y}: index 2 = adjacent to both, 1 = exactly one, 0 = neither.
-    None if any bucket is inconsistent; vacuous buckets stay None inside."""
+def _pair_params(cls, names: tuple[str, str, str], g: Graph, x: int, y: int):
+    """Triple valencies through the pair, bucketed by the adjacency of the
+    third vertex z to {x, y}: both, exactly one, neither.  Returns cls(the
+    three bucket values, vacuous bucket names), or None if a bucket is
+    inconsistent; an empty bucket reports 0 and is named vacuous."""
     values: list[Optional[int]] = [None, None, None]
-    common = g.row(x) & g.row(y)
+    rx, ry = g.row(x), g.row(y)
+    common = rx & ry
     for z in range(g.n):
         if z == x or z == y:
             continue
-        hits = ((g.row(x) >> z) & 1) + ((g.row(y) >> z) & 1)
+        bucket = 2 - ((rx >> z) & 1) - ((ry >> z) & 1)
         valency = (common & g.row(z) & ~(1 << z)).bit_count()
-        if values[hits] is None:
-            values[hits] = valency
-        elif values[hits] != valency:
+        if values[bucket] is None:
+            values[bucket] = valency
+        elif values[bucket] != valency:
             return None
-    return values
+    vacuous = frozenset(name for name, val in zip(names, values) if val is None)
+    return cls(*(val or 0 for val in values), vacuous)
 
 
 def edge_iso_params(g: Graph, x: int, y: int) -> Optional[EdgeLocalParams]:
     """(Q, R, W) if the edge (x, y) is 3-isoregular, else None."""
     if x == y or not g.adjacent(x, y):
         raise ValueError(f"({x},{y}) is not an edge")
-    buckets = _pair_buckets(g, x, y)
-    if buckets is None:
-        return None
-    vacuous = set()
-    names = {2: "K3", 1: "K1,2", 0: "K2+K1"}
-    out = {}
-    for hits, tag in names.items():
-        if buckets[hits] is None:
-            vacuous.add(tag)
-            out[tag] = 0
-        else:
-            out[tag] = buckets[hits]
-    return EdgeLocalParams(out["K3"], out["K1,2"], out["K2+K1"], frozenset(vacuous))
+    return _pair_params(EdgeLocalParams, ("K3", "K1,2", "K2+K1"), g, x, y)
 
 
 def nonedge_iso_params(g: Graph, x: int, z: int) -> Optional[NonEdgeLocalParams]:
     """(R', W', V) if the non-edge (x, z) is 3-isoregular, else None."""
     if x == z or g.adjacent(x, z):
         raise ValueError(f"({x},{z}) is not a non-edge of distinct vertices")
-    buckets = _pair_buckets(g, x, z)
-    if buckets is None:
-        return None
-    vacuous = set()
-    names = {2: "K1,2", 1: "K2+K1", 0: "3K1"}
-    out = {}
-    for hits, tag in names.items():
-        if buckets[hits] is None:
-            vacuous.add(tag)
-            out[tag] = 0
-        else:
-            out[tag] = buckets[hits]
-    return NonEdgeLocalParams(out["K1,2"], out["K2+K1"], out["3K1"], frozenset(vacuous))
+    return _pair_params(NonEdgeLocalParams, ("K1,2", "K2+K1", "3K1"), g, x, z)
 
 
 @dataclass(frozen=True)

@@ -181,55 +181,6 @@ def _require_nontrivial(p: SrgParams) -> None:
         raise ValueError(f"parameters {p.as_tuple()} are not a nontrivial SRG")
 
 
-def feasible_local_params(p: SrgParams) -> list[LocalParamSolution]:
-    """Exhaustive scan of R in [0, min(lambda, mu-1)] (with R' = R): keep
-    tuples whose Q, W, V are non-negative integers within bounds under all
-    five relations.  When the non-edge D22 cell is empty (complement has
-    lambda = 0) V is vacuous and reported as 0."""
-    _require_nontrivial(p)
-    n, k, lam, mu = p.as_tuple()
-    d22 = n - 2 * k + mu - 2
-    if d22 < 0:
-        return []
-    solutions = []
-    for r in range(0, min(lam, mu - 1) + 1):
-        vacuous = set()
-        if lam > 0:
-            num = lam * (lam - 1) - r * (k - lam - 1)
-            if num < 0 or num % lam:
-                continue
-            q = num // lam
-            if q > lam - 1:
-                continue
-        else:
-            if r * (k - lam - 1) != 0:
-                continue
-            q = 0
-            vacuous.add("Q")
-        wnum = mu * (lam - r)
-        if wnum < 0 or wnum % (k - mu):
-            continue
-        w = wnum // (k - mu)
-        if w > lam or w > mu:
-            continue
-        if lam * mu * (k - 2 * lam + q) != w * (k - mu) * (k - lam - 1):
-            continue
-        vnum = mu * (k - 2 - 2 * lam + r)
-        if d22 > 0:
-            if vnum < 0 or vnum % d22:
-                continue
-            v = vnum // d22
-            if v > mu:
-                continue
-        else:
-            if vnum != 0:
-                continue
-            v = 0
-            vacuous.add("V")
-        solutions.append(LocalParamSolution(q, r, w, v, frozenset(vacuous)))
-    return solutions
-
-
 def feasible_edge_params(p: SrgParams) -> list[tuple[int, int, int]]:
     """Edge-side feasibility only: (Q, R, W) tuples satisfying the edge
     relations within their bounds, no non-edge identification."""
@@ -258,6 +209,35 @@ def feasible_edge_params(p: SrgParams) -> list[tuple[int, int, int]]:
             continue
         out.append((q, r, w))
     return out
+
+
+def feasible_local_params(p: SrgParams) -> list[LocalParamSolution]:
+    """The edge solutions with R <= mu-1 and W <= mu (the non-edge
+    identification R' = R, W' = W), extended by an integer V in [0, mu]
+    from the non-edge relation.  Q is vacuous when lambda = 0; when the
+    non-edge D22 cell is empty (complement has lambda = 0) V is vacuous and
+    reported as 0."""
+    n, k, lam, mu = p.as_tuple()
+    d22 = n - 2 * k + mu - 2
+    solutions = []
+    for q, r, w in feasible_edge_params(p):
+        if d22 < 0 or r > mu - 1 or w > mu:
+            continue
+        vacuous = {"Q"} if lam == 0 else set()
+        vnum = mu * (k - 2 - 2 * lam + r)
+        if d22 > 0:
+            if vnum < 0 or vnum % d22:
+                continue
+            v = vnum // d22
+            if v > mu:
+                continue
+        else:
+            if vnum != 0:
+                continue
+            v = 0
+            vacuous.add("V")
+        solutions.append(LocalParamSolution(q, r, w, v, frozenset(vacuous)))
+    return solutions
 
 
 def even_m_candidates(m: int, family: str) -> LocalParamSolution:
@@ -337,6 +317,8 @@ def validate_step(step: Step) -> bool:
         a, b = data["values"]
         return (math.gcd(abs(a), abs(b)) == data["equals"]) == step.holds
     if step.kind == "DIVISIBILITY":
+        if data["divisor"] == 0:
+            raise ValueError("DIVISIBILITY step with divisor 0")
         if "multiples" in data:
             d = data["divisor"]
             found = [x for x in range(data["lo"], data["hi"] + 1) if x % d == 0]
@@ -440,22 +422,14 @@ def _eq2_step(p: SrgParams) -> Step:
     )
 
 
-def _oracle_record(
-    feasible: list[LocalParamSolution], eliminations: dict[tuple[int, int, int], str]
-) -> dict:
-    """Record the solver output and, for each tuple, which graph-level step
-    of the certificate eliminates it (empty string if none is needed)."""
-    entries = []
-    for sol in feasible:
-        key = (sol.q, sol.r, sol.w)
-        entries.append(
-            {
-                "tuple": list(sol.as_tuple()),
-                "vacuous": sorted(sol.vacuous),
-                "eliminated_by": eliminations.get(key, ""),
-            }
-        )
-    return {"feasible": entries, "consistent": all(e["eliminated_by"] for e in entries)}
+def _settling_steps(steps: list[Step]) -> dict[tuple[int, int, int], str]:
+    """Edge tuple -> kind of the graph-level step that settles it
+    (confirmation for a SOLUTION, elimination otherwise)."""
+    return {
+        tuple(step.data["tuple"][:3]): step.kind
+        for step in steps
+        if step.kind in ("HOFFMAN_CLIQUE", "GRAPH_CHECK") and "tuple" in step.data
+    }
 
 
 def certify_bicirc_odd(m: int) -> Instance:
@@ -558,13 +532,18 @@ def certify_bicirc_odd(m: int) -> Instance:
 
 
 def _solver_cross_check(p: SrgParams, steps: list[Step]) -> dict:
-    feasible = feasible_local_params(p)
-    eliminations: dict[tuple[int, int, int], str] = {}
-    for step in steps:
-        if step.kind in ("HOFFMAN_CLIQUE", "GRAPH_CHECK") and "tuple" in step.data:
-            key = tuple(step.data["tuple"][:3])
-            eliminations[key] = step.kind
-    return _oracle_record(feasible, eliminations)
+    """Record the solver output and, for each tuple, which graph-level step
+    of the certificate eliminates it (empty string if none is needed)."""
+    settled = _settling_steps(steps)
+    entries = [
+        {
+            "tuple": list(sol.as_tuple()),
+            "vacuous": sorted(sol.vacuous),
+            "eliminated_by": settled.get((sol.q, sol.r, sol.w), ""),
+        }
+        for sol in feasible_local_params(p)
+    ]
+    return {"feasible": entries, "consistent": all(e["eliminated_by"] for e in entries)}
 
 
 def certify_family_b(m: int) -> Instance:
@@ -732,15 +711,12 @@ def certify_family_c(m: int) -> Instance:
 
 def _tri_oracle(p: SrgParams, steps: list[Step]) -> dict:
     """Edge-side solver output; each tuple points at the graph-level step
-    that settles it (confirmation for a SOLUTION, elimination otherwise)."""
-    feasible = feasible_edge_params(p)
-    settled: dict[tuple[int, int, int], str] = {}
-    for step in steps:
-        if step.kind in ("HOFFMAN_CLIQUE", "GRAPH_CHECK") and "tuple" in step.data:
-            settled[tuple(step.data["tuple"][:3])] = step.kind
-    entries = []
-    for q, r, w in feasible:
-        entries.append({"tuple": [q, r, w], "settled_by": settled.get((q, r, w), "")})
+    that settles it."""
+    settled = _settling_steps(steps)
+    entries = [
+        {"tuple": [q, r, w], "settled_by": settled.get((q, r, w), "")}
+        for q, r, w in feasible_edge_params(p)
+    ]
     return {"feasible": entries, "consistent": all(e["settled_by"] for e in entries)}
 
 

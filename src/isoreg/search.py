@@ -6,18 +6,25 @@ conditions for strong regularity (within-orbit common-neighbor counts are
 determined by set difference multisets), and 3-isoregular graphs are always
 strongly regular.  A run with pruning disabled reports identical classes.
 
-Sharding is static over the between-orbit set space; workers are stateless
-and survivors are sorted by symbol encoding before deduplication, so output
-is independent of worker count and scheduling.
+Both searches run one pipeline.  A worker enumerates its shard, prunes,
+builds each candidate and tests strong regularity and the target; ``_judge``
+then applies the shared tail (nontriviality from the parameters, the triple
+test, the profile) and records the survivor.  ``_run_shards`` runs the
+shards serially or on a process pool and merges them, and ``_finish``
+deduplicates.  Sharding is static over the between-orbit set space; workers
+are stateless and survivors are sorted by symbol encoding before
+deduplication, so output is independent of worker count and scheduling.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .graphs import Graph, complement
 from .isomorphism import invariant_fingerprint, is_isomorphic
+from .isoregularity import triples_isoregular
 from .formats import encode_graph6
 from .srg import SrgParams, srg_params
 from .symbols import BicirculantSymbol, TricirculantSymbol, bicirculant, tricirculant
@@ -94,35 +101,6 @@ def _orbit_consistent(
     return True
 
 
-def triples_isoregular(g: Graph) -> tuple[bool, Optional[list[Optional[int]]]]:
-    """Constancy of triple valencies by induced edge count; together with
-    strong regularity this is exactly 3-isoregularity."""
-    rows = g.rows()
-    n = g.n
-    vals: list[Optional[int]] = [None, None, None, None]
-    for a in range(n):
-        ra = rows[a]
-        for b in range(a + 1, n):
-            rb = rows[b]
-            rab = ra & rb
-            eab = (ra >> b) & 1
-            for c in range(b + 1, n):
-                rc = rows[c]
-                e = eab + ((ra >> c) & 1) + ((rb >> c) & 1)
-                # rab & rc cannot contain a, b or c: rows carry no loops.
-                val = (rab & rc).bit_count()
-                if vals[e] is None:
-                    vals[e] = val
-                elif vals[e] != val:
-                    return False, None
-    return True, vals
-
-
-def _profile_from_triple_vals(vals: list[Optional[int]]) -> tuple[int, int, int, int]:
-    """(K3, K1,2, K2+K1, 3K1) with vacuous types reported as 0."""
-    return (vals[3] or 0, vals[2] or 0, vals[1] or 0, vals[0] or 0)
-
-
 @dataclass(frozen=True)
 class SearchSpec:
     """Parameters of a bicirculant symbol search."""
@@ -194,7 +172,29 @@ class SearchResult:
         return out
 
 
-def _bicirc_worker(args) -> tuple[list, int, int, int]:
+def _judge(sym, g: Graph, p: SrgParams, nontrivial_only: bool, require_iso3: bool,
+           records: list, counts: list[int]) -> None:
+    """Shared tail of both workers, for a strongly regular candidate that met
+    the target: nontriviality (0 < mu < k, which for a strongly regular graph
+    means it and its complement are connected), the triple test, the profile
+    and the record.  counts holds the srg, nontrivial and iso3 hits."""
+    nontrivial = p.is_nontrivial()
+    if nontrivial:
+        counts[1] += 1
+    elif nontrivial_only:
+        return
+    ok3, vals = triples_isoregular(g)
+    iso3 = ok3 and nontrivial
+    if iso3:
+        counts[2] += 1
+    if require_iso3 and not iso3:
+        return
+    # (K3, K1,2, K2+K1, 3K1) with vacuous types reported as 0.
+    profile = (vals[3] or 0, vals[2] or 0, vals[1] or 0, vals[0] or 0) if iso3 else None
+    records.append((sym.key(), p.as_tuple(), profile, iso3))
+
+
+def _bicirc_worker(args) -> tuple[list, list[int]]:
     """One shard of a bicirculant run; returns records and counter deltas."""
     (n, target, s_masks, sp_masks, t_masks, sp_is_complement, require_iso3,
      nontrivial_only, use_pruning, shard, stride) = args
@@ -203,10 +203,8 @@ def _bicirc_worker(args) -> tuple[list, int, int, int]:
     k = target[1] if target else None
     full = (1 << n) - 1
     s_vectors = {m: _diff_vector(m, n) for m in set(s_masks) | set(sp_masks)}
-    records = []
-    srg_hits = 0
-    nontrivial_hits = 0
-    iso3_hits = 0
+    records: list = []
+    counts = [0, 0, 0]
     for t_index in range(shard, len(t_masks), stride):
         t_mask = t_masks[t_index]
         bt = _diff_vector(t_mask, n)
@@ -240,23 +238,11 @@ def _bicirc_worker(args) -> tuple[list, int, int, int]:
                 p = srg_params(g)
                 if p is None:
                     continue
-                srg_hits += 1
+                counts[0] += 1
                 if target is not None and p.as_tuple() != target:
                     continue
-                nontrivial = p.is_nontrivial() and g.is_connected() and complement(g).is_connected()
-                if nontrivial:
-                    nontrivial_hits += 1
-                if nontrivial_only and not nontrivial:
-                    continue
-                ok3, vals = triples_isoregular(g)
-                iso3 = ok3 and nontrivial
-                if iso3:
-                    iso3_hits += 1
-                if require_iso3 and not iso3:
-                    continue
-                profile = _profile_from_triple_vals(vals) if iso3 else None
-                records.append((sym.key(), p.as_tuple(), profile, iso3))
-    return records, srg_hits, nontrivial_hits, iso3_hits
+                _judge(sym, g, p, nontrivial_only, require_iso3, records, counts)
+    return records, counts
 
 
 def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
@@ -283,47 +269,37 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
         raise SearchCapError("bicirculant space too large", candidates)
 
     target = spec.target.as_tuple() if spec.target else None
-    args = [
-        (n, target, s_masks, sp_masks, t_masks, spec.sp_is_complement,
-         spec.require_iso3, spec.nontrivial_only, spec.use_pruning, shard, max(jobs, 1))
-        for shard in range(max(jobs, 1))
-    ]
-    if jobs > 1:
+    args = (n, target, s_masks, sp_masks, t_masks, spec.sp_is_complement,
+            spec.require_iso3, spec.nontrivial_only, spec.use_pruning)
+    survivors, counts = _run_shards(_bicirc_worker, args, jobs, BicirculantSymbol)
+    return _finish(survivors, candidates, counts, spec.dedup)
+
+
+def _run_shards(worker, args: tuple, jobs: int, make_symbol) -> tuple[list[Survivor], list[int]]:
+    """Run worker on args + (shard, stride) for every shard, serially or on a
+    process pool; return the survivors sorted by symbol key and the summed
+    counters.  The shard count is jobs clamped to the CPU count; output does
+    not depend on it."""
+    stride = max(1, min(jobs, os.cpu_count() or 1))
+    shards = [args + (shard, stride) for shard in range(stride)]
+    if stride > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(_bicirc_worker, args))
+        with ProcessPoolExecutor(max_workers=stride) as pool:
+            outputs = list(pool.map(worker, shards))
     else:
-        outputs = [_bicirc_worker(a) for a in args]
-
-    records = []
-    srg_hits = nontrivial_hits = iso3_hits = 0
-    for recs, s_h, nt_h, i_h in outputs:
-        records.extend(recs)
-        srg_hits += s_h
-        nontrivial_hits += nt_h
-        iso3_hits += i_h
-    records.sort()
+        outputs = [worker(a) for a in shards]
+    records = sorted(r for recs, _ in outputs for r in recs)
+    counts = [sum(c[i] for _, c in outputs) for i in range(3)]
     survivors = [
-        Survivor(
-            BicirculantSymbol(n, key[1], key[2], key[3]),
-            SrgParams(*params),
-            profile,
-            "",
-            iso3,
-        )
+        Survivor(make_symbol(*key), SrgParams(*params), profile, "", iso3)
         for key, params, profile, iso3 in records
     ]
-    return _finish(survivors, candidates, srg_hits, nontrivial_hits, iso3_hits, spec.dedup)
+    return survivors, counts
 
 
 def _finish(
-    survivors: list[Survivor],
-    candidates: int,
-    srg_hits: int,
-    nontrivial_hits: int,
-    iso3_hits: int,
-    dedup: bool,
+    survivors: list[Survivor], candidates: int, counts: list[int], dedup: bool
 ) -> SearchResult:
     from .symbols import symbol_graph
 
@@ -355,9 +331,7 @@ def _finish(
         ]
         classes = None
         complement_classes = None
-    stats = SearchStats(
-        candidates, srg_hits, nontrivial_hits, iso3_hits, len(filled), classes, complement_classes
-    )
+    stats = SearchStats(candidates, *counts, len(filled), classes, complement_classes)
     return SearchResult(tuple(filled), tuple(class_reps), stats)
 
 
@@ -382,8 +356,9 @@ def _complement_class_count(rep_graphs: list[Graph]) -> int:
 # Tricirculant search
 
 
-def _tricirc_worker(args) -> tuple[list, int, int, int]:
-    (n, target, shard, stride, use_pruning) = args
+def _tricirc_worker(args) -> tuple[list, list[int]]:
+    """One shard of a tricirculant run; returns records and counter deltas."""
+    (n, target, use_pruning, shard, stride) = args
     k = target[1]
     lam = target[2]
     mu = target[3]
@@ -394,8 +369,8 @@ def _tricirc_worker(args) -> tuple[list, int, int, int]:
     diff = {m: _diff_vector(m, n) for m in sym_masks}
     t_all = list(range(1 << n))
     t_diff = [None] * (1 << n)
-    records = []
-    srg_hits = nontrivial_hits = iso3_hits = 0
+    records: list = []
+    counts = [0, 0, 0]
 
     def tvec(mask: int):
         if t_diff[mask] is None:
@@ -450,21 +425,9 @@ def _tricirc_worker(args) -> tuple[list, int, int, int]:
                             p = srg_params(g)
                             if p is None or p.as_tuple() != target:
                                 continue
-                            srg_hits += 1
-                            nontrivial = (
-                                p.is_nontrivial()
-                                and g.is_connected()
-                                and complement(g).is_connected()
-                            )
-                            if not nontrivial:
-                                continue
-                            nontrivial_hits += 1
-                            ok3, vals = triples_isoregular(g)
-                            if ok3:
-                                iso3_hits += 1
-                            profile = _profile_from_triple_vals(vals) if ok3 else None
-                            records.append((sym.key(), p.as_tuple(), profile, ok3))
-    return records, srg_hits, nontrivial_hits, iso3_hits
+                            counts[0] += 1
+                            _judge(sym, g, p, True, False, records, counts)
+    return records, counts
 
 
 def search_tricirculant_srg(
@@ -494,29 +457,9 @@ def search_tricirculant_srg(
     if candidates > CANDIDATE_CAP:
         raise SearchCapError("tricirculant space too large", candidates)
 
-    stride = max(jobs, 1)
-    args = [(n, target.as_tuple(), shard, stride, use_pruning) for shard in range(stride)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(_tricirc_worker, args))
-    else:
-        outputs = [_tricirc_worker(a) for a in args]
-
-    records = []
-    srg_hits = nontrivial_hits = iso3_hits = 0
-    for recs, s_h, nt_h, i_h in outputs:
-        records.extend(recs)
-        srg_hits += s_h
-        nontrivial_hits += nt_h
-        iso3_hits += i_h
-    records.sort()
-    survivors = [
-        Survivor(TricirculantSymbol(n, *key[1:]), SrgParams(*params), profile, "", iso3)
-        for key, params, profile, iso3 in records
-    ]
-    return _finish(survivors, candidates, srg_hits, nontrivial_hits, iso3_hits, True)
+    args = (n, target.as_tuple(), use_pruning)
+    survivors, counts = _run_shards(_tricirc_worker, args, jobs, TricirculantSymbol)
+    return _finish(survivors, candidates, counts, True)
 
 
 # ---------------------------------------------------------------------------

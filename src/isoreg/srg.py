@@ -307,10 +307,7 @@ def subconstituent(g: Graph, v: int, i: int) -> Graph:
 
 
 def is_nontrivial_srg(g: Graph) -> bool:
-    """Strongly regular with both the graph and its complement connected."""
+    """Strongly regular with both the graph and its complement connected,
+    which for a strongly regular graph is 0 < mu < k (SrgParams.is_nontrivial)."""
     p = srg_params(g)
-    if p is None or g.n < 2:
-        return False
-    from .graphs import complement
-
-    return g.is_connected() and complement(g).is_connected()
+    return p is not None and p.is_nontrivial()

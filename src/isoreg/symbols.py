@@ -156,38 +156,35 @@ def circulant(n: int, s: Iterable[int]) -> Graph:
     return Graph(n, rows)
 
 
-def bicirculant(sym: BicirculantSymbol) -> Graph:
-    """Bicirculant on 2n vertices; u-orbit is 0..n-1, w-orbit is n..2n-1."""
-    n = sym.n
-    rows = [0] * (2 * n)
-    for i in range(n):
-        rows[i] = _difference_row(n, sym.s, i, 0) | _difference_row(n, sym.t, i, n)
-    for j in range(n):
-        row = _difference_row(n, sym.sp, j, n)
-        # u_i ~ w_j iff j - i in T, so w_j sees u at i = j - t.
-        for t in sym.t:
-            row |= 1 << ((j - t) % n)
-        rows[n + j] = row
-    return Graph(2 * n, rows)
-
-
-def tricirculant(sym: TricirculantSymbol) -> Graph:
-    """Tricirculant on 3n vertices; orbit a occupies a*n..a*n+n-1."""
-    n = sym.n
-    rows = [0] * (3 * n)
-    connections = {(0, 1): sym.t01, (1, 2): sym.t12, (2, 0): sym.t20}
-    diagonals = (sym.s0, sym.s1, sym.s2)
-    for a in range(3):
+def _multicirculant(n: int, diagonals, connections: dict) -> Graph:
+    """Multicirculant on len(diagonals) * n vertices; orbit a occupies
+    a*n..a*n+n-1.  Within orbit a, i ~ j iff j - i lies in diagonals[a];
+    connections[(x, y)] = T means x_i ~ y_j iff j - i lies in T."""
+    rows = []
+    for a, diagonal in enumerate(diagonals):
         for i in range(n):
-            row = _difference_row(n, diagonals[a], i, a * n)
+            row = _difference_row(n, diagonal, i, a * n)
             for (x, y), t in connections.items():
                 if x == a:
                     row |= _difference_row(n, t, i, y * n)
                 elif y == a:
+                    # x_j ~ y_i iff i - j in T, so y_i sees x at j = i - r.
                     for r in t:
                         row |= 1 << (x * n + (i - r) % n)
-            rows[a * n + i] = row
-    return Graph(3 * n, rows)
+            rows.append(row)
+    return Graph(len(diagonals) * n, rows)
+
+
+def bicirculant(sym: BicirculantSymbol) -> Graph:
+    """Bicirculant on 2n vertices; u-orbit is 0..n-1, w-orbit is n..2n-1."""
+    return _multicirculant(sym.n, (sym.s, sym.sp), {(0, 1): sym.t})
+
+
+def tricirculant(sym: TricirculantSymbol) -> Graph:
+    """Tricirculant on 3n vertices; orbit a occupies a*n..a*n+n-1."""
+    return _multicirculant(
+        sym.n, (sym.s0, sym.s1, sym.s2), {(0, 1): sym.t01, (1, 2): sym.t12, (2, 0): sym.t20}
+    )
 
 
 def parse_symbol(text: str):

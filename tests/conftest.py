@@ -164,3 +164,117 @@ def backtracking_isomorphism(g: Graph, h: Graph):
         return False
 
     return mapping if extend(0) else None
+
+
+def reference_valencies(g: Graph, sizes):
+    """Reference subset scan with combinations and the canonical iso_type,
+    every size included (no triple shortcut): the first violation in
+    lexicographic order, or None, and the valency of each type seen before
+    it.  isoreg's one-pass kernel is compared against it."""
+    from itertools import combinations
+
+    from isoreg import IsoType, iso_type, subset_valency
+    from isoreg.isoregularity import IsoWitness
+
+    valencies = {}
+    for j in sizes:
+        first = {}
+        for subset in combinations(range(g.n), j):
+            code = iso_type(g, subset).code
+            valency = subset_valency(g, subset)
+            if code not in first:
+                first[code] = (subset, valency)
+            elif first[code][1] != valency:
+                seen = first[code]
+                return IsoWitness(IsoType(j, code), seen[0], seen[1], subset, valency), valencies
+        for code, (_, valency) in first.items():
+            valencies[IsoType(j, code)] = valency
+    return None, valencies
+
+
+def reference_feasible_local_params(p):
+    """Reference local-parameter solver: its own scan of R in
+    [0, min(lambda, mu-1)] with every bound checked inline, as (Q, R, W, V,
+    vacuous names) tuples."""
+    n, k, lam, mu = p.as_tuple()
+    d22 = n - 2 * k + mu - 2
+    if d22 < 0:
+        return []
+    solutions = []
+    for r in range(0, min(lam, mu - 1) + 1):
+        vacuous = set()
+        if lam > 0:
+            num = lam * (lam - 1) - r * (k - lam - 1)
+            if num < 0 or num % lam:
+                continue
+            q = num // lam
+            if q > lam - 1:
+                continue
+        else:
+            if r * (k - lam - 1) != 0:
+                continue
+            q = 0
+            vacuous.add("Q")
+        wnum = mu * (lam - r)
+        if wnum < 0 or wnum % (k - mu):
+            continue
+        w = wnum // (k - mu)
+        if w > lam or w > mu:
+            continue
+        if lam * mu * (k - 2 * lam + q) != w * (k - mu) * (k - lam - 1):
+            continue
+        vnum = mu * (k - 2 - 2 * lam + r)
+        if d22 > 0:
+            if vnum < 0 or vnum % d22:
+                continue
+            v = vnum // d22
+            if v > mu:
+                continue
+        else:
+            if vnum != 0:
+                continue
+            v = 0
+            vacuous.add("V")
+        solutions.append((q, r, w, v, frozenset(vacuous)))
+    return solutions
+
+
+def _difference_row(n, residues, base, offset):
+    row = 0
+    for r in residues:
+        row |= 1 << (offset + (base + r) % n)
+    return row
+
+
+def reference_bicirculant(sym) -> Graph:
+    """Reference bicirculant builder, written out orbit by orbit."""
+    n = sym.n
+    rows = [0] * (2 * n)
+    for i in range(n):
+        rows[i] = _difference_row(n, sym.s, i, 0) | _difference_row(n, sym.t, i, n)
+    for j in range(n):
+        row = _difference_row(n, sym.sp, j, n)
+        # u_i ~ w_j iff j - i in T, so w_j sees u at i = j - t.
+        for t in sym.t:
+            row |= 1 << ((j - t) % n)
+        rows[n + j] = row
+    return Graph(2 * n, rows)
+
+
+def reference_tricirculant(sym) -> Graph:
+    """Reference tricirculant builder: orbit a occupies a*n..a*n+n-1."""
+    n = sym.n
+    rows = [0] * (3 * n)
+    connections = {(0, 1): sym.t01, (1, 2): sym.t12, (2, 0): sym.t20}
+    diagonals = (sym.s0, sym.s1, sym.s2)
+    for a in range(3):
+        for i in range(n):
+            row = _difference_row(n, diagonals[a], i, a * n)
+            for (x, y), t in connections.items():
+                if x == a:
+                    row |= _difference_row(n, t, i, y * n)
+                elif y == a:
+                    for r in t:
+                        row |= 1 << (x * n + (i - r) % n)
+            rows[a * n + i] = row
+    return Graph(3 * n, rows)

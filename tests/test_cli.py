@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from isoreg.cli import main
 
 
@@ -215,3 +217,38 @@ def test_families_tables(capsys):
 def test_malformed_range(capsys):
     code, _, err = run_cli(capsys, "certify", "bicirc-odd", "--range", "2-30")
     assert code == 2
+
+
+_DIVISOR_ZERO_STEP = {
+    "kind": "DIVISIBILITY",
+    "description": "divisor 0",
+    "data": {"value": 1, "divisor": 0, "divides": False},
+    "holds": True,
+}
+_HOSTILE_CERTIFICATES = {
+    "array": ([], "malformed certificate"),
+    "missing-key": ({"claim": "bicirc-odd"}, "malformed certificate: KeyError('indices')"),
+    "divisor-zero": (
+        {
+            "claim": "bicirc-odd",
+            "indices": [2],
+            "instances": [
+                {"index": 2, "params": None, "verdict": "CONTRADICTION",
+                 "steps": [_DIVISOR_ZERO_STEP], "solution": None, "oracle": None}
+            ],
+        },
+        "DIVISIBILITY step with divisor 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE_CERTIFICATES))
+def test_replay_hostile_certificate_is_input_error(capsys, tmp_path, name):
+    # A malformed certificate is an input error (exit 2), never a traceback
+    # and never exit 1, the "claim fails" code.
+    payload, message = _HOSTILE_CERTIFICATES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "replay", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err

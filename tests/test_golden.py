@@ -1,0 +1,52 @@
+"""Golden CLI output: exit code and SHA-256 of stdout for searches and checks.
+
+The digests were recorded from the code before the search, triple-kernel,
+solver and builder merges; any change to the bytes these commands print
+fails here.  Each search runs at --jobs 1 and --jobs 2.
+"""
+
+import hashlib
+
+import pytest
+
+from isoreg.cli import main
+
+SEARCHES = {
+    "search tricirc --n 5 --params 15,6,1,3": (
+        0, "a02c7a9c2975f5c49f6da620fd3f91c9e6ec221cc196c5e796bd625de6ac31ac"),
+    "search tricirc --n 5 --params 15,8,4,4": (
+        0, "325ff997837a35758d3f1570ec33e991f669755e3db688e5c85a05fb01509010"),
+    "search tricirc --n 3 --params 9,4,1,2 --no-prune": (
+        0, "889e260485b62ffaa3610b21a2ec5d7c3f75065bd2e6804ffafb1742fa08d4f4"),
+    "search bicirc --n 8": (
+        0, "2c46ca6affd41b8b611ef645c3e3c83213dd1c0cfa7b02294659904766496f1f"),
+    "search bicirc --n 8 --iso3": (
+        0, "a90518053a77d889a683c075448d6fda7634359a9db8755a84400c4623cbdd0a"),
+    "search bicirc-odd --n 5": (
+        0, "115e98adcb89e9cb32e9349fca8808d97959fba26e8aada39833de5fb3165fb4"),
+    "search bicirc-odd --n 7": (
+        0, "66b3e6be428822e1a7f9e7fd5197f0fde2a88cda4cdc82eb472f81f28d8d3be2"),
+}
+
+CHECKS = {
+    "check isoreg clebsch --k 4": (
+        1, "7af93b64cd4f8b4e638cb592d8f0f1e317aa3892bf6f157aabcf40f95a55454a"),
+    "check isoreg clebsch --k 3": (
+        0, "68d8e263f6424d6186f6a6688e48eb80724519d9f74ef9ceaade2cb0e543375f"),
+    "check isoreg shrikhande-a --k 3": (
+        1, "16a4d4d16a917a5736d051dfdb711d798f18b11e2a9e73e251a18035e3e9a8a2"),
+    "check isoreg k4xk4 --k 3": (
+        0, "e957f9912d8ee95a60f56ca8ae362e3885f39d6e3625202b426e398909e678da"),
+    "check local3 petersen": (
+        1, "11c214e98a4a5dd49a0f69171a7a7613f26b35cfadbb38ec75f021058fdf96f1"),
+}
+
+CASES = [(f"{cmd} --jobs {jobs}", want) for cmd, want in SEARCHES.items() for jobs in (1, 2)]
+CASES += list(CHECKS.items())
+
+
+@pytest.mark.parametrize("command,want", CASES, ids=[c for c, _ in CASES])
+def test_golden_stdout(capsys, command, want):
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == want

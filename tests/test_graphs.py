@@ -247,3 +247,27 @@ def test_named_registry():
         named_graph("nope")
     with pytest.raises(ValueError):
         named_graph("paley-x")
+
+
+def test_builders_match_reference_on_random_symbols():
+    import random
+
+    from isoreg import BicirculantSymbol, TricirculantSymbol, bicirculant, tricirculant
+    from isoreg.search import symmetric_subsets
+
+    from conftest import reference_bicirculant, reference_tricirculant
+
+    rng = random.Random(20251018)
+    for _ in range(200):
+        n = rng.randint(2, 12)
+        sym_sets = symmetric_subsets(n)
+
+        def any_set():
+            return [r for r in range(n) if rng.random() < 0.5]
+
+        bi = BicirculantSymbol(n, rng.choice(sym_sets), rng.choice(sym_sets), any_set())
+        assert bicirculant(bi).rows() == reference_bicirculant(bi).rows(), bi.text()
+        tri = TricirculantSymbol(
+            n, *(rng.choice(sym_sets) for _ in range(3)), *(any_set() for _ in range(3))
+        )
+        assert tricirculant(tri).rows() == reference_tricirculant(tri).rows(), tri.text()

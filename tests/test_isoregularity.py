@@ -28,7 +28,7 @@ from isoreg import (
 )
 from isoreg.search import triples_isoregular
 
-from conftest import brute_valency, build_corpus
+from conftest import brute_valency, build_corpus, reference_valencies
 
 
 # -- subset valency ----------------------------------------------------------
@@ -202,6 +202,44 @@ def test_fast_triples_check_agrees_with_full_enumeration():
         if srg_params(g) is None:
             continue
         assert triples_isoregular(g)[0] == is_k_isoregular(g, 3).holds, name
+
+
+def _reference_graphs():
+    from isoreg import SearchSpec, search_bicirculant, symbol_graph
+
+    graphs = dict(build_corpus())
+    space = search_bicirculant(SearchSpec(n=8, nontrivial_only=False, dedup=False))
+    assert len(space.survivors) == 164
+    for i, survivor in enumerate(space.survivors):
+        graphs[f"n8-{i}"] = symbol_graph(survivor.symbol)
+    return graphs
+
+
+def test_valency_pass_matches_reference_scan():
+    # The bit-row triple kernel against the combinations + iso_type scan:
+    # the same first witness and the same valencies, at the triple level
+    # alone and through the k <= 3 pass behind is_k_isoregular/iso_profile.
+    from isoreg.isoregularity import IsoType, _triple_scan, _valencies
+
+    codes = (0, 1, 3, 7)  # size-3 canonical code by induced edge count
+    for name, g in _reference_graphs().items():
+        witness, vals = _triple_scan(g)
+        ref_witness, ref_vals = reference_valencies(g, (3,))
+        assert witness == ref_witness, name
+        if witness is None:
+            got = {IsoType(3, codes[e]): v for e, v in enumerate(vals) if v is not None}
+            assert got == ref_vals, name
+        assert triples_isoregular(g)[0] == (witness is None), name
+        reference = reference_valencies(g, (1, 2, 3))
+        assert _valencies(g, 3) == reference, name
+        assert is_k_isoregular(g, 3).witness == reference[0], name
+
+
+def test_four_level_pass_matches_reference_scan():
+    from isoreg.isoregularity import _valencies
+
+    for name, g in build_corpus().items():
+        assert _valencies(g, 4) == reference_valencies(g, (1, 2, 3, 4)), name
 
 
 # -- local parameters --------------------------------------------------------

@@ -29,7 +29,7 @@ from isoreg import (
 )
 from isoreg.paramtheory import Certificate, validate_step
 
-from conftest import build_corpus
+from conftest import build_corpus, reference_feasible_local_params
 
 
 # -- families -----------------------------------------------------------------
@@ -308,6 +308,30 @@ def test_oracle_agreement_for_contradiction_certificates():
         assert certify_family_b(m).oracle["feasible"] == []
         inst = certify_family_c(m)
         assert all(e["eliminated_by"] for e in inst.oracle["feasible"]), m
+
+
+def test_solver_matches_reference_over_parameter_sweep():
+    # Every nontrivial parameter set with 5 <= n <= 89: the solver built on
+    # the edge solutions agrees with the standalone reference scan.
+    checked = 0
+    for n in range(5, 90):
+        for k in range(1, n):
+            for lam in range(k):
+                # mu is fixed by k(k-lambda-1) = mu(n-1-k), except for k = n-1.
+                if k == n - 1:
+                    mus = range(1, k) if lam == k - 1 else ()
+                else:
+                    mus = (k * (k - lam - 1) // (n - 1 - k),)
+                for mu in mus:
+                    p = SrgParams(n, k, lam, mu)
+                    if not p.is_nontrivial():
+                        continue
+                    got = [(*s.as_tuple(), s.vacuous) for s in feasible_local_params(p)]
+                    assert got == reference_feasible_local_params(p), p.as_tuple()
+                    checked += 1
+    assert checked == 8145
+    with pytest.raises(ValueError):
+        feasible_local_params(SrgParams(6, 1, 0, 0))
 
 
 def test_tri_certificates_match_edge_solver():

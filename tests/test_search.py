@@ -172,3 +172,71 @@ def test_iso3_survivor_profiles_replay():
     for survivor in result.survivors:
         g = symbol_graph(survivor.symbol)
         assert iso_profile(g, 3).size3() == survivor.profile
+
+
+def test_parameter_nontriviality_matches_connectivity(monkeypatch):
+    # Every strongly regular graph the searches hand to the shared tail, trivial
+    # ones included: 0 < mu < k holds exactly when the graph and its
+    # complement are connected, so the searches need no connectivity test.
+    import isoreg.search as search_mod
+    from isoreg import complement
+
+    seen = []
+    judge = search_mod._judge
+
+    def recording_judge(sym, g, p, *rest):
+        seen.append((g, p))
+        return judge(sym, g, p, *rest)
+
+    monkeypatch.setattr(search_mod, "_judge", recording_judge)
+    for m in range(2, 9):
+        search_bicirculant(SearchSpec(n=m, dedup=False))
+    assert len(seen) == 282
+    for n in (3, 5):
+        order = 3 * n
+        for k in range(order):
+            for lam in range(max(k, 1)):
+                for mu in range(k + 1):
+                    # The complete graph reports its vacuous mu as 0.
+                    if k * (k - lam - 1) == mu * (order - 1 - k) and not (k == order - 1 and mu):
+                        search_tricirculant_srg(n, SrgParams(order, k, lam, mu))
+    assert len(seen) == 282 + 394
+    for g, p in seen:
+        connected = g.is_connected() and complement(g).is_connected()
+        assert p.is_nontrivial() == connected, p.as_tuple()
+    assert 0 < sum(p.is_nontrivial() for _, p in seen) < len(seen)
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    # A fake pool records its size and runs the shards inline, so no large
+    # pool is ever started.
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    spec = SearchSpec(n=6)
+    serial = search_bicirculant(spec)
+    tri_serial = search_tricirculant_srg(3, SrgParams(9, 4, 1, 2))
+    assert sizes == []
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert search_bicirculant(spec, jobs=1000) == serial
+    assert search_tricirculant_srg(3, SrgParams(9, 4, 1, 2), jobs=1000) == tri_serial
+    assert sizes == [3, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert search_bicirculant(spec, jobs=1000) == serial
+    assert sizes == [3, 3]
