@@ -26,6 +26,7 @@ from .paramtheory import (
     Certificate,
     bicirc_odd_family,
     certify_range,
+    check_family_index,
     claim_holds,
     even_m_candidates,
     feasible_local_params,
@@ -90,8 +91,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise InputError(f"malformed range {text!r}") from exc
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -99,33 +99,26 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit(payload: dict, out: str | None) -> None:
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+
+
 def _cmd_build(args) -> int:
     name, g = _resolve_graph(args.graph)
-    if args.format == "graph6":
-        text = encode_graph6(g) + "\n"
-    elif args.format == "dot":
-        text = to_dot(g)
-    else:
+    if args.format == "json":
         p = srg_params(g)
-        text = (
-            json.dumps(
-                {
-                    "graph": name,
-                    "n": g.n,
-                    "edges": g.edge_count(),
-                    "graph6": encode_graph6(g),
-                    "srg": None if p is None else p.to_json(),
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
+        _emit(
+            {
+                "graph": name,
+                "n": g.n,
+                "edges": g.edge_count(),
+                "graph6": encode_graph6(g),
+                "srg": None if p is None else p.to_json(),
+            },
+            args.out,
         )
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
     else:
-        sys.stdout.write(text)
+        _write(encode_graph6(g) + "\n" if args.format == "graph6" else to_dot(g), args.out)
     return 0
 
 
@@ -202,6 +195,8 @@ _CLAIMS = {
 def _cmd_certify(args) -> int:
     claim, index_fn = _CLAIMS[args.family]
     lo, hi = _parse_range(args.range)
+    check_family_index(lo)
+    check_family_index(hi)
     cert = certify_range(claim, index_fn(lo, hi))
     _emit(cert.to_json(), args.out)
     return 0 if claim_holds(cert) else 1
@@ -273,6 +268,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_families(args) -> int:
+    check_family_index(args.max)
     rows = []
     if args.family == "thm22":
         for m in range(1, args.max + 1):

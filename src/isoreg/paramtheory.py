@@ -21,6 +21,15 @@ from .srg import SrgParams
 # ---------------------------------------------------------------------------
 # Parameter families
 
+# Largest |index| that certify, replay and the family tables accept; the
+# local-parameter scan grows with the square of the index.
+MAX_FAMILY_INDEX = 1000
+
+
+def check_family_index(index: int) -> None:
+    if abs(index) > MAX_FAMILY_INDEX:
+        raise ValueError(f"family index {index} outside |index| <= {MAX_FAMILY_INDEX}")
+
 
 def bicirc_odd_family(m: int) -> tuple[SrgParams, int, int]:
     """Parameters forced on a strongly regular bicirculant of twice-odd order,
@@ -320,9 +329,13 @@ def validate_step(step: Step) -> bool:
         if data["divisor"] == 0:
             raise ValueError("DIVISIBILITY step with divisor 0")
         if "multiples" in data:
-            d = data["divisor"]
-            found = [x for x in range(data["lo"], data["hi"] + 1) if x % d == 0]
-            return (found == data["multiples"]) == step.holds
+            # Count the multiples of d in [lo, hi] before listing them, so a
+            # wide range costs no more than the recorded list.
+            d, lo, hi, multiples = abs(data["divisor"]), data["lo"], data["hi"], data["multiples"]
+            found = len(multiples) == max(0, hi // d - (lo - 1) // d) and (
+                multiples == list(range(-(-lo // d) * d, hi + 1, d))
+            )
+            return found == step.holds
         ok = data["value"] % data["divisor"] == 0
         return (ok == data["divides"]) == step.holds
     if step.kind == "INEQUALITY":
@@ -1000,6 +1013,8 @@ def replay_certificate(obj) -> ReplayResult:
     certifier = _CERTIFIERS.get(cert.claim)
     if certifier is None:
         return ReplayResult(False, (f"unknown claim {cert.claim!r}",))
+    for index in (*cert.indices, *(i.index for i in cert.instances)):
+        check_family_index(index)
     if tuple(i.index for i in cert.instances) != cert.indices:
         problems.append("instance indices disagree with the declared range")
     for inst in cert.instances:

@@ -6,20 +6,30 @@ conditions for strong regularity (within-orbit common-neighbor counts are
 determined by set difference multisets), and 3-isoregular graphs are always
 strongly regular.  A run with pruning disabled reports identical classes.
 
-Both searches run one pipeline.  A worker enumerates its shard, prunes,
-builds each candidate and tests strong regularity and the target; ``_judge``
-then applies the shared tail (nontriviality from the parameters, the triple
-test, the profile) and records the survivor.  ``_run_shards`` runs the
-shards serially or on a process pool and merges them, and ``_finish``
-deduplicates.  Sharding is static over the between-orbit set space; workers
-are stateless and survivors are sorted by symbol encoding before
-deduplication, so output is independent of worker count and scheduling.
+Both searches run one worker, ``_multicirc_worker``, over r = 2 or 3 orbits.
+Orbit a has a diagonal set S_a and each orbit pair a connection set T; the
+within-orbit common-neighbor counts of orbit a depend only on S_a and the
+T's that touch it.  The worker walks the tuples of T's grouped by their
+bit counts and skips a count tuple when no common degree k leaves every
+orbit a diagonal size that exists.  For each T tuple it prunes each orbit's
+diagonal candidates once against that orbit's incident difference sum, then
+builds every member of the product of the per-orbit survivor lists and tests
+strong regularity and the target.  ``_judge`` applies the shared tail
+(nontriviality from the parameters, the triple test, the profile) and
+records the survivor.  ``_run_shards`` runs the shards serially or on a
+process pool and merges them, and ``_finish`` deduplicates.  Sharding is
+static over the masks of the first T; workers are stateless and survivors
+are sorted by symbol encoding before deduplication, so output is
+independent of worker count and scheduling.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import product
+from math import comb, isqrt, prod
+from operator import add
 from typing import Optional
 
 from .graphs import Graph, complement
@@ -194,55 +204,90 @@ def _judge(sym, g: Graph, p: SrgParams, nontrivial_only: bool, require_iso3: boo
     records.append((sym.key(), p.as_tuple(), profile, iso3))
 
 
-def _bicirc_worker(args) -> tuple[list, list[int]]:
-    """One shard of a bicirculant run; returns records and counter deltas."""
-    (n, target, s_masks, sp_masks, t_masks, sp_is_complement, require_iso3,
-     nontrivial_only, use_pruning, shard, stride) = args
+# Connections touching each orbit: the bicirculant's T joins orbits 0 and 1;
+# the tricirculant's T01, T12 and T20 are connections 0, 1 and 2.
+_INCIDENT = {2: ((0,), (0,)), 3: ((0, 2), (0, 1), (1, 2))}
+
+
+def _by_count(masks) -> dict[int, list[int]]:
+    out: dict[int, list[int]] = {}
+    for m in masks:
+        out.setdefault(m.bit_count(), []).append(m)
+    return out
+
+
+def _multicirc_worker(args) -> tuple[list, list[int]]:
+    """One shard of an r-orbit run (r = 2 or 3); returns records and counter
+    deltas.  diag_masks[a] holds the allowed diagonal masks of orbit a and
+    conn_masks[c] those of connection c; the shard takes every stride-th
+    mask of connection 0 in each bit-count group.  sp_is_complement keeps
+    only the members with S' = S-hat (bicirculant orbits 0 and 1), and
+    count_all_srg counts every strongly regular graph built, not only the
+    target matches."""
+    (n, target, diag_masks, conn_masks, make_symbol, build, sp_is_complement,
+     count_all_srg, require_iso3, nontrivial_only, use_pruning, shard, stride) = args
     lam = target[2] if target else None
     mu = target[3] if target else None
-    k = target[1] if target else None
+    r = len(diag_masks)
+    incident = _INCIDENT[r]
     full = (1 << n) - 1
-    s_vectors = {m: _diff_vector(m, n) for m in set(s_masks) | set(sp_masks)}
+    diag_by_size = [_by_count(masks) for masks in diag_masks]
+    conn_by_count = [_by_count(masks) for masks in conn_masks]
+    vec = {m: _diff_vector(m, n) for m in set().union(*diag_masks)}
     records: list = []
     counts = [0, 0, 0]
-    for t_index in range(shard, len(t_masks), stride):
-        t_mask = t_masks[t_index]
-        bt = _diff_vector(t_mask, n)
-        t_count = t_mask.bit_count()
-        for s_mask in s_masks:
-            s_count = s_mask.bit_count()
-            if k is not None and s_count + t_count != k:
-                continue
-            if use_pruning:
-                total = [s_vectors[s_mask][d] + bt[d] for d in range(n - 1)]
-                if not _orbit_consistent(total, s_mask, n, lam, mu):
-                    continue
-            if sp_is_complement:
-                sp_candidates = [full & ~s_mask & ~1]
-            else:
-                sp_candidates = sp_masks
-            for sp_mask in sp_candidates:
-                if sp_mask.bit_count() != s_count:
-                    continue
-                if use_pruning:
-                    vec = s_vectors.get(sp_mask)
-                    if vec is None:
-                        vec = _diff_vector(sp_mask, n)
-                    total = [vec[d] + bt[d] for d in range(n - 1)]
-                    if not _orbit_consistent(total, sp_mask, n, lam, mu):
-                        continue
-                sym = BicirculantSymbol(
-                    n, _mask_to_set(s_mask, n), _mask_to_set(sp_mask, n), _mask_to_set(t_mask, n)
-                )
-                g = bicirculant(sym)
-                p = srg_params(g)
-                if p is None:
-                    continue
-                counts[0] += 1
-                if target is not None and p.as_tuple() != target:
-                    continue
-                _judge(sym, g, p, nontrivial_only, require_iso3, records, counts)
+    for conn_counts in product(*(sorted(groups) for groups in conn_by_count)):
+        inc = [sum(conn_counts[c] for c in incident[a]) for a in range(r)]
+        degrees = [target[1]] if target else {sz + inc[0] for sz in diag_by_size[0]}
+        degrees = [k for k in degrees if all(k - inc[a] in diag_by_size[a] for a in range(r))]
+        if not degrees:
+            continue
+        groups = [conn_by_count[c][cnt] for c, cnt in enumerate(conn_counts)]
+        groups[0] = groups[0][shard::stride]
+        # Kept for one count group only, so a bicirculant run never holds
+        # the vectors of every T.
+        conn_vec = {m: _diff_vector(m, n) for m in set().union(*groups)}
+        for conns in product(*groups):
+            # Incident difference sum of each orbit, made when first needed.
+            sums: list = [None] * r
+            for k in degrees:
+                survivors = []
+                for a in range(r):
+                    diags = diag_by_size[a][k - inc[a]]
+                    if use_pruning:
+                        total = sums[a]
+                        if total is None:
+                            first, *rest = incident[a]
+                            total = conn_vec[conns[first]]
+                            for c in rest:
+                                total = list(map(add, total, conn_vec[conns[c]]))
+                            sums[a] = total
+                        diags = [
+                            m for m in diags
+                            if _orbit_consistent(list(map(add, vec[m], total)), m, n, lam, mu)
+                        ]
+                        if not diags:
+                            break
+                    survivors.append(diags)
+                else:
+                    for diags in product(*survivors):
+                        if sp_is_complement and diags[1] != full & ~diags[0] & ~1:
+                            continue
+                        sym = make_symbol(n, *(_mask_to_set(m, n) for m in diags + conns))
+                        g = build(sym)
+                        p = srg_params(g)
+                        if p is None:
+                            continue
+                        hit = target is None or p.as_tuple() == target
+                        if hit or count_all_srg:
+                            counts[0] += 1
+                        if hit:
+                            _judge(sym, g, p, nontrivial_only, require_iso3, records, counts)
     return records, counts
+
+
+# perfbench/tracer.py times the bicirculant search's shards under this name.
+_bicirc_worker = _multicirc_worker
 
 
 def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
@@ -252,25 +297,25 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     n = spec.n
     if spec.require_iso3 and 2 * n > ISO3_ORDER_CAP:
         raise SearchCapError(f"2n = {2 * n} above the 3-isoregularity cap {ISO3_ORDER_CAP}", 0)
+    if spec.target is not None and spec.target.n != 2 * n:
+        raise ValueError(f"target order {spec.target.n} is not 2n = {2 * n}")
     sym_masks = _symmetric_masks(n)
     s_masks = [m for m in sym_masks if spec.s_size is None or m.bit_count() == spec.s_size]
-    if spec.sp_is_complement:
-        sp_masks = []
-        sp_count = 1
-    else:
-        sp_masks = [m for m in sym_masks if spec.sp_size is None or m.bit_count() == spec.sp_size]
-        sp_count = len(sp_masks)
-    if spec.t_size is None:
-        t_masks = list(range(1 << n))
-    else:
-        t_masks = [m for m in range(1 << n) if m.bit_count() == spec.t_size]
-    candidates = len(s_masks) * sp_count * len(t_masks)
+    # With S' = S-hat every symmetric S' is allowed and the worker keeps the
+    # one that complements S.
+    sp_masks = [
+        m for m in sym_masks
+        if spec.sp_is_complement or spec.sp_size is None or m.bit_count() == spec.sp_size
+    ]
+    t_masks = [m for m in range(1 << n) if spec.t_size is None or m.bit_count() == spec.t_size]
+    candidates = len(s_masks) * (1 if spec.sp_is_complement else len(sp_masks)) * len(t_masks)
     if candidates > CANDIDATE_CAP:
         raise SearchCapError("bicirculant space too large", candidates)
 
     target = spec.target.as_tuple() if spec.target else None
-    args = (n, target, s_masks, sp_masks, t_masks, spec.sp_is_complement,
-            spec.require_iso3, spec.nontrivial_only, spec.use_pruning)
+    args = (n, target, (s_masks, sp_masks), (t_masks,), BicirculantSymbol, bicirculant,
+            spec.sp_is_complement, True, spec.require_iso3, spec.nontrivial_only,
+            spec.use_pruning)
     survivors, counts = _run_shards(_bicirc_worker, args, jobs, BicirculantSymbol)
     return _finish(survivors, candidates, counts, spec.dedup)
 
@@ -356,80 +401,6 @@ def _complement_class_count(rep_graphs: list[Graph]) -> int:
 # Tricirculant search
 
 
-def _tricirc_worker(args) -> tuple[list, list[int]]:
-    """One shard of a tricirculant run; returns records and counter deltas."""
-    (n, target, use_pruning, shard, stride) = args
-    k = target[1]
-    lam = target[2]
-    mu = target[3]
-    sym_masks = _symmetric_masks(n)
-    sym_by_size: dict[int, list[int]] = {}
-    for m in sym_masks:
-        sym_by_size.setdefault(m.bit_count(), []).append(m)
-    diff = {m: _diff_vector(m, n) for m in sym_masks}
-    t_all = list(range(1 << n))
-    t_diff = [None] * (1 << n)
-    records: list = []
-    counts = [0, 0, 0]
-
-    def tvec(mask: int):
-        if t_diff[mask] is None:
-            t_diff[mask] = _diff_vector(mask, n)
-        return t_diff[mask]
-
-    for t01 in range(shard, 1 << n, stride):
-        c01 = t01.bit_count()
-        v01 = None
-        for t12 in t_all:
-            c12 = t12.bit_count()
-            for t20 in t_all:
-                c20 = t20.bit_count()
-                s0_size = k - c01 - c20
-                s1_size = k - c01 - c12
-                s2_size = k - c12 - c20
-                if (
-                    s0_size not in sym_by_size
-                    or s1_size not in sym_by_size
-                    or s2_size not in sym_by_size
-                ):
-                    continue
-                if v01 is None:
-                    v01 = tvec(t01)
-                v12 = tvec(t12)
-                v20 = tvec(t20)
-                for s0 in sym_by_size[s0_size]:
-                    if use_pruning:
-                        total = [diff[s0][d] + v01[d] + v20[d] for d in range(n - 1)]
-                        if not _orbit_consistent(total, s0, n, lam, mu):
-                            continue
-                    for s1 in sym_by_size[s1_size]:
-                        if use_pruning:
-                            total = [diff[s1][d] + v01[d] + v12[d] for d in range(n - 1)]
-                            if not _orbit_consistent(total, s1, n, lam, mu):
-                                continue
-                        for s2 in sym_by_size[s2_size]:
-                            if use_pruning:
-                                total = [diff[s2][d] + v12[d] + v20[d] for d in range(n - 1)]
-                                if not _orbit_consistent(total, s2, n, lam, mu):
-                                    continue
-                            sym = TricirculantSymbol(
-                                n,
-                                _mask_to_set(s0, n),
-                                _mask_to_set(s1, n),
-                                _mask_to_set(s2, n),
-                                _mask_to_set(t01, n),
-                                _mask_to_set(t12, n),
-                                _mask_to_set(t20, n),
-                            )
-                            g = tricirculant(sym)
-                            p = srg_params(g)
-                            if p is None or p.as_tuple() != target:
-                                continue
-                            counts[0] += 1
-                            _judge(sym, g, p, True, False, records, counts)
-    return records, counts
-
-
 def search_tricirculant_srg(
     n: int, target: SrgParams, jobs: int = 1, use_pruning: bool = True
 ) -> SearchResult:
@@ -438,27 +409,22 @@ def search_tricirculant_srg(
         raise SearchCapError(f"3n = {3 * n} above the tricirculant cap {TRICIRC_ORDER_CAP}", 0)
     if target.n != 3 * n:
         raise ValueError(f"target order {target.n} is not 3n = {3 * n}")
-    sym_by_size: dict[int, int] = {}
-    for m in _symmetric_masks(n):
-        sym_by_size[m.bit_count()] = sym_by_size.get(m.bit_count(), 0) + 1
-    from math import comb
-
+    sym_masks = _symmetric_masks(n)
+    sym_by_size = {size: len(masks) for size, masks in _by_count(sym_masks).items()}
     k = target.k
     candidates = 0
-    for c01 in range(n + 1):
-        for c12 in range(n + 1):
-            for c20 in range(n + 1):
-                sizes = (k - c01 - c20, k - c01 - c12, k - c12 - c20)
-                if all(sz in sym_by_size for sz in sizes):
-                    ways = comb(n, c01) * comb(n, c12) * comb(n, c20)
-                    for sz in sizes:
-                        ways *= sym_by_size[sz]
-                    candidates += ways
+    for c01, c12, c20 in product(range(n + 1), repeat=3):
+        sizes = (k - c01 - c20, k - c01 - c12, k - c12 - c20)
+        if all(sz in sym_by_size for sz in sizes):
+            ways = comb(n, c01) * comb(n, c12) * comb(n, c20)
+            candidates += ways * prod(sym_by_size[sz] for sz in sizes)
     if candidates > CANDIDATE_CAP:
         raise SearchCapError("tricirculant space too large", candidates)
 
-    args = (n, target.as_tuple(), use_pruning)
-    survivors, counts = _run_shards(_tricirc_worker, args, jobs, TricirculantSymbol)
+    t_masks = list(range(1 << n))
+    args = (n, target.as_tuple(), (sym_masks,) * 3, (t_masks,) * 3, TricirculantSymbol,
+            tricirculant, False, False, False, True, use_pruning)
+    survivors, counts = _run_shards(_multicirc_worker, args, jobs, TricirculantSymbol)
     return _finish(survivors, candidates, counts, True)
 
 
@@ -481,9 +447,7 @@ class OddRunResult:
 
 
 def _family_index_for(n: int) -> Optional[int]:
-    import math
-
-    root = math.isqrt(2 * n - 1)
+    root = isqrt(2 * n - 1)
     if root * root != 2 * n - 1 or root % 2 == 0:
         return None
     return (root - 1) // 2

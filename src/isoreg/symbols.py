@@ -138,22 +138,13 @@ class TricirculantSymbol:
         )
 
 
-def _difference_row(n: int, residues: frozenset[int], base: int, offset: int) -> int:
-    """Bits of {offset + (base + r) mod n : r in residues}."""
-    row = 0
-    for r in residues:
-        row |= 1 << (offset + (base + r) % n)
-    return row
-
-
 def circulant(n: int, s: Iterable[int]) -> Graph:
     """Circulant graph: u ~ v iff (v - u) mod n lies in the symmetric set s."""
     if n < 2:
         raise ValueError("modulus must be at least 2")
     sset = _reduce(s, n)
     _check_symmetric(sset, n, "S")
-    rows = [_difference_row(n, sset, i, 0) for i in range(n)]
-    return Graph(n, rows)
+    return _multicirculant(n, (sset,), {})
 
 
 def _multicirculant(n: int, diagonals, connections: dict) -> Graph:
@@ -163,10 +154,13 @@ def _multicirculant(n: int, diagonals, connections: dict) -> Graph:
     rows = []
     for a, diagonal in enumerate(diagonals):
         for i in range(n):
-            row = _difference_row(n, diagonal, i, a * n)
+            row = 0
+            for r in diagonal:
+                row |= 1 << (a * n + (i + r) % n)
             for (x, y), t in connections.items():
                 if x == a:
-                    row |= _difference_row(n, t, i, y * n)
+                    for r in t:
+                        row |= 1 << (y * n + (i + r) % n)
                 elif y == a:
                     # x_j ~ y_i iff i - j in T, so y_i sees x at j = i - r.
                     for r in t:

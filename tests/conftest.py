@@ -278,3 +278,162 @@ def reference_tricirculant(sym) -> Graph:
                         row |= 1 << (x * n + (i - r) % n)
             rows[a * n + i] = row
     return Graph(3 * n, rows)
+
+
+def reference_bicirc_worker(args):
+    """Reference bicirculant shard worker: nested T -> S -> S' loops, each S'
+    pruned again for every surviving S.  It takes the argument tuple the
+    search built for it before the r-orbit worker replaced it."""
+    from isoreg.search import _diff_vector, _judge, _mask_to_set, _orbit_consistent
+    from isoreg.srg import srg_params
+    from isoreg.symbols import BicirculantSymbol, bicirculant
+
+    (n, target, s_masks, sp_masks, t_masks, sp_is_complement, require_iso3,
+     nontrivial_only, use_pruning, shard, stride) = args
+    lam = target[2] if target else None
+    mu = target[3] if target else None
+    k = target[1] if target else None
+    full = (1 << n) - 1
+    s_vectors = {m: _diff_vector(m, n) for m in set(s_masks) | set(sp_masks)}
+    records: list = []
+    counts = [0, 0, 0]
+    for t_index in range(shard, len(t_masks), stride):
+        t_mask = t_masks[t_index]
+        bt = _diff_vector(t_mask, n)
+        t_count = t_mask.bit_count()
+        for s_mask in s_masks:
+            s_count = s_mask.bit_count()
+            if k is not None and s_count + t_count != k:
+                continue
+            if use_pruning:
+                total = [s_vectors[s_mask][d] + bt[d] for d in range(n - 1)]
+                if not _orbit_consistent(total, s_mask, n, lam, mu):
+                    continue
+            if sp_is_complement:
+                sp_candidates = [full & ~s_mask & ~1]
+            else:
+                sp_candidates = sp_masks
+            for sp_mask in sp_candidates:
+                if sp_mask.bit_count() != s_count:
+                    continue
+                if use_pruning:
+                    vec = s_vectors.get(sp_mask)
+                    if vec is None:
+                        vec = _diff_vector(sp_mask, n)
+                    total = [vec[d] + bt[d] for d in range(n - 1)]
+                    if not _orbit_consistent(total, sp_mask, n, lam, mu):
+                        continue
+                sym = BicirculantSymbol(
+                    n, _mask_to_set(s_mask, n), _mask_to_set(sp_mask, n), _mask_to_set(t_mask, n)
+                )
+                g = bicirculant(sym)
+                p = srg_params(g)
+                if p is None:
+                    continue
+                counts[0] += 1
+                if target is not None and p.as_tuple() != target:
+                    continue
+                _judge(sym, g, p, nontrivial_only, require_iso3, records, counts)
+    return records, counts
+
+
+def reference_bicirc_run(spec):
+    """The bicirculant search's candidate count, sorted records and counters
+    as the reference worker computes them for a SearchSpec."""
+    from isoreg.search import _symmetric_masks
+
+    n = spec.n
+    sym_masks = _symmetric_masks(n)
+    s_masks = [m for m in sym_masks if spec.s_size is None or m.bit_count() == spec.s_size]
+    if spec.sp_is_complement:
+        sp_masks, sp_count = [], 1
+    else:
+        sp_masks = [m for m in sym_masks if spec.sp_size is None or m.bit_count() == spec.sp_size]
+        sp_count = len(sp_masks)
+    t_masks = [m for m in range(1 << n) if spec.t_size is None or m.bit_count() == spec.t_size]
+    target = spec.target.as_tuple() if spec.target else None
+    records, counts = reference_bicirc_worker(
+        (n, target, s_masks, sp_masks, t_masks, spec.sp_is_complement, spec.require_iso3,
+         spec.nontrivial_only, spec.use_pruning, 0, 1)
+    )
+    return len(s_masks) * sp_count * len(t_masks), sorted(records), counts
+
+
+def reference_tricirc_worker(args):
+    """Reference tricirculant shard worker: six nested loops over T01, T12,
+    T20, S0, S1 and S2, each diagonal pruned inside the loop above it."""
+    from isoreg.search import _diff_vector, _judge, _mask_to_set, _orbit_consistent
+    from isoreg.search import _symmetric_masks
+    from isoreg.srg import srg_params
+    from isoreg.symbols import TricirculantSymbol, tricirculant
+
+    (n, target, use_pruning, shard, stride) = args
+    k = target[1]
+    lam = target[2]
+    mu = target[3]
+    sym_masks = _symmetric_masks(n)
+    sym_by_size: dict[int, list[int]] = {}
+    for m in sym_masks:
+        sym_by_size.setdefault(m.bit_count(), []).append(m)
+    diff = {m: _diff_vector(m, n) for m in sym_masks}
+    t_all = list(range(1 << n))
+    t_diff = [None] * (1 << n)
+    records: list = []
+    counts = [0, 0, 0]
+
+    def tvec(mask: int):
+        if t_diff[mask] is None:
+            t_diff[mask] = _diff_vector(mask, n)
+        return t_diff[mask]
+
+    for t01 in range(shard, 1 << n, stride):
+        c01 = t01.bit_count()
+        v01 = None
+        for t12 in t_all:
+            c12 = t12.bit_count()
+            for t20 in t_all:
+                c20 = t20.bit_count()
+                s0_size = k - c01 - c20
+                s1_size = k - c01 - c12
+                s2_size = k - c12 - c20
+                if (
+                    s0_size not in sym_by_size
+                    or s1_size not in sym_by_size
+                    or s2_size not in sym_by_size
+                ):
+                    continue
+                if v01 is None:
+                    v01 = tvec(t01)
+                v12 = tvec(t12)
+                v20 = tvec(t20)
+                for s0 in sym_by_size[s0_size]:
+                    if use_pruning:
+                        total = [diff[s0][d] + v01[d] + v20[d] for d in range(n - 1)]
+                        if not _orbit_consistent(total, s0, n, lam, mu):
+                            continue
+                    for s1 in sym_by_size[s1_size]:
+                        if use_pruning:
+                            total = [diff[s1][d] + v01[d] + v12[d] for d in range(n - 1)]
+                            if not _orbit_consistent(total, s1, n, lam, mu):
+                                continue
+                        for s2 in sym_by_size[s2_size]:
+                            if use_pruning:
+                                total = [diff[s2][d] + v12[d] + v20[d] for d in range(n - 1)]
+                                if not _orbit_consistent(total, s2, n, lam, mu):
+                                    continue
+                            sym = TricirculantSymbol(
+                                n,
+                                _mask_to_set(s0, n),
+                                _mask_to_set(s1, n),
+                                _mask_to_set(s2, n),
+                                _mask_to_set(t01, n),
+                                _mask_to_set(t12, n),
+                                _mask_to_set(t20, n),
+                            )
+                            g = tricirculant(sym)
+                            p = srg_params(g)
+                            if p is None or p.as_tuple() != target:
+                                continue
+                            counts[0] += 1
+                            _judge(sym, g, p, True, False, records, counts)
+    return records, counts

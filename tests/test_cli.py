@@ -252,3 +252,65 @@ def test_replay_hostile_certificate_is_input_error(capsys, tmp_path, name):
     code, out, err = run_cli(capsys, "replay", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+def test_replay_wide_multiples_range_is_bounded(capsys, tmp_path):
+    # A DIVISIBILITY step claiming the multiples of d in [2, 10^11] is checked
+    # by counting them, not by scanning the range: the forged steps fail to
+    # revalidate (exit 1) and the replay stays fast.
+    import time
+
+    cert_file = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "certify", "bicirc-odd", "--range", "2..3", "-o", str(cert_file))
+    assert code == 0
+    payload = json.loads(cert_file.read_text())
+    forged = 0
+    for inst in payload["instances"]:
+        for step in inst["steps"]:
+            if step["kind"] == "DIVISIBILITY" and "multiples" in step["data"]:
+                step["data"]["hi"] = 10**11
+                forged += 1
+    assert forged >= 2
+    cert_file.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "replay", str(cert_file))
+    assert time.perf_counter() - start < 1.0
+    report = json.loads(out)
+    assert code == 1 and not report["replay_ok"]
+    assert any("does not revalidate" in m for m in report["mismatches"])
+
+
+def test_certify_range_outside_index_bound(capsys):
+    code, out, err = run_cli(capsys, "certify", "bicirc-odd", "--range", "100000..100000")
+    assert (code, out) == (2, "") and "|index| <= 1000" in err
+    code, _, _ = run_cli(capsys, "certify", "tri1", "--range=-1001..0")
+    assert code == 2
+    code, out, _ = run_cli(capsys, "certify", "bicirc-odd", "--range", "1000..1000")
+    assert code == 0 and json.loads(out)["indices"] == [1000]
+
+
+def test_replay_index_outside_bound(capsys, tmp_path):
+    cert_file = tmp_path / "cert.json"
+    run_cli(capsys, "certify", "bicirc-odd", "--range", "2..2", "-o", str(cert_file))
+    payload = json.loads(cert_file.read_text())
+    payload["indices"] = [100000]
+    payload["instances"][0]["index"] = 100000
+    cert_file.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "replay", str(cert_file))
+    assert (code, out) == (2, "") and "|index| <= 1000" in err
+
+
+def test_families_max_outside_index_bound(capsys):
+    code, out, err = run_cli(capsys, "families", "tri", "--max", "100000000")
+    assert (code, out) == (2, "") and "|index| <= 1000" in err
+    code, out, _ = run_cli(capsys, "families", "thm22", "--max", "1000")
+    assert code == 0 and len(json.loads(out)["rows"]) == 1000
+
+
+def test_search_bicirc_target_order_mismatch(capsys):
+    # A bicirculant has 2n vertices; a target of another order is an input
+    # error, as a tricirculant target of order other than 3n is.
+    code, out, err = run_cli(capsys, "search", "bicirc", "--n", "5", "--params", "16,6,2,2")
+    assert (code, out) == (2, "") and "is not 2n = 10" in err
+    code, _, err = run_cli(capsys, "search", "tricirc", "--n", "5", "--params", "16,6,2,2")
+    assert code == 2 and "is not 3n = 15" in err

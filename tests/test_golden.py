@@ -1,8 +1,10 @@
 """Golden CLI output: exit code and SHA-256 of stdout for searches and checks.
 
 The digests were recorded from the code before the search, triple-kernel,
-solver and builder merges; any change to the bytes these commands print
-fails here.  Each search runs at --jobs 1 and --jobs 2.
+solver and builder merges (the bicirc --params, --sp-complement, --sp-size and
+--no-prune runs before the two search workers became one); any change to the
+bytes these commands print fails here.  Each search runs at --jobs 1 and
+--jobs 2.
 """
 
 import hashlib
@@ -22,6 +24,16 @@ SEARCHES = {
         0, "2c46ca6affd41b8b611ef645c3e3c83213dd1c0cfa7b02294659904766496f1f"),
     "search bicirc --n 8 --iso3": (
         0, "a90518053a77d889a683c075448d6fda7634359a9db8755a84400c4623cbdd0a"),
+    "search bicirc --n 5 --params 10,3,0,1": (
+        0, "5fca75511712b7784c60ab642ffb491abb8c2d50afc63547e817cdf94cea612c"),
+    "search bicirc --n 5 --sp-complement --params 10,3,0,1 --s-size 2 --t-size 1": (
+        0, "788b9f41b89ddc1cd12d9110a26cdbe0ded68936ab2f2492621a6615ee0b26d1"),
+    "search bicirc --n 9 --sp-complement --s-size 4 --t-size 4": (
+        0, "f2e792493ad0759e3e1dcab3a0143340e794b41421be8645a10d506ecd4efec0"),
+    "search bicirc --n 8 --sp-size 3": (
+        0, "5badaf60e497974809432430518e14ec371bb4758de6deab483099dc290b7b88"),
+    "search bicirc --n 6 --no-prune": (
+        0, "dff9c191a9ed79d56778d4b987f7fd55ad77a98eedd585a78fbfb8ed62d7774f"),
     "search bicirc-odd --n 5": (
         0, "115e98adcb89e9cb32e9349fca8808d97959fba26e8aada39833de5fb3165fb4"),
     "search bicirc-odd --n 7": (

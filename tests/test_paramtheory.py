@@ -384,3 +384,22 @@ def test_certificate_json_round_trip():
     cert = certify_range("tri-family-2", list(range(-5, 6)))
     again = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
     assert again.to_json() == cert.to_json()
+
+
+def test_divisibility_multiples_count_matches_scan():
+    # validate_step counts the multiples of d in [lo, hi] before listing
+    # them; on small ranges it agrees with a plain scan of the range, for
+    # either sign of d and with lists that are right, short, long or empty.
+    from isoreg.paramtheory import Step, validate_step
+
+    for d in (-5, -2, -1, 1, 2, 3, 5):
+        for lo in range(-8, 9):
+            for hi in range(-8, 9):
+                scan = [x for x in range(lo, hi + 1) if x % d == 0]
+                for listed in (scan, scan[:-1], scan + [99], [], [0]):
+                    for holds in (True, False):
+                        step = Step(
+                            "DIVISIBILITY", "",
+                            {"divisor": d, "lo": lo, "hi": hi, "multiples": listed}, holds,
+                        )
+                        assert validate_step(step) == ((scan == listed) == holds)

@@ -174,6 +174,20 @@ def test_iso3_survivor_profiles_replay():
         assert iso_profile(g, 3).size3() == survivor.profile
 
 
+def _tricirc_targets(n):
+    """Every parameter set on 3n vertices that satisfies the identity
+    k(k - lambda - 1) = mu(v - 1 - k), trivial ones included; the complete
+    graph reports its vacuous mu as 0."""
+    order = 3 * n
+    return [
+        SrgParams(order, k, lam, mu)
+        for k in range(order)
+        for lam in range(max(k, 1))
+        for mu in range(k + 1)
+        if k * (k - lam - 1) == mu * (order - 1 - k) and not (k == order - 1 and mu)
+    ]
+
+
 def test_parameter_nontriviality_matches_connectivity(monkeypatch):
     # Every strongly regular graph the searches hand to the shared tail, trivial
     # ones included: 0 < mu < k holds exactly when the graph and its
@@ -193,13 +207,8 @@ def test_parameter_nontriviality_matches_connectivity(monkeypatch):
         search_bicirculant(SearchSpec(n=m, dedup=False))
     assert len(seen) == 282
     for n in (3, 5):
-        order = 3 * n
-        for k in range(order):
-            for lam in range(max(k, 1)):
-                for mu in range(k + 1):
-                    # The complete graph reports its vacuous mu as 0.
-                    if k * (k - lam - 1) == mu * (order - 1 - k) and not (k == order - 1 and mu):
-                        search_tricirculant_srg(n, SrgParams(order, k, lam, mu))
+        for target in _tricirc_targets(n):
+            search_tricirculant_srg(n, target)
     assert len(seen) == 282 + 394
     for g, p in seen:
         connected = g.is_connected() and complement(g).is_connected()
@@ -240,3 +249,89 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert search_bicirculant(spec, jobs=1000) == serial
     assert sizes == [3, 3]
+
+
+def _bicirc_specs(n):
+    """The spaces the r-orbit worker is compared on at modulus n: the full
+    space, S' = S-hat, the 3-isoregular filter, every size filter, every
+    S-hat size combination, every parameter set the space contains as a
+    target, and each of those with lambda + 1, a target that the strongly
+    regular graphs of its valency miss."""
+    from dataclasses import replace
+
+    from conftest import reference_bicirc_run
+
+    sizes = sorted({len(s) for s in symmetric_subsets(n)})
+    base = SearchSpec(n=n, nontrivial_only=False)
+    specs = [base, replace(base, sp_is_complement=True), SearchSpec(n=n, require_iso3=True)]
+    specs += [replace(base, s_size=a) for a in sizes]
+    specs += [replace(base, sp_size=a) for a in sizes]
+    specs += [replace(base, t_size=b) for b in range(n + 1)]
+    specs += [
+        replace(base, sp_is_complement=True, s_size=a, t_size=b)
+        for a in sizes
+        for b in range(n + 1)
+    ]
+    targets = sorted({params for _, params, _, _ in reference_bicirc_run(base)[1]})
+    targets += [(v, k, lam + 1, mu) for v, k, lam, mu in targets]
+    specs += [replace(base, target=SrgParams(*t)) for t in targets]
+    specs += [replace(base, target=SrgParams(*t), sp_is_complement=True) for t in targets]
+    return specs
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bicirc_worker_matches_reference(n):
+    # The r-orbit worker against the nested-loop worker it replaced: same
+    # candidate count, records and counters on every space, pruned or not.
+    # At n = 8 an unpruned run builds every symbol of its space, so only the
+    # full space, which contains all the others, also runs unpruned.
+    from dataclasses import replace
+
+    from conftest import reference_bicirc_run
+
+    for i, spec in enumerate(_bicirc_specs(n)):
+        for use_pruning in (True, False) if n < 8 or i == 0 else (True,):
+            spec = replace(spec, use_pruning=use_pruning, dedup=False)
+            candidates, records, counts = reference_bicirc_run(spec)
+            result = search_bicirculant(spec)
+            got = [
+                (s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3)
+                for s in result.survivors
+            ]
+            stats = result.stats
+            assert got == records, spec
+            assert (stats.candidates, [stats.srg, stats.nontrivial_srg, stats.iso3]) == (
+                candidates, counts), spec
+
+
+@pytest.mark.parametrize(
+    "n,target,use_pruning",
+    [(3, t, prune) for t in _tricirc_targets(3) for prune in (True, False)]
+    + [(5, SrgParams(15, 6, 1, 3), True), (5, SrgParams(15, 8, 4, 4), True)],
+    ids=str,
+)
+def test_tricirc_worker_matches_reference(n, target, use_pruning):
+    # The r-orbit worker against the six-loop worker it replaced, and the
+    # candidate count against a scan of every T01, T12, T20 that counts the
+    # diagonal triples of the sizes the valency leaves.
+    from collections import Counter
+    from itertools import product
+    from math import prod
+
+    from conftest import reference_tricirc_worker
+
+    records, counts = reference_tricirc_worker((n, target.as_tuple(), use_pruning, 0, 1))
+    result = search_tricirculant_srg(n, target, use_pruning=use_pruning)
+    got = [(s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3) for s in result.survivors]
+    stats = result.stats
+    assert got == sorted(records)
+    assert [stats.srg, stats.nontrivial_srg, stats.iso3] == counts
+    per_size = Counter(len(s) for s in symmetric_subsets(n))
+    candidates = sum(
+        prod(
+            per_size[target.k - a.bit_count() - b.bit_count()]
+            for a, b in ((t01, t20), (t01, t12), (t12, t20))
+        )
+        for t01, t12, t20 in product(range(1 << n), repeat=3)
+    )
+    assert stats.candidates == candidates
