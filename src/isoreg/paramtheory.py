@@ -21,8 +21,8 @@ from .srg import SrgParams
 # ---------------------------------------------------------------------------
 # Parameter families
 
-# Largest |index| that certify, replay and the family tables accept; the
-# local-parameter scan grows with the square of the index.
+# Largest |index| that certify, replay and the family tables accept; it
+# bounds the length of a range, and so the size of a certificate.
 MAX_FAMILY_INDEX = 1000
 
 
@@ -192,11 +192,28 @@ def _require_nontrivial(p: SrgParams) -> None:
 
 def feasible_edge_params(p: SrgParams) -> list[tuple[int, int, int]]:
     """Edge-side feasibility only: (Q, R, W) tuples satisfying the edge
-    relations within their bounds, no non-edge identification."""
+    relations within their bounds, no non-edge identification, in ascending
+    order of R.
+
+    With a = k - lambda - 1, relation (i) reads lambda*Q = lambda(lambda-1)
+    - a*R and the W relation reads (k-mu)*W = mu*(lambda - R).  Q is integral
+    exactly when R = 0 (mod lambda/gcd(lambda, a)), W exactly when R = lambda
+    (mod (k-mu)/gcd(mu, k-mu)); by the Chinese remainder theorem the R that
+    satisfy both form one progression r0, r0 + L, ... (or none), so the cost
+    is lambda/L steps, not lambda.  When lambda = 0 the only R is 0.  Once Q
+    and W are integral, relation (ii) reduces to an identity, so it never
+    rejects a visited R; it is kept as a cheap guard.
+    """
     _require_nontrivial(p)
     n, k, lam, mu = p.as_tuple()
+    m_q = lam // math.gcd(lam, k - lam - 1) if lam else 1
+    m_w = (k - mu) // math.gcd(mu, k - mu)
+    g = math.gcd(m_q, m_w)
+    if lam % g:
+        return []
+    r0 = m_q * (lam // g * pow(m_q // g, -1, m_w // g) % (m_w // g))
     out = []
-    for r in range(0, lam + 1):
+    for r in range(r0, lam + 1, m_q // g * m_w):
         if lam > 0:
             num = lam * (lam - 1) - r * (k - lam - 1)
             if num < 0 or num % lam:

@@ -299,14 +299,13 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
         raise SearchCapError(f"2n = {2 * n} above the 3-isoregularity cap {ISO3_ORDER_CAP}", 0)
     if spec.target is not None and spec.target.n != 2 * n:
         raise ValueError(f"target order {spec.target.n} is not 2n = {2 * n}")
+    if spec.sp_is_complement and spec.sp_size is not None:
+        raise ValueError("--sp-size cannot be combined with --sp-complement (S' is S-hat)")
     sym_masks = _symmetric_masks(n)
     s_masks = [m for m in sym_masks if spec.s_size is None or m.bit_count() == spec.s_size]
     # With S' = S-hat every symmetric S' is allowed and the worker keeps the
     # one that complements S.
-    sp_masks = [
-        m for m in sym_masks
-        if spec.sp_is_complement or spec.sp_size is None or m.bit_count() == spec.sp_size
-    ]
+    sp_masks = [m for m in sym_masks if spec.sp_size is None or m.bit_count() == spec.sp_size]
     t_masks = [m for m in range(1 << n) if spec.t_size is None or m.bit_count() == spec.t_size]
     candidates = len(s_masks) * (1 if spec.sp_is_complement else len(sp_masks)) * len(t_masks)
     if candidates > CANDIDATE_CAP:

@@ -192,6 +192,35 @@ def reference_valencies(g: Graph, sizes):
     return None, valencies
 
 
+def reference_feasible_edge_params(p):
+    """Reference edge-side solver: the scan of every R in [0, lambda] that
+    the progression walk replaced, as (Q, R, W) tuples."""
+    n, k, lam, mu = p.as_tuple()
+    out = []
+    for r in range(0, lam + 1):
+        if lam > 0:
+            num = lam * (lam - 1) - r * (k - lam - 1)
+            if num < 0 or num % lam:
+                continue
+            q = num // lam
+            if q > lam - 1:
+                continue
+        else:
+            if r * (k - lam - 1) != 0:
+                continue
+            q = 0
+        wnum = mu * (lam - r)
+        if wnum < 0 or wnum % (k - mu):
+            continue
+        w = wnum // (k - mu)
+        if w > lam:
+            continue
+        if lam * mu * (k - 2 * lam + q) != w * (k - mu) * (k - lam - 1):
+            continue
+        out.append((q, r, w))
+    return out
+
+
 def reference_feasible_local_params(p):
     """Reference local-parameter solver: its own scan of R in
     [0, min(lambda, mu-1)] with every bound checked inline, as (Q, R, W, V,

@@ -1,10 +1,17 @@
 """CLI behavior: exit-code contract, report shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import isoreg
+
 from isoreg.cli import main
+from isoreg.paramtheory import feasible_edge_params
+from isoreg.srg import SrgParams
 
 
 def run_cli(capsys, *argv):
@@ -314,3 +321,35 @@ def test_search_bicirc_target_order_mismatch(capsys):
     assert (code, out) == (2, "") and "is not 2n = 10" in err
     code, _, err = run_cli(capsys, "search", "tricirc", "--n", "5", "--params", "16,6,2,2")
     assert code == 2 and "is not 3n = 15" in err
+
+
+def test_search_sp_size_with_sp_complement_is_usage_error(capsys):
+    # S' = S-hat fixes |S'| = n - 1 - |S|, so an explicit --sp-size would be
+    # ignored; the combination is an input error, not a silent full run.
+    for size in ("4", "0"):
+        code, out, err = run_cli(
+            capsys, "search", "bicirc", "--n", "5", "--sp-complement", "--sp-size", size
+        )
+        assert (code, out) == (2, "") and "--sp-size" in err
+    code, out, _ = run_cli(capsys, "search", "bicirc", "--n", "5", "--sp-complement")
+    assert code == 0 and out
+
+
+def test_params_solve_cost_does_not_grow_with_lambda():
+    # The bicirc-odd parameters at m = 10^5 have lambda = 10^10 - 1; the
+    # solver walks one progression in R, so this finishes at once.  Run in a
+    # child so that a regression fails on the timeout instead of hanging.
+    src = os.path.dirname(os.path.dirname(isoreg.__file__))
+    argv = ["params", "solve", "40000400002", "20000100000", "9999999999", "10000000000"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from isoreg.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    # `params solve` prints the local solutions: the one edge tuple has no
+    # integral V (mu * 10^5 is not a multiple of D22 = 10000200000).
+    assert json.loads(proc.stdout)["count"] == 0
+    p = SrgParams(*map(int, argv[2:]))
+    assert feasible_edge_params(p) == [(9999999998, 0, 9999900000)]

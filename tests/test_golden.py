@@ -1,10 +1,13 @@
-"""Golden CLI output: exit code and SHA-256 of stdout for searches and checks.
+"""Golden CLI output: exit code and SHA-256 of stdout for searches, checks and
+certificates.
 
 The digests were recorded from the code before the search, triple-kernel,
 solver and builder merges (the bicirc --params, --sp-complement, --sp-size and
 --no-prune runs before the two search workers became one); any change to the
 bytes these commands print fails here.  Each search runs at --jobs 1 and
---jobs 2.
+--jobs 2.  The certificate digests were recorded from the code that scanned
+every R in 0..lambda, before the edge-parameter solver walked one arithmetic
+progression in R; they pin the certificate bytes, solver oracle included.
 """
 
 import hashlib
@@ -53,8 +56,22 @@ CHECKS = {
         1, "11c214e98a4a5dd49a0f69171a7a7613f26b35cfadbb38ec75f021058fdf96f1"),
 }
 
+CERTIFICATES = {
+    "certify bicirc-odd --range 2..60": (
+        0, "872902563407bf9d49ff31f03ce12142af83796d6bc9bc1cbbeefff97aa14dc4"),
+    "certify family-b --range 3..59": (
+        0, "ffce317cc8aa866b323cf27f8d7925bc4850d7ea3ec7d835897e3753ac699b6b"),
+    "certify family-c --range 3..59": (
+        0, "13c068a58c048cfd9efd25f33c081c5ef079dae44af178bfcf4f643f85c34866"),
+    # Leading-dash ranges need the --range=lo..hi spelling under argparse.
+    "certify tri1 --range=-50..50": (
+        0, "01e940849541d7a98e3be8611f1fe7f612b0c26ec411d5db82368a5352863951"),
+    "certify tri2 --range=-50..50": (
+        0, "59fc9697f2768ea809569fca033d1e0c4d6c1e4d7b2de0443c70d4816be7e75e"),
+}
+
 CASES = [(f"{cmd} --jobs {jobs}", want) for cmd, want in SEARCHES.items() for jobs in (1, 2)]
-CASES += list(CHECKS.items())
+CASES += list(CHECKS.items()) + list(CERTIFICATES.items())
 
 
 @pytest.mark.parametrize("command,want", CASES, ids=[c for c, _ in CASES])

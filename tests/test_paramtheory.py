@@ -29,7 +29,11 @@ from isoreg import (
 )
 from isoreg.paramtheory import Certificate, validate_step
 
-from conftest import build_corpus, reference_feasible_local_params
+from conftest import (
+    build_corpus,
+    reference_feasible_edge_params,
+    reference_feasible_local_params,
+)
 
 
 # -- families -----------------------------------------------------------------
@@ -310,11 +314,9 @@ def test_oracle_agreement_for_contradiction_certificates():
         assert all(e["eliminated_by"] for e in inst.oracle["feasible"]), m
 
 
-def test_solver_matches_reference_over_parameter_sweep():
-    # Every nontrivial parameter set with 5 <= n <= 89: the solver built on
-    # the edge solutions agrees with the standalone reference scan.
-    checked = 0
-    for n in range(5, 90):
+def _nontrivial_params(lo, hi):
+    """Every nontrivial parameter set with lo <= n <= hi."""
+    for n in range(lo, hi + 1):
         for k in range(1, n):
             for lam in range(k):
                 # mu is fixed by k(k-lambda-1) = mu(n-1-k), except for k = n-1.
@@ -324,14 +326,56 @@ def test_solver_matches_reference_over_parameter_sweep():
                     mus = (k * (k - lam - 1) // (n - 1 - k),)
                 for mu in mus:
                     p = SrgParams(n, k, lam, mu)
-                    if not p.is_nontrivial():
-                        continue
-                    got = [(*s.as_tuple(), s.vacuous) for s in feasible_local_params(p)]
-                    assert got == reference_feasible_local_params(p), p.as_tuple()
-                    checked += 1
+                    if p.is_nontrivial():
+                        yield p
+
+
+def test_solver_matches_reference_over_parameter_sweep():
+    # Every nontrivial parameter set with 5 <= n <= 89: the solver built on
+    # the edge solutions agrees with the standalone reference scan.
+    checked = 0
+    for p in _nontrivial_params(5, 89):
+        got = [(*s.as_tuple(), s.vacuous) for s in feasible_local_params(p)]
+        assert got == reference_feasible_local_params(p), p.as_tuple()
+        checked += 1
     assert checked == 8145
     with pytest.raises(ValueError):
         feasible_local_params(SrgParams(6, 1, 0, 0))
+
+
+def test_edge_solver_matches_scan_over_parameter_sweep():
+    # The progression walk in R against the scan of every R in [0, lambda],
+    # tuples and order, on every nontrivial set with 5 <= n <= 89.  The
+    # local sweep above drops the solutions with R >= mu; this one keeps
+    # them, and must meet some.
+    solutions = above_mu = 0
+    for p in _nontrivial_params(5, 89):
+        got = feasible_edge_params(p)
+        assert got == reference_feasible_edge_params(p), p.as_tuple()
+        solutions += len(got)
+        above_mu += sum(r >= p.mu for _, r, _ in got)
+    assert solutions > above_mu > 0
+
+
+def test_edge_solver_matches_scan_on_family_ranges():
+    # The parameters of every instance the five certify families cover over
+    # their full benchmark ranges, plus the largest bicirc-odd indices.
+    ranges = {
+        "bicirc-odd": list(range(2, 201)) + list(range(990, 1001)),
+        "leung-ma-b": list(range(3, 200, 2)),
+        "leung-ma-c": list(range(3, 200, 2)),
+        "tri-family-1": list(range(-50, 51)),
+        "tri-family-2": list(range(-50, 51)),
+    }
+    checked = 0
+    for claim, indices in ranges.items():
+        for inst in certify_range(claim, indices).instances:
+            p = inst.params
+            if p is None or not p.is_nontrivial():
+                continue
+            assert feasible_edge_params(p) == reference_feasible_edge_params(p), (claim, inst.index)
+            checked += 1
+    assert checked == 606
 
 
 def test_tri_certificates_match_edge_solver():
