@@ -6,21 +6,44 @@ conditions for strong regularity (within-orbit common-neighbor counts are
 determined by set difference multisets), and 3-isoregular graphs are always
 strongly regular.  A run with pruning disabled reports identical classes.
 
-Both searches run one worker, ``_multicirc_worker``, over r = 2 or 3 orbits.
-Orbit a has a diagonal set S_a and each orbit pair a connection set T; the
-within-orbit common-neighbor counts of orbit a depend only on S_a and the
-T's that touch it.  The worker walks the tuples of T's grouped by their
-bit counts and skips a count tuple when no common degree k leaves every
-orbit a diagonal size that exists.  For each T tuple it prunes each orbit's
-diagonal candidates once against that orbit's incident difference sum, then
-builds every member of the product of the per-orbit survivor lists and tests
-strong regularity and the target.  ``_judge`` applies the shared tail
-(nontriviality from the parameters, the triple test, the profile) and
-records the survivor.  ``_run_shards`` runs the shards serially or on a
-process pool and merges them, and ``_finish`` deduplicates.  Sharding is
-static over the masks of the first T; workers are stateless and survivors
-are sorted by symbol encoding before deduplication, so output is
-independent of worker count and scheduling.
+Bicirculant search (``_bicirc_worker``, the default path).  In [S, S', T]
+write dX(d) = |X & (X+d)| and A_T(d) = |T & (T+d)| for d = 1..n-1.  Vertices
+u_i and u_{i+d} have dS(d) + A_T(d) common neighbors and w_i and w_{i+d}
+have dS'(d) + A_T(d), so a strongly regular graph with lambda - mu = c has
+A_T = mu - key_c(S) = mu - key_c(S'), where key_c(X) = dX - c*1_X.
+
+- Join: the allowed S' masks are hashed by (|S'|, key_c(S')) and every S
+  looks up its partners, for the target's c or, without a target, for every
+  c a graph on 2n vertices can have (S = S' matches every c).  With
+  ``--sp-complement`` the only partner tried is S-hat.
+- Lambda: summing A_T gives t(t-1), so lambda(n-1) = t(t-1) + s(s-1) +
+  c(n-1-s) with s = |S|, t = |T|; each allowed t fixes lambda and mu, or is
+  skipped when they are not non-negative integers or miss the target.
+- T solver: ``_t_solutions`` finds every T with the resulting A_T by a
+  bit-mask backtracker over T containing 0 plus its translates, solving
+  t > n/2 through the complement (A_{Z_n - T} = n - 2t + A_T); each shard
+  memoises it on (t, A_T).
+- Each (S, S', T) found is built once (S = {} or Z_n - {0} leaves lambda or
+  mu vacuous, so several c reach it), tested with ``srg_params`` and passed
+  to ``_judge``.  Shards take every stride-th allowed S.
+
+``--no-prune`` and the tricirculant search run ``_multicirc_worker`` over r =
+2 or 3 orbits.  Orbit a has a diagonal set S_a and each orbit pair a
+connection set T; the within-orbit common-neighbor counts of orbit a depend
+only on S_a and the T's that touch it.  The worker walks the tuples of T's
+grouped by their bit counts and skips a count tuple when no common degree k
+leaves every orbit a diagonal size that exists.  For each T tuple it prunes
+each orbit's diagonal candidates once against that orbit's incident
+difference sum (not when pruning is off), then builds every member of the
+product of the per-orbit survivor lists and tests strong regularity and the
+target; shards take every stride-th mask of the first T.
+
+``_judge`` applies the shared tail (nontriviality from the parameters, the
+triple test, the profile) and records the survivor.  ``_run_shards`` runs
+the shards serially or on a process pool and merges them, and ``_finish``
+deduplicates.  Workers are stateless and survivors are sorted by symbol
+encoding before deduplication, so output is independent of worker count and
+scheduling.
 """
 
 from __future__ import annotations
@@ -286,8 +309,132 @@ def _multicirc_worker(args) -> tuple[list, list[int]]:
     return records, counts
 
 
+def _t_solutions(n: int, t: int, a: tuple[int, ...]) -> tuple[int, ...]:
+    """Every T in Z_n with |T| = t and |T & (T+d)| = a[d-1] for d = 1..n-1,
+    as ascending bit masks; () when no such T exists.
+
+    A set with t > n/2 is solved through its complement, whose
+    autocorrelation is n - 2t + a.  Otherwise a backtracker fixes 0 in T,
+    adds residues in increasing order while every difference stays within
+    its remaining budget, and a set that uses up all budgets contributes all
+    of its translates."""
+    if 2 * t > n:
+        full = (1 << n) - 1
+        shift = n - 2 * t
+        return tuple(sorted(full ^ m for m in _t_solutions(n, n - t, tuple(x + shift for x in a))))
+    if sum(a) != t * (t - 1) or min(a) < 0 or a != a[::-1]:
+        return ()
+    if t == 0:
+        return (0,)
+    # budget[d] is how often difference d may still occur; with a symmetric
+    # it stays equal to budget[n - d], so checking y - x covers x - y too.  Bit
+    # d of spent is set when budget[d] is 0, and bit -x of neg when x is in
+    # T, so the differences y - x of a new residue y are neg rotated by y.
+    budget = [0, *a]
+    members = [0]
+    found: set[int] = set()
+
+    def extend(low: int, neg: int, spent: int) -> None:
+        if len(members) == t:
+            # Every difference was used up exactly, since none went negative
+            # and t(t-1) of them were used.
+            mask = sum(1 << x for x in members)
+            found.update(_rotate(mask, j, n) for j in range(n))
+            return
+        for y in range(low, n - t + len(members) + 1):
+            if _rotate(neg, y, n) & spent:
+                continue
+            diffs = [y - x for x in members]
+            for d in diffs:
+                budget[d] -= 1
+                budget[n - d] -= 1
+            if all(budget[d] >= 0 for d in diffs):
+                members.append(y)
+                now = spent
+                for d in diffs:
+                    if not budget[d]:
+                        now |= 1 << d | 1 << (n - d)
+                extend(y + 1, neg | 1 << (n - y), now)
+                members.pop()
+            for d in diffs:
+                budget[d] += 1
+                budget[n - d] += 1
+
+    extend(1, 1, sum(1 << d for d, x in enumerate(a, 1) if not x))
+    return tuple(sorted(found))
+
+
 # perfbench/tracer.py times the bicirculant search's shards under this name.
-_bicirc_worker = _multicirc_worker
+def _bicirc_worker(args) -> tuple[list, list[int]]:
+    """One shard of the pruned bicirculant search, over the S masks at
+    positions shard, shard + stride, ... of s_masks; returns records and
+    counter deltas.  Each S is joined with every allowed S' of the same size
+    and the same key_c = dX - c*1_X, for c = lambda - mu of the target or
+    every c a graph on 2n vertices can have; each allowed t then fixes
+    lambda, the autocorrelation A_T = mu - key_c(S) and so every T."""
+    (n, target, s_masks, sp_masks, t_sizes, build, sp_is_complement,
+     require_iso3, nontrivial_only, shard, stride) = args
+    full = (1 << n) - 1
+    # With S' = S-hat, sp_masks holds every symmetric mask, S-hat included.
+    vec = {m: _diff_vector(m, n) for m in {*s_masks, *sp_masks}}
+
+    def key(m: int, c: int) -> tuple:
+        return m.bit_count(), tuple(x - c * ((m >> d) & 1) for d, x in enumerate(vec[m], 1))
+
+    cs = [target[2] - target[3]] if target else range(1 - 2 * n, 2 * n - 1)
+    mine = s_masks[shard::stride]
+    # S = S' = {} or Z_n - {0} leaves lambda or mu vacuous, so several c
+    # give the same symbol; it is built once.
+    seen: set[tuple[int, int, int]] = set()
+    # A_T depends on S only through key_c(S), so S masks of one bucket share
+    # their T solutions.
+    solved: dict[tuple, tuple[int, ...]] = {}
+    records: list = []
+    counts = [0, 0, 0]
+    for c in cs:
+        if not sp_is_complement:
+            buckets: dict[tuple, list[int]] = {}
+            for m in sp_masks:
+                buckets.setdefault(key(m, c), []).append(m)
+        for s_mask in mine:
+            s_key = key(s_mask, c)
+            if sp_is_complement:
+                hat = full & ~s_mask & ~1
+                partners = [hat] if key(hat, c) == s_key else []
+            else:
+                partners = buckets.get(s_key)
+            if not partners:
+                continue
+            s = s_key[0]
+            for t in t_sizes:
+                # Summing A_T over d = 1..n-1 gives t(t-1).
+                lam, rem = divmod(t * (t - 1) + s * (s - 1) + c * (n - 1 - s), n - 1)
+                mu = lam - c
+                if rem or lam < 0 or mu < 0:
+                    continue
+                if target and (s + t, lam, mu) != target[1:]:
+                    continue
+                a = tuple(mu - x for x in s_key[1])
+                if min(a) < 0 or max(a) > t:
+                    continue
+                solutions = solved.get((t, a))
+                if solutions is None:
+                    solutions = solved[t, a] = _t_solutions(n, t, a)
+                for t_mask in solutions:
+                    for sp_mask in partners:
+                        triple = (s_mask, sp_mask, t_mask)
+                        if triple in seen:
+                            continue
+                        seen.add(triple)
+                        sym = BicirculantSymbol(n, *(_mask_to_set(m, n) for m in triple))
+                        g = build(sym)
+                        p = srg_params(g)
+                        if p is None:
+                            continue
+                        counts[0] += 1
+                        if target is None or p.as_tuple() == target:
+                            _judge(sym, g, p, nontrivial_only, require_iso3, records, counts)
+    return records, counts
 
 
 def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
@@ -295,6 +442,8 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     passing the strong-regularity (and optional 3-isoregularity) filters;
     deduplicate survivors up to isomorphism."""
     n = spec.n
+    if n < 2:
+        raise ValueError("modulus must be at least 2")
     if spec.require_iso3 and 2 * n > ISO3_ORDER_CAP:
         raise SearchCapError(f"2n = {2 * n} above the 3-isoregularity cap {ISO3_ORDER_CAP}", 0)
     if spec.target is not None and spec.target.n != 2 * n:
@@ -306,16 +455,23 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     # With S' = S-hat every symmetric S' is allowed and the worker keeps the
     # one that complements S.
     sp_masks = [m for m in sym_masks if spec.sp_size is None or m.bit_count() == spec.sp_size]
-    t_masks = [m for m in range(1 << n) if spec.t_size is None or m.bit_count() == spec.t_size]
-    candidates = len(s_masks) * (1 if spec.sp_is_complement else len(sp_masks)) * len(t_masks)
+    t_sizes = [b for b in range(n + 1) if spec.t_size in (None, b)]
+    t_count = sum(comb(n, b) for b in t_sizes)
+    candidates = len(s_masks) * (1 if spec.sp_is_complement else len(sp_masks)) * t_count
     if candidates > CANDIDATE_CAP:
         raise SearchCapError("bicirculant space too large", candidates)
 
     target = spec.target.as_tuple() if spec.target else None
-    args = (n, target, (s_masks, sp_masks), (t_masks,), BicirculantSymbol, bicirculant,
-            spec.sp_is_complement, True, spec.require_iso3, spec.nontrivial_only,
-            spec.use_pruning)
-    survivors, counts = _run_shards(_bicirc_worker, args, jobs, BicirculantSymbol)
+    if spec.use_pruning:
+        worker = _bicirc_worker
+        args = (n, target, s_masks, sp_masks, t_sizes, bicirculant, spec.sp_is_complement,
+                spec.require_iso3, spec.nontrivial_only)
+    else:
+        t_masks = [m for m in range(1 << n) if m.bit_count() in t_sizes]
+        worker = _multicirc_worker
+        args = (n, target, (s_masks, sp_masks), (t_masks,), BicirculantSymbol, bicirculant,
+                spec.sp_is_complement, True, spec.require_iso3, spec.nontrivial_only, False)
+    survivors, counts = _run_shards(worker, args, jobs, BicirculantSymbol)
     return _finish(survivors, candidates, counts, spec.dedup)
 
 
@@ -404,6 +560,8 @@ def search_tricirculant_srg(
     n: int, target: SrgParams, jobs: int = 1, use_pruning: bool = True
 ) -> SearchResult:
     """Exhaustive tricirculant symbol search for a target parameter set."""
+    if n < 2:
+        raise ValueError("modulus must be at least 2")
     if 3 * n > TRICIRC_ORDER_CAP:
         raise SearchCapError(f"3n = {3 * n} above the tricirculant cap {TRICIRC_ORDER_CAP}", 0)
     if target.n != 3 * n:

@@ -147,24 +147,36 @@ def circulant(n: int, s: Iterable[int]) -> Graph:
     return _multicirculant(n, (sset,), {})
 
 
+def _residue_mask(residues: Iterable[int], n: int) -> int:
+    mask = 0
+    for r in residues:
+        mask |= 1 << (r % n)
+    return mask
+
+
 def _multicirculant(n: int, diagonals, connections: dict) -> Graph:
     """Multicirculant on len(diagonals) * n vertices; orbit a occupies
     a*n..a*n+n-1.  Within orbit a, i ~ j iff j - i lies in diagonals[a];
-    connections[(x, y)] = T means x_i ~ y_j iff j - i lies in T."""
+    connections[(x, y)] = T means x_i ~ y_j iff j - i lies in T.
+
+    The row of a_0 is built block by block; the row of a_i is that row with
+    every block rotated by i."""
+    full = (1 << n) - 1
     rows = []
     for a, diagonal in enumerate(diagonals):
+        blocks = {a: _residue_mask(diagonal, n)}
+        for (x, y), t in connections.items():
+            if x == a:
+                blocks[y] = blocks.get(y, 0) | _residue_mask(t, n)
+            elif y == a:
+                # x_j ~ y_i iff i - j in T, so y_0 sees x at j = -r.
+                blocks[x] = blocks.get(x, 0) | _residue_mask((-r for r in t), n)
+        # Block b doubled, so its rotation by i is a shift by n - i.
+        doubled = [(m | m << n, b * n) for b, m in blocks.items()]
         for i in range(n):
             row = 0
-            for r in diagonal:
-                row |= 1 << (a * n + (i + r) % n)
-            for (x, y), t in connections.items():
-                if x == a:
-                    for r in t:
-                        row |= 1 << (y * n + (i + r) % n)
-                elif y == a:
-                    # x_j ~ y_i iff i - j in T, so y_i sees x at j = i - r.
-                    for r in t:
-                        row |= 1 << (x * n + (i - r) % n)
+            for m, offset in doubled:
+                row |= (m >> (n - i) & full) << offset
             rows.append(row)
     return Graph(len(diagonals) * n, rows)
 

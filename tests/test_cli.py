@@ -353,3 +353,20 @@ def test_params_solve_cost_does_not_grow_with_lambda():
     assert json.loads(proc.stdout)["count"] == 0
     p = SrgParams(*map(int, argv[2:]))
     assert feasible_edge_params(p) == [(9999999998, 0, 9999900000)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "bicirc", "--n", "-3"),
+        ("search", "bicirc", "--n", "1"),
+        ("search", "tricirc", "--n", "0", "--params", "0,4,1,2"),
+        ("search", "tricirc", "--n", "1", "--params", "3,2,1,0"),
+    ],
+    ids=" ".join,
+)
+def test_search_modulus_below_two_is_usage_error(capsys, argv):
+    # Both searches reject a modulus below 2 before any enumeration, instead
+    # of failing inside the mask builder or summarising an empty space.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "modulus must be at least 2" in err

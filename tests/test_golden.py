@@ -3,11 +3,13 @@ certificates.
 
 The digests were recorded from the code before the search, triple-kernel,
 solver and builder merges (the bicirc --params, --sp-complement, --sp-size and
---no-prune runs before the two search workers became one); any change to the
-bytes these commands print fails here.  Each search runs at --jobs 1 and
---jobs 2.  The certificate digests were recorded from the code that scanned
-every R in 0..lambda, before the edge-parameter solver walked one arithmetic
-progression in R; they pin the certificate bytes, solver oracle included.
+--no-prune runs before the two search workers became one; the bicirc n = 11,
+12 and 13 runs before the default bicirculant path solved T from its
+autocorrelation); any change to the bytes these commands print fails here.
+Each search runs at --jobs 1 and --jobs 2.  The certificate digests were
+recorded from the code that scanned every R in 0..lambda, before the
+edge-parameter solver walked one arithmetic progression in R; they pin the
+certificate bytes, solver oracle included.
 """
 
 import hashlib
@@ -37,6 +39,12 @@ SEARCHES = {
         0, "5badaf60e497974809432430518e14ec371bb4758de6deab483099dc290b7b88"),
     "search bicirc --n 6 --no-prune": (
         0, "dff9c191a9ed79d56778d4b987f7fd55ad77a98eedd585a78fbfb8ed62d7774f"),
+    "search bicirc --n 11": (
+        0, "dc8ea72dec920fa52cbce0a57af75a040186b6c85a03fc5196d0374abb198948"),
+    "search bicirc --n 12": (
+        0, "f4a0d6cee356514b9fdef58b5c442a67febcdd7c281df4e49b789dab5b2e3e6b"),
+    "search bicirc --n 13 --params 26,10,3,4 --sp-complement --s-size 6 --t-size 4": (
+        0, "7b0cbdc64c765fd99bf79a99beeff5aa4b36f54565881d3535dfe41850f622b1"),
     "search bicirc-odd --n 5": (
         0, "115e98adcb89e9cb32e9349fca8808d97959fba26e8aada39833de5fb3165fb4"),
     "search bicirc-odd --n 7": (

@@ -335,3 +335,94 @@ def test_tricirc_worker_matches_reference(n, target, use_pruning):
         for t01, t12, t20 in product(range(1 << n), repeat=3)
     )
     assert stats.candidates == candidates
+
+
+def _multicirc_bicirc_run(spec):
+    """Candidate count, sorted records and counters of a bicirculant space
+    under the r-orbit worker with pruning on: the default path before T was
+    solved from its autocorrelation, kept for the tricirculant search."""
+    from isoreg.search import _multicirc_worker, _symmetric_masks
+    from isoreg.symbols import BicirculantSymbol, bicirculant
+
+    n = spec.n
+    sym_masks = _symmetric_masks(n)
+    s_masks = [m for m in sym_masks if spec.s_size is None or m.bit_count() == spec.s_size]
+    sp_masks = [m for m in sym_masks if spec.sp_size is None or m.bit_count() == spec.sp_size]
+    t_masks = [m for m in range(1 << n) if spec.t_size is None or m.bit_count() == spec.t_size]
+    target = spec.target.as_tuple() if spec.target else None
+    records, counts = _multicirc_worker(
+        (n, target, (s_masks, sp_masks), (t_masks,), BicirculantSymbol, bicirculant,
+         spec.sp_is_complement, True, spec.require_iso3, spec.nontrivial_only, True, 0, 1)
+    )
+    candidates = len(s_masks) * (1 if spec.sp_is_complement else len(sp_masks)) * len(t_masks)
+    return candidates, sorted(records), counts
+
+
+_DEDUP13 = SrgParams(26, 10, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [SearchSpec(n=n, nontrivial_only=False, dedup=False) for n in range(9, 14)]
+    + [
+        SearchSpec(n=13, target=_DEDUP13, nontrivial_only=False, dedup=False),
+        SearchSpec(n=13, target=_DEDUP13, sp_is_complement=True, s_size=6, t_size=4,
+                   nontrivial_only=False, dedup=False),
+    ],
+    ids=["n9", "n10", "n11", "n12", "n13", "n13-target", "n13-target-shat"],
+)
+def test_difference_function_search_matches_multicirc_worker(spec):
+    # The default bicirculant path solves T from (S, S') against the worker
+    # that walks every T, on the full spaces n = 9..13 (trivial graphs
+    # included) and the dedup13 target with and without its filters.
+    candidates, records, counts = _multicirc_bicirc_run(spec)
+    result = search_bicirculant(spec, jobs=1)
+    got = [(s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3) for s in result.survivors]
+    stats = result.stats
+    assert got == records
+    assert (stats.candidates, [stats.srg, stats.nontrivial_srg, stats.iso3]) == (
+        candidates, counts)
+
+
+def _autocorrelation(members, n):
+    return tuple(sum((x + d) % n in members for x in members) for d in range(1, n))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_t_solver_matches_brute_force(n):
+    # Every realisable (A, t), t = 0 and t = n included, against a scan of
+    # every subset of Z_n; then every symmetric vector with entries in 0..t
+    # and sum t(t-1) that no subset realises (exhaustive for n <= 8, and for
+    # t <= 3 or t >= n - 3, the complement branch, above), and vectors that
+    # are negative, asymmetric or of the wrong sum.
+    from itertools import product
+
+    from isoreg.search import _t_solutions
+
+    realised = {}
+    for mask in range(1 << n):
+        members = {x for x in range(n) if (mask >> x) & 1}
+        realised.setdefault((len(members), _autocorrelation(members, n)), []).append(mask)
+    assert {t for t, _ in realised} == set(range(n + 1))
+    for (t, a), masks in realised.items():
+        assert _t_solutions(n, t, a) == tuple(masks), (t, a)
+    half = n // 2
+    unrealised = 0
+    for t in range(n + 1):
+        if n > 8 and 3 < t < n - 3:
+            continue
+        for free in product(range(t + 1), repeat=half):
+            a = tuple(free[min(d, n - d) - 1] for d in range(1, n))
+            if sum(a) == t * (t - 1) and (t, a) not in realised:
+                unrealised += 1
+                assert _t_solutions(n, t, a) == (), (t, a)
+    if n >= 6:
+        assert unrealised > 0
+    t = n // 2
+    a = _autocorrelation(set(range(t)), n)
+    if n >= 5:
+        skewed = (a[0] + 1, a[1] - 1) + a[2:]
+        assert _t_solutions(n, t, skewed) == ()
+    assert _t_solutions(n, t, tuple(x + 1 for x in a)) == ()
+    if n >= 5:
+        assert _t_solutions(n, 2, (-1, 2) + (0,) * (n - 5) + (2, -1)) == ()
