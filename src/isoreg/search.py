@@ -38,6 +38,12 @@ difference sum (not when pruning is off), then builds every member of the
 product of the per-orbit survivor lists and tests strong regularity and the
 target; shards take every stride-th mask of the first T.
 
+The bicirculant candidate count is taken in closed form from the allowed
+sizes (C((n-1)//2, s//2) symmetric sets of size s, none when n and s are
+both odd) and checked against ``CANDIDATE_CAP`` before any mask list is
+built; then only masks of the allowed sizes are built: S' of sizes n-1-s
+under ``--sp-complement``, and T of the allowed t under ``--no-prune``.
+
 ``_judge`` applies the shared tail (nontriviality from the parameters, the
 triple test, the profile) and records the survivor.  ``_run_shards`` runs
 the shards serially or on a process pool and merges them, and ``_finish``
@@ -50,10 +56,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from math import comb, isqrt, prod
 from operator import add
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graphs import Graph, complement
 from .isomorphism import invariant_fingerprint, is_isomorphic
@@ -78,22 +84,32 @@ def symmetric_subsets(n: int, size: Optional[int] = None) -> list[tuple[int, ...
     lexicographic order; optionally restricted to a fixed cardinality."""
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    out = []
-    for mask in _symmetric_masks(n):
-        residues = tuple(d for d in range(1, n) if (mask >> d) & 1)
-        if size is None or len(residues) == size:
-            out.append(residues)
+    out = [
+        tuple(d for d in range(1, n) if (mask >> d) & 1)
+        for mask in _symmetric_masks(n, None if size is None else [size])
+    ]
     out.sort(key=lambda residues: (len(residues), residues))
     return out
 
 
-def _symmetric_masks(n: int) -> list[int]:
-    pair_masks = [(1 << d) | (1 << (n - d)) for d in range(1, (n + 1) // 2)]
-    if n % 2 == 0:
-        pair_masks.append(1 << (n // 2))
-    masks = [0]
-    for pm in pair_masks:
-        masks = [m | choice for m in masks for choice in (0, pm)]
+def _symmetric_count(n: int, size: int) -> int:
+    """How many symmetric S of Z_n minus 0 have |S| = size: a choice of
+    size//2 of the (n-1)//2 pairs {d, n-d}, plus {n/2} when n is even and
+    size is odd."""
+    if not 0 <= size < n or size % 2 and n % 2:
+        return 0
+    return comb((n - 1) // 2, size // 2)
+
+
+def _symmetric_masks(n: int, sizes: Optional[Iterable[int]] = None) -> list[int]:
+    """The symmetric masks with the given sizes (every size when None),
+    grouped by size; no mask of another size is built."""
+    pairs = [(1 << d) | (1 << (n - d)) for d in range(1, (n + 1) // 2)]
+    masks = []
+    for size in range(n) if sizes is None else sizes:
+        if _symmetric_count(n, size):
+            middle = 1 << (n // 2) if size % 2 else 0
+            masks.extend(middle | sum(c) for c in combinations(pairs, size // 2))
     return masks
 
 
@@ -450,16 +466,22 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
         raise ValueError(f"target order {spec.target.n} is not 2n = {2 * n}")
     if spec.sp_is_complement and spec.sp_size is not None:
         raise ValueError("--sp-size cannot be combined with --sp-complement (S' is S-hat)")
-    sym_masks = _symmetric_masks(n)
-    s_masks = [m for m in sym_masks if spec.s_size is None or m.bit_count() == spec.s_size]
-    # With S' = S-hat every symmetric S' is allowed and the worker keeps the
-    # one that complements S.
-    sp_masks = [m for m in sym_masks if spec.sp_size is None or m.bit_count() == spec.sp_size]
+    s_sizes = [b for b in range(n) if spec.s_size in (None, b)]
+    # With S' = S-hat the worker keeps the S' that complements S, so S' takes
+    # the sizes n-1-s.
+    if spec.sp_is_complement:
+        sp_sizes = [n - 1 - b for b in s_sizes]
+    else:
+        sp_sizes = [b for b in range(n) if spec.sp_size in (None, b)]
     t_sizes = [b for b in range(n + 1) if spec.t_size in (None, b)]
-    t_count = sum(comb(n, b) for b in t_sizes)
-    candidates = len(s_masks) * (1 if spec.sp_is_complement else len(sp_masks)) * t_count
+    # Counted in closed form, so the cap is checked before any mask is built.
+    s_count = sum(_symmetric_count(n, b) for b in s_sizes)
+    sp_count = 1 if spec.sp_is_complement else sum(_symmetric_count(n, b) for b in sp_sizes)
+    candidates = s_count * sp_count * sum(comb(n, b) for b in t_sizes)
     if candidates > CANDIDATE_CAP:
         raise SearchCapError("bicirculant space too large", candidates)
+    s_masks = _symmetric_masks(n, s_sizes)
+    sp_masks = _symmetric_masks(n, sp_sizes)
 
     target = spec.target.as_tuple() if spec.target else None
     if spec.use_pruning:
@@ -467,7 +489,7 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
         args = (n, target, s_masks, sp_masks, t_sizes, bicirculant, spec.sp_is_complement,
                 spec.require_iso3, spec.nontrivial_only)
     else:
-        t_masks = [m for m in range(1 << n) if m.bit_count() in t_sizes]
+        t_masks = [sum(1 << i for i in c) for b in t_sizes for c in combinations(range(n), b)]
         worker = _multicirc_worker
         args = (n, target, (s_masks, sp_masks), (t_masks,), BicirculantSymbol, bicirculant,
                 spec.sp_is_complement, True, spec.require_iso3, spec.nontrivial_only, False)

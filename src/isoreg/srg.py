@@ -211,7 +211,7 @@ class SrgParams:
         """Parameter-level test that the graph and its complement are connected."""
         return (
             self.n >= 2
-            and 0 < self.mu < self.k
+            and 0 < self.mu < self.k < self.n - 1
             and 0 <= self.lam <= self.k - 1
             and self.identity_holds()
         )
@@ -308,6 +308,7 @@ def subconstituent(g: Graph, v: int, i: int) -> Graph:
 
 def is_nontrivial_srg(g: Graph) -> bool:
     """Strongly regular with both the graph and its complement connected,
-    which for a strongly regular graph is 0 < mu < k (SrgParams.is_nontrivial)."""
+    which for a strongly regular graph is 0 < mu < k < n - 1
+    (SrgParams.is_nontrivial)."""
     p = srg_params(g)
     return p is not None and p.is_nontrivial()

@@ -268,6 +268,22 @@ def reference_feasible_local_params(p):
     return solutions
 
 
+def reference_symmetric(n, rows) -> None:
+    """Reference row validation of the Graph constructor: row range and
+    loops row by row, then symmetry over every pair u < v in order.  Raises
+    the ValueError the constructor raises for the first fault found."""
+    mask = (1 << n) - 1
+    for u, row in enumerate(rows):
+        if row & ~mask:
+            raise ValueError(f"row {u} has bits outside 0..{n - 1}")
+        if (row >> u) & 1:
+            raise ValueError(f"loop at vertex {u}")
+    for u in range(n):
+        for v in range(u + 1, n):
+            if ((rows[u] >> v) & 1) != ((rows[v] >> u) & 1):
+                raise ValueError(f"adjacency not symmetric at ({u},{v})")
+
+
 def _difference_row(n, residues, base, offset):
     row = 0
     for r in residues:

@@ -370,3 +370,33 @@ def test_search_modulus_below_two_is_usage_error(capsys, argv):
     # of failing inside the mask builder or summarising an empty space.
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "") and "modulus must be at least 2" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--no-prune",)], ids=["pruned", "no-prune"])
+def test_search_one_symbol_space_builds_no_full_mask_list(extra):
+    # One candidate at n = 60: the cap is checked on closed-form counts and
+    # only masks of the requested sizes are built, never the 2^30 symmetric
+    # masks or the 2^60 T masks.  The child runs under a 1 GiB address-space
+    # limit and a timeout, so a regression fails instead of exhausting memory.
+    src = os.path.dirname(os.path.dirname(isoreg.__file__))
+    code = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from isoreg.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    argv = ["search", "bicirc", "--n", "60", "--s-size", "0", "--sp-size", "0", "--t-size", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv, *extra],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["summary"]["stats"]["candidates"] == 1
+
+
+def test_params_solve_complete_graph_is_usage_error(capsys):
+    # K_11 as (11, 10, 9, 5) satisfies the parameter identity, but its
+    # complement has no edges, so it is not a nontrivial parameter set.
+    code, out, err = run_cli(capsys, "params", "solve", "11", "10", "9", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: (11, 10, 9, 5) is not a nontrivial parameter set\n"

@@ -271,3 +271,82 @@ def test_builders_match_reference_on_random_symbols():
             n, *(rng.choice(sym_sets) for _ in range(3)), *(any_set() for _ in range(3))
         )
         assert tricirculant(tri).rows() == reference_tricirculant(tri).rows(), tri.text()
+
+
+def _validation_error(n, rows):
+    """The ValueError text of Graph(n, rows), or None when it is accepted."""
+    try:
+        g = Graph(n, rows)
+    except ValueError as exc:
+        return str(exc)
+    assert g.rows() == tuple(rows)
+    return None
+
+
+def _reference_error(n, rows):
+    from conftest import reference_symmetric
+
+    try:
+        reference_symmetric(n, rows)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _flip(rows, u, v):
+    rows = list(rows)
+    rows[u] ^= 1 << v
+    return rows
+
+
+def test_symmetry_kernel_matches_pair_loop_on_random_matrices():
+    # N = 1..70 crosses the row strides p = 8, 16, 32, 64 and 128.  Each
+    # matrix is symmetric, or carries one flipped off-diagonal bit, alone or
+    # with a loop, a bit outside 0..n-1 (both reported first) or a second
+    # flipped bit anywhere.
+    import random
+
+    rng = random.Random(20261018)
+    rejected = 0
+    for n in range(1, 71):
+        for trial in range(40):
+            density = rng.random()
+            rows = [0] * n
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < density:
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+            kind = trial % 5
+            if kind and n > 1:
+                u, v = rng.sample(range(n), 2)
+                rows = _flip(rows, u, v)
+            if kind == 2:
+                u = rng.randrange(n)
+                rows = _flip(rows, u, u)
+            elif kind == 3:
+                rows = _flip(rows, rng.randrange(n), n + rng.randrange(8))
+            elif kind == 4:
+                u = rng.randrange(n)
+                rows = _flip(rows, u, rng.randrange(n))
+            want = _reference_error(n, rows)
+            assert _validation_error(n, rows) == want, (n, trial)
+            rejected += want is not None
+    assert 0 < rejected < 70 * 40
+
+
+@pytest.mark.parametrize("n", [1100, 4096])
+def test_symmetry_kernel_matches_pair_loop_on_large_matrices(n):
+    import random
+
+    rng = random.Random(n)
+    rows = [0] * n
+    for _ in range(8 * n):
+        u, v = rng.sample(range(n), 2)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    assert _validation_error(n, rows) is _reference_error(n, rows) is None
+    flipped = _flip(rows, *rng.sample(range(n), 2))
+    want = _reference_error(n, flipped)
+    assert want.startswith("adjacency not symmetric")
+    assert _validation_error(n, flipped) == want

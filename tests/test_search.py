@@ -53,6 +53,49 @@ def test_pruning_soundness_full_n5():
     assert pruned.stats == unpruned.stats
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(n=5, s_size=2, sp_is_complement=True, t_size=1),
+        SearchSpec(n=8, s_size=3, sp_size=3, t_size=2),
+        SearchSpec(n=9, s_size=4, sp_is_complement=True),
+    ],
+    ids=["n5-complement", "n8-sizes", "n9-complement"],
+)
+def test_pruning_soundness_on_restricted_sizes(spec):
+    # Only masks of the allowed sizes are built, S' of sizes n-1-s under
+    # sp_is_complement; both paths still agree on survivors and counters.
+    from dataclasses import replace
+
+    pruned = search_bicirculant(spec)
+    unpruned = search_bicirculant(replace(spec, use_pruning=False))
+    assert [s.symbol.key() for s in pruned.survivors] == [
+        s.symbol.key() for s in unpruned.survivors
+    ]
+    assert pruned.stats == unpruned.stats
+
+
+def test_symmetric_masks_by_size_match_brute_force():
+    # Closed-form counts and size-restricted mask lists against a scan of
+    # every mask of Z_n minus 0 with S = -S.
+    from isoreg.search import _symmetric_count, _symmetric_masks
+
+    for n in range(2, 15):
+        symmetric = [
+            m for m in range(0, 1 << n, 2)
+            if all((m >> d & 1) == (m >> (n - d) & 1) for d in range(1, n))
+        ]
+        assert sorted(_symmetric_masks(n)) == symmetric
+        for size in range(n):
+            want = [m for m in symmetric if m.bit_count() == size]
+            assert sorted(_symmetric_masks(n, [size])) == want, (n, size)
+            assert _symmetric_count(n, size) == len(want), (n, size)
+        assert _symmetric_masks(n, []) == _symmetric_masks(n, [-1, n]) == []
+    # A size restriction builds no other mask, so a large modulus is cheap.
+    assert symmetric_subsets(60, 0) == [()]
+    assert len(symmetric_subsets(60, 2)) == 29
+
+
 def test_search_without_dedup():
     result = search_bicirculant(
         SearchSpec(n=5, target=SrgParams(10, 3, 0, 1), dedup=False)
