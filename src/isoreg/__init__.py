@@ -15,6 +15,7 @@ from .graphs import (
 )
 from .symbols import (
     BicirculantSymbol,
+    Symbol,
     TricirculantSymbol,
     bicirculant,
     circulant,

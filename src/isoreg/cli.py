@@ -197,7 +197,11 @@ def _cmd_certify(args) -> int:
     lo, hi = _parse_range(args.range)
     check_family_index(lo)
     check_family_index(hi)
-    cert = certify_range(claim, index_fn(lo, hi))
+    indices = index_fn(lo, hi)
+    # A certificate over no index would exit 0 as if the claim held.
+    if not indices:
+        raise InputError(f"range {args.range!r} holds no {args.family} index")
+    cert = certify_range(claim, indices)
     _emit(cert.to_json(), args.out)
     return 0 if claim_holds(cert) else 1
 
@@ -227,6 +231,17 @@ def _cmd_replay(args) -> int:
 
 def _cmd_search(args) -> int:
     jobs = args.jobs
+    if jobs < 1:
+        raise InputError(f"--jobs must be an integer >= 1, got {jobs}")
+    # Flags that shape the bicirculant space only; another mode would ignore
+    # them.
+    flags = {"--iso3": args.iso3, "--s-size": args.s_size, "--sp-size": args.sp_size,
+             "--t-size": args.t_size, "--sp-complement": args.sp_complement}
+    if args.mode == "bicirc-odd":
+        flags.update({"--params": args.params, "--no-prune": args.no_prune})
+    given = [flag for flag, value in flags.items() if value is not None and value is not False]
+    if args.mode != "bicirc" and given:
+        raise InputError(f"search {args.mode} does not take {', '.join(given)}")
     claim_ok = True
     extra = {}
     if args.mode == "bicirc":

@@ -36,7 +36,9 @@ leaves every orbit a diagonal size that exists.  For each T tuple it prunes
 each orbit's diagonal candidates once against that orbit's incident
 difference sum (not when pruning is off), then builds every member of the
 product of the per-orbit survivor lists and tests strong regularity and the
-target; shards take every stride-th mask of the first T.
+target; shards take every stride-th mask of the first T.  Both workers
+build ``Symbol(n, diagonals, connections)`` and record its key, and
+``_run_shards``, told r, rebuilds the survivors' symbols from the keys.
 
 The bicirculant candidate count is taken in closed form from the allowed
 sizes (C((n-1)//2, s//2) symmetric sets of size s, none when n and s are
@@ -66,7 +68,7 @@ from .isomorphism import invariant_fingerprint, is_isomorphic
 from .isoregularity import triples_isoregular
 from .formats import encode_graph6
 from .srg import SrgParams, srg_params
-from .symbols import BicirculantSymbol, TricirculantSymbol, bicirculant, tricirculant
+from .symbols import _LAYOUT, Symbol, bicirculant, symbol_graph, tricirculant
 
 CANDIDATE_CAP = 1 << 26
 ISO3_ORDER_CAP = 64
@@ -168,7 +170,7 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class Survivor:
-    symbol: object
+    symbol: Symbol
     params: SrgParams
     profile: Optional[tuple[int, int, int, int]]
     graph6: str
@@ -243,11 +245,6 @@ def _judge(sym, g: Graph, p: SrgParams, nontrivial_only: bool, require_iso3: boo
     records.append((sym.key(), p.as_tuple(), profile, iso3))
 
 
-# Connections touching each orbit: the bicirculant's T joins orbits 0 and 1;
-# the tricirculant's T01, T12 and T20 are connections 0, 1 and 2.
-_INCIDENT = {2: ((0,), (0,)), 3: ((0, 2), (0, 1), (1, 2))}
-
-
 def _by_count(masks) -> dict[int, list[int]]:
     out: dict[int, list[int]] = {}
     for m in masks:
@@ -263,12 +260,13 @@ def _multicirc_worker(args) -> tuple[list, list[int]]:
     only the members with S' = S-hat (bicirculant orbits 0 and 1), and
     count_all_srg counts every strongly regular graph built, not only the
     target matches."""
-    (n, target, diag_masks, conn_masks, make_symbol, build, sp_is_complement,
+    (n, target, diag_masks, conn_masks, build, sp_is_complement,
      count_all_srg, require_iso3, nontrivial_only, use_pruning, shard, stride) = args
     lam = target[2] if target else None
     mu = target[3] if target else None
     r = len(diag_masks)
-    incident = _INCIDENT[r]
+    # The connections touching each orbit.
+    incident = [[c for c, pair in enumerate(_LAYOUT[r][2]) if a in pair] for a in range(r)]
     full = (1 << n) - 1
     diag_by_size = [_by_count(masks) for masks in diag_masks]
     conn_by_count = [_by_count(masks) for masks in conn_masks]
@@ -312,7 +310,8 @@ def _multicirc_worker(args) -> tuple[list, list[int]]:
                     for diags in product(*survivors):
                         if sp_is_complement and diags[1] != full & ~diags[0] & ~1:
                             continue
-                        sym = make_symbol(n, *(_mask_to_set(m, n) for m in diags + conns))
+                        sym = Symbol(n, [_mask_to_set(m, n) for m in diags],
+                                     [_mask_to_set(m, n) for m in conns])
                         g = build(sym)
                         p = srg_params(g)
                         if p is None:
@@ -442,7 +441,8 @@ def _bicirc_worker(args) -> tuple[list, list[int]]:
                         if triple in seen:
                             continue
                         seen.add(triple)
-                        sym = BicirculantSymbol(n, *(_mask_to_set(m, n) for m in triple))
+                        sym = Symbol(n, (_mask_to_set(s_mask, n), _mask_to_set(sp_mask, n)),
+                                     (_mask_to_set(t_mask, n),))
                         g = build(sym)
                         p = srg_params(g)
                         if p is None:
@@ -466,6 +466,10 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
         raise ValueError(f"target order {spec.target.n} is not 2n = {2 * n}")
     if spec.sp_is_complement and spec.sp_size is not None:
         raise ValueError("--sp-size cannot be combined with --sp-complement (S' is S-hat)")
+    for flag, size, top in (("--s-size", spec.s_size, n - 1), ("--sp-size", spec.sp_size, n - 1),
+                            ("--t-size", spec.t_size, n)):
+        if size is not None and not 0 <= size <= top:
+            raise ValueError(f"{flag} {size} outside 0..{top}")
     s_sizes = [b for b in range(n) if spec.s_size in (None, b)]
     # With S' = S-hat the worker keeps the S' that complements S, so S' takes
     # the sizes n-1-s.
@@ -491,17 +495,17 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     else:
         t_masks = [sum(1 << i for i in c) for b in t_sizes for c in combinations(range(n), b)]
         worker = _multicirc_worker
-        args = (n, target, (s_masks, sp_masks), (t_masks,), BicirculantSymbol, bicirculant,
+        args = (n, target, (s_masks, sp_masks), (t_masks,), bicirculant,
                 spec.sp_is_complement, True, spec.require_iso3, spec.nontrivial_only, False)
-    survivors, counts = _run_shards(worker, args, jobs, BicirculantSymbol)
+    survivors, counts = _run_shards(worker, args, jobs, 2)
     return _finish(survivors, candidates, counts, spec.dedup)
 
 
-def _run_shards(worker, args: tuple, jobs: int, make_symbol) -> tuple[list[Survivor], list[int]]:
+def _run_shards(worker, args: tuple, jobs: int, r: int) -> tuple[list[Survivor], list[int]]:
     """Run worker on args + (shard, stride) for every shard, serially or on a
-    process pool; return the survivors sorted by symbol key and the summed
-    counters.  The shard count is jobs clamped to the CPU count; output does
-    not depend on it."""
+    process pool; return the survivors, with their r-orbit symbols rebuilt from
+    the record keys, sorted by symbol key and the summed counters.  The shard
+    count is jobs clamped to the CPU count; output does not depend on it."""
     stride = max(1, min(jobs, os.cpu_count() or 1))
     shards = [args + (shard, stride) for shard in range(stride)]
     if stride > 1:
@@ -511,10 +515,10 @@ def _run_shards(worker, args: tuple, jobs: int, make_symbol) -> tuple[list[Survi
             outputs = list(pool.map(worker, shards))
     else:
         outputs = [worker(a) for a in shards]
-    records = sorted(r for recs, _ in outputs for r in recs)
+    records = sorted(rec for recs, _ in outputs for rec in recs)
     counts = [sum(c[i] for _, c in outputs) for i in range(3)]
     survivors = [
-        Survivor(make_symbol(*key), SrgParams(*params), profile, "", iso3)
+        Survivor(Symbol(key[0], key[1:r + 1], key[r + 1:]), SrgParams(*params), profile, "", iso3)
         for key, params, profile, iso3 in records
     ]
     return survivors, counts
@@ -523,8 +527,6 @@ def _run_shards(worker, args: tuple, jobs: int, make_symbol) -> tuple[list[Survi
 def _finish(
     survivors: list[Survivor], candidates: int, counts: list[int], dedup: bool
 ) -> SearchResult:
-    from .symbols import symbol_graph
-
     graphs = [symbol_graph(s.symbol) for s in survivors]
     filled = []
     class_reps: list[int] = []
@@ -601,9 +603,9 @@ def search_tricirculant_srg(
         raise SearchCapError("tricirculant space too large", candidates)
 
     t_masks = list(range(1 << n))
-    args = (n, target.as_tuple(), (sym_masks,) * 3, (t_masks,) * 3, TricirculantSymbol,
-            tricirculant, False, False, False, True, use_pruning)
-    survivors, counts = _run_shards(_multicirc_worker, args, jobs, TricirculantSymbol)
+    args = (n, target.as_tuple(), (sym_masks,) * 3, (t_masks,) * 3, tricirculant,
+            False, False, False, True, use_pruning)
+    survivors, counts = _run_shards(_multicirc_worker, args, jobs, 3)
     return _finish(survivors, candidates, counts, True)
 
 
@@ -670,7 +672,6 @@ def confirm_nonexistence_bicirc_odd(n: int, jobs: int = 1) -> OddRunResult:
     iso3_count = sum(1 for s in result.survivors if s.iso3)
 
     from .isoregularity import is_locally_3isoregular
-    from .symbols import symbol_graph
 
     locally = sum(
         1

@@ -1,10 +1,14 @@
 """Multicirculant symbols and the graphs they define.
 
 A symbol is the residue-set data of a graph with a semiregular automorphism
-rotating each orbit: one symmetric set per orbit (within-orbit differences)
-plus one arbitrary set per orbit pair (between-orbit differences).  Orbit
-vertex blocks are numbered consecutively, lower orbit first, so constructed
-graphs are deterministic and suitable for golden files.
+rotating each of its r orbits: one symmetric set per orbit (within-orbit
+differences) plus one arbitrary set per orbit pair (between-orbit
+differences).  One class, ``Symbol``, holds them for r = 1, 2 and 3
+(circulants, bicirculants, tricirculants), and one graph builder,
+``symbol_graph``, builds them all; ``_LAYOUT`` gives per r the text kind,
+the field names and the orbit pair of each connection.  Orbit vertex blocks
+are numbered consecutively, lower orbit first, so constructed graphs are
+deterministic and suitable for golden files.
 """
 
 from __future__ import annotations
@@ -16,161 +20,130 @@ from typing import Iterable
 from .graphs import Graph
 
 
-def _reduce(values: Iterable[int], n: int) -> frozenset[int]:
-    return frozenset(v % n for v in values)
-
-
-def _check_symmetric(s: frozenset[int], n: int, name: str) -> None:
-    if 0 in s:
-        raise ValueError(f"{name} contains 0")
-    bad = {v for v in s if (-v) % n not in s}
-    if bad:
-        raise ValueError(f"{name} is not closed under negation mod {n}: {sorted(bad)}")
+# Layout of an r-orbit symbol, r = len(diagonals): the text kind, the field
+# names of the diagonals then the connections, and the orbit pair (x, y) of
+# each connection, where x_i ~ y_j iff j - i lies in the connection.
+_LAYOUT = {
+    1: ("circ", ("S",), ()),
+    2: ("bi", ("S", "Sp", "T"), ((0, 1),)),
+    3: ("tri", ("S0", "S1", "S2", "T01", "T12", "T20"), ((0, 1), (1, 2), (2, 0))),
+}
 
 
 @dataclass(frozen=True)
-class BicirculantSymbol:
-    """Residue triple [S, Sp, T] of an n-bicirculant."""
+class Symbol:
+    """Residue data of an n-multicirculant on r = 1, 2 or 3 orbits: a
+    symmetric diagonal set per orbit and a connection set per orbit pair of
+    ``_LAYOUT[r]``.  A bicirculant [S, Sp, T] has diagonals (S, Sp) and
+    connections (T,)."""
 
     n: int
-    s: frozenset[int]
-    sp: frozenset[int]
-    t: frozenset[int]
+    diagonals: tuple[frozenset[int], ...]
+    connections: tuple[frozenset[int], ...]
 
-    def __init__(self, n: int, s: Iterable[int], sp: Iterable[int], t: Iterable[int]):
+    def __init__(self, n: int, diagonals: Iterable[Iterable[int]],
+                 connections: Iterable[Iterable[int]] = ()):
         if n < 2:
             raise ValueError("modulus must be at least 2")
+        diagonals = tuple([frozenset(v % n for v in s) for s in diagonals])
+        connections = tuple([frozenset(v % n for v in t) for t in connections])
+        layout = _LAYOUT.get(len(diagonals))
+        if layout is None or len(connections) != len(layout[2]):
+            raise ValueError(f"no {len(diagonals)}-orbit symbol has {len(connections)} connections")
+        for name, s in zip(layout[1], diagonals):
+            if 0 in s:
+                raise ValueError(f"{name} contains 0")
+            bad = {v for v in s if (-v) % n not in s}
+            if bad:
+                raise ValueError(f"{name} is not closed under negation mod {n}: {sorted(bad)}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "s", _reduce(s, n))
-        object.__setattr__(self, "sp", _reduce(sp, n))
-        object.__setattr__(self, "t", _reduce(t, n))
-        _check_symmetric(self.s, n, "S")
-        _check_symmetric(self.sp, n, "Sp")
+        object.__setattr__(self, "diagonals", diagonals)
+        object.__setattr__(self, "connections", connections)
+
+    # The bicirculant names of the sets.
+    s = property(lambda self: self.diagonals[0])
+    sp = property(lambda self: self.diagonals[1])
+    t = property(lambda self: self.connections[0])
 
     def s_hat(self) -> frozenset[int]:
         """Complement of S inside the nonzero residues."""
         return frozenset(range(1, self.n)) - self.s
 
-    def sp_hat(self) -> frozenset[int]:
-        return frozenset(range(1, self.n)) - self.sp
+    def complement(self) -> "Symbol":
+        """The symbol of the complement graph, on the same labels."""
+        full = frozenset(range(self.n))
+        return Symbol(self.n, (full - {0} - s for s in self.diagonals),
+                      (full - t for t in self.connections))
 
-    def complement(self) -> "BicirculantSymbol":
-        t_c = frozenset(range(self.n)) - self.t
-        return BicirculantSymbol(self.n, self.s_hat(), self.sp_hat(), t_c)
-
-    def translate(self, c: int) -> "BicirculantSymbol":
-        return BicirculantSymbol(self.n, self.s, self.sp, {v + c for v in self.t})
-
-    def multiply(self, a: int) -> "BicirculantSymbol":
+    def multiply(self, a: int) -> "Symbol":
         if math.gcd(a, self.n) != 1:
             raise ValueError(f"{a} is not invertible mod {self.n}")
-        return BicirculantSymbol(
-            self.n,
-            {a * v for v in self.s},
-            {a * v for v in self.sp},
-            {a * v for v in self.t},
-        )
+        return Symbol(self.n, ({a * v for v in s} for s in self.diagonals),
+                      ({a * v for v in t} for t in self.connections))
 
-    def swap_orbits(self) -> "BicirculantSymbol":
-        return BicirculantSymbol(self.n, self.sp, self.s, {-v for v in self.t})
+    def translate(self, c: int) -> "Symbol":
+        """The bicirculant [S, Sp, T + c]."""
+        (t,) = self.connections
+        return Symbol(self.n, self.diagonals, ({v + c for v in t},))
+
+    def swap_orbits(self) -> "Symbol":
+        """The bicirculant [Sp, S, -T]."""
+        s, sp = self.diagonals
+        return Symbol(self.n, (sp, s), ({-v for v in self.t},))
 
     def key(self) -> tuple:
-        return (self.n, tuple(sorted(self.s)), tuple(sorted(self.sp)), tuple(sorted(self.t)))
+        return (self.n, *(tuple(sorted(x)) for x in self.diagonals + self.connections))
 
     def text(self) -> str:
-        def fmt(vals: frozenset[int]) -> str:
-            return ",".join(str(v) for v in sorted(vals))
+        kind, names, _ = _LAYOUT[len(self.diagonals)]
+        sets = self.diagonals + self.connections
+        return f"{kind}:n={self.n};" + ";".join(
+            f"{name}={','.join(str(v) for v in sorted(x))}" for name, x in zip(names, sets)
+        )
 
-        return f"bi:n={self.n};S={fmt(self.s)};Sp={fmt(self.sp)};T={fmt(self.t)}"
+
+def BicirculantSymbol(n: int, s: Iterable[int], sp: Iterable[int], t: Iterable[int]) -> Symbol:
+    """The bicirculant symbol [S, Sp, T]."""
+    return Symbol(n, (s, sp), (t,))
 
 
-@dataclass(frozen=True)
-class TricirculantSymbol:
+def TricirculantSymbol(n: int, s0: Iterable[int], s1: Iterable[int], s2: Iterable[int],
+                       t01: Iterable[int], t12: Iterable[int], t20: Iterable[int]) -> Symbol:
     """Three diagonal sets and three cyclically oriented connection sets."""
-
-    n: int
-    s0: frozenset[int]
-    s1: frozenset[int]
-    s2: frozenset[int]
-    t01: frozenset[int]
-    t12: frozenset[int]
-    t20: frozenset[int]
-
-    def __init__(
-        self,
-        n: int,
-        s0: Iterable[int],
-        s1: Iterable[int],
-        s2: Iterable[int],
-        t01: Iterable[int],
-        t12: Iterable[int],
-        t20: Iterable[int],
-    ):
-        if n < 2:
-            raise ValueError("modulus must be at least 2")
-        object.__setattr__(self, "n", n)
-        for name, vals in (("s0", s0), ("s1", s1), ("s2", s2)):
-            object.__setattr__(self, name, _reduce(vals, n))
-        for name, vals in (("t01", t01), ("t12", t12), ("t20", t20)):
-            object.__setattr__(self, name, _reduce(vals, n))
-        _check_symmetric(self.s0, n, "S0")
-        _check_symmetric(self.s1, n, "S1")
-        _check_symmetric(self.s2, n, "S2")
-
-    def key(self) -> tuple:
-        return (
-            self.n,
-            tuple(sorted(self.s0)),
-            tuple(sorted(self.s1)),
-            tuple(sorted(self.s2)),
-            tuple(sorted(self.t01)),
-            tuple(sorted(self.t12)),
-            tuple(sorted(self.t20)),
-        )
-
-    def text(self) -> str:
-        def fmt(vals: frozenset[int]) -> str:
-            return ",".join(str(v) for v in sorted(vals))
-
-        return (
-            f"tri:n={self.n};S0={fmt(self.s0)};S1={fmt(self.s1)};S2={fmt(self.s2)};"
-            f"T01={fmt(self.t01)};T12={fmt(self.t12)};T20={fmt(self.t20)}"
-        )
+    return Symbol(n, (s0, s1, s2), (t01, t12, t20))
 
 
 def circulant(n: int, s: Iterable[int]) -> Graph:
     """Circulant graph: u ~ v iff (v - u) mod n lies in the symmetric set s."""
-    if n < 2:
-        raise ValueError("modulus must be at least 2")
-    sset = _reduce(s, n)
-    _check_symmetric(sset, n, "S")
-    return _multicirculant(n, (sset,), {})
+    return symbol_graph(Symbol(n, (s,)))
 
 
-def _residue_mask(residues: Iterable[int], n: int) -> int:
+def _mask(residues: Iterable[int]) -> int:
     mask = 0
     for r in residues:
-        mask |= 1 << (r % n)
+        mask |= 1 << r
     return mask
 
 
-def _multicirculant(n: int, diagonals, connections: dict) -> Graph:
-    """Multicirculant on len(diagonals) * n vertices; orbit a occupies
-    a*n..a*n+n-1.  Within orbit a, i ~ j iff j - i lies in diagonals[a];
-    connections[(x, y)] = T means x_i ~ y_j iff j - i lies in T.
+def symbol_graph(sym: Symbol) -> Graph:
+    """Multicirculant on r * n vertices; orbit a occupies a*n..a*n+n-1.
+    Within orbit a, i ~ j iff j - i lies in diagonals[a]; a connection T of
+    orbit pair (x, y) means x_i ~ y_j iff j - i lies in T.
 
     The row of a_0 is built block by block; the row of a_i is that row with
     every block rotated by i."""
+    n = sym.n
+    pairs = _LAYOUT[len(sym.diagonals)][2]
     full = (1 << n) - 1
     rows = []
-    for a, diagonal in enumerate(diagonals):
-        blocks = {a: _residue_mask(diagonal, n)}
-        for (x, y), t in connections.items():
+    for a, diagonal in enumerate(sym.diagonals):
+        blocks = {a: _mask(diagonal)}
+        for (x, y), t in zip(pairs, sym.connections):
             if x == a:
-                blocks[y] = blocks.get(y, 0) | _residue_mask(t, n)
+                blocks[y] = _mask(t)
             elif y == a:
                 # x_j ~ y_i iff i - j in T, so y_0 sees x at j = -r.
-                blocks[x] = blocks.get(x, 0) | _residue_mask((-r for r in t), n)
+                blocks[x] = _mask(-r % n for r in t)
         # Block b doubled, so its rotation by i is a shift by n - i.
         doubled = [(m | m << n, b * n) for b, m in blocks.items()]
         for i in range(n):
@@ -178,23 +151,16 @@ def _multicirculant(n: int, diagonals, connections: dict) -> Graph:
             for m, offset in doubled:
                 row |= (m >> (n - i) & full) << offset
             rows.append(row)
-    return Graph(len(diagonals) * n, rows)
+    return Graph(len(sym.diagonals) * n, rows)
 
 
-def bicirculant(sym: BicirculantSymbol) -> Graph:
-    """Bicirculant on 2n vertices; u-orbit is 0..n-1, w-orbit is n..2n-1."""
-    return _multicirculant(sym.n, (sym.s, sym.sp), {(0, 1): sym.t})
+# The bicirculant (u-orbit 0..n-1, w-orbit n..2n-1) and tricirculant names of
+# the one builder.
+bicirculant = tricirculant = symbol_graph
 
 
-def tricirculant(sym: TricirculantSymbol) -> Graph:
-    """Tricirculant on 3n vertices; orbit a occupies a*n..a*n+n-1."""
-    return _multicirculant(
-        sym.n, (sym.s0, sym.s1, sym.s2), {(0, 1): sym.t01, (1, 2): sym.t12, (2, 0): sym.t20}
-    )
-
-
-def parse_symbol(text: str):
-    """Parse ``circ:``/``bi:``/``tri:`` symbol text into a symbol or circulant spec.
+def parse_symbol(text: str) -> Symbol:
+    """Parse ``circ:``/``bi:``/``tri:`` symbol text into a symbol.
 
     Grammar (residues comma-separated, negatives allowed, empty set allowed):
       circ:n=5;S=1,-1
@@ -227,22 +193,8 @@ def parse_symbol(text: str):
     except (KeyError, ValueError) as exc:
         raise ValueError("symbol text missing integer field n") from exc
 
-    if kind == "circ":
-        return ("circ", n, frozenset(v % n for v in ints("S")))
-    if kind == "bi":
-        return BicirculantSymbol(n, ints("S"), ints("Sp"), ints("T"))
-    if kind == "tri":
-        return TricirculantSymbol(
-            n, ints("S0"), ints("S1"), ints("S2"), ints("T01"), ints("T12"), ints("T20")
-        )
+    for r, (layout_kind, names, _) in _LAYOUT.items():
+        if layout_kind == kind:
+            sets = [ints(name) for name in names]
+            return Symbol(n, sets[:r], sets[r:])
     raise ValueError(f"unknown symbol kind {kind!r}")
-
-
-def symbol_graph(sym) -> Graph:
-    if isinstance(sym, BicirculantSymbol):
-        return bicirculant(sym)
-    if isinstance(sym, TricirculantSymbol):
-        return tricirculant(sym)
-    if isinstance(sym, tuple) and sym and sym[0] == "circ":
-        return circulant(sym[1], sym[2])
-    raise TypeError(f"not a symbol: {sym!r}")

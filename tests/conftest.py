@@ -310,8 +310,8 @@ def reference_tricirculant(sym) -> Graph:
     """Reference tricirculant builder: orbit a occupies a*n..a*n+n-1."""
     n = sym.n
     rows = [0] * (3 * n)
-    connections = {(0, 1): sym.t01, (1, 2): sym.t12, (2, 0): sym.t20}
-    diagonals = (sym.s0, sym.s1, sym.s2)
+    connections = dict(zip(((0, 1), (1, 2), (2, 0)), sym.connections))
+    diagonals = sym.diagonals
     for a in range(3):
         for i in range(n):
             row = _difference_row(n, diagonals[a], i, a * n)
@@ -323,6 +323,52 @@ def reference_tricirculant(sym) -> Graph:
                         row |= 1 << (x * n + (i - r) % n)
             rows[a * n + i] = row
     return Graph(3 * n, rows)
+
+
+def _reference_fmt(vals) -> str:
+    return ",".join(str(v) for v in sorted(vals))
+
+
+def reference_symbol_text(sym) -> str:
+    """Symbol text as the per-r formats wrote it before one class held every
+    r: the ``circ:`` grammar of ``parse_symbol``, then the bicirculant and
+    tricirculant ``text()`` methods, each field spelled out."""
+    n, diagonals, connections = sym.n, sym.diagonals, sym.connections
+    if len(diagonals) == 1:
+        return f"circ:n={n};S={_reference_fmt(diagonals[0])}"
+    if len(diagonals) == 2:
+        s, sp = diagonals
+        (t,) = connections
+        return (f"bi:n={n};S={_reference_fmt(s)};Sp={_reference_fmt(sp)};"
+                f"T={_reference_fmt(t)}")
+    s0, s1, s2 = diagonals
+    t01, t12, t20 = connections
+    return (
+        f"tri:n={n};S0={_reference_fmt(s0)};S1={_reference_fmt(s1)};S2={_reference_fmt(s2)};"
+        f"T01={_reference_fmt(t01)};T12={_reference_fmt(t12)};T20={_reference_fmt(t20)}"
+    )
+
+
+def reference_symbol_key(sym) -> tuple:
+    """Symbol key as the per-r classes built it: n, then each diagonal and
+    each connection as a sorted tuple."""
+    if len(sym.diagonals) == 1:
+        return (sym.n, tuple(sorted(sym.diagonals[0])))
+    if len(sym.diagonals) == 2:
+        s, sp = sym.diagonals
+        (t,) = sym.connections
+        return (sym.n, tuple(sorted(s)), tuple(sorted(sp)), tuple(sorted(t)))
+    s0, s1, s2 = sym.diagonals
+    t01, t12, t20 = sym.connections
+    return (
+        sym.n,
+        tuple(sorted(s0)),
+        tuple(sorted(s1)),
+        tuple(sorted(s2)),
+        tuple(sorted(t01)),
+        tuple(sorted(t12)),
+        tuple(sorted(t20)),
+    )
 
 
 def reference_bicirc_worker(args):

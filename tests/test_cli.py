@@ -400,3 +400,70 @@ def test_params_solve_complete_graph_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "params", "solve", "11", "10", "9", "5")
     assert (code, out) == (2, "")
     assert err == "error: (11, 10, 9, 5) is not a nontrivial parameter set\n"
+
+
+_MODE_ARGS = {"tricirc": ("--n", "3", "--params", "9,4,1,2"), "bicirc-odd": ("--n", "5")}
+
+
+@pytest.mark.parametrize(
+    "mode, flag",
+    [
+        ("tricirc", ("--iso3",)),
+        ("tricirc", ("--s-size", "2")),
+        ("tricirc", ("--sp-size", "0")),
+        ("tricirc", ("--t-size", "1")),
+        ("tricirc", ("--sp-complement",)),
+        ("bicirc-odd", ("--params", "10,3,0,1")),
+        ("bicirc-odd", ("--no-prune",)),
+        ("bicirc-odd", ("--iso3",)),
+        ("bicirc-odd", ("--t-size", "0")),
+    ],
+    ids=lambda v: v if isinstance(v, str) else " ".join(v),
+)
+def test_search_flag_the_mode_ignores_is_usage_error(capsys, mode, flag):
+    # A flag that shapes only the bicirculant space would be dropped by the
+    # other modes, so the run could not be the one asked for.
+    code, out, err = run_cli(capsys, "search", mode, *_MODE_ARGS[mode], *flag)
+    assert (code, out, err) == (2, "", f"error: search {mode} does not take {flag[0]}\n")
+
+
+@pytest.mark.parametrize(
+    "flag, size, top",
+    [("--s-size", "-1", 7), ("--s-size", "8", 7), ("--sp-size", "8", 7),
+     ("--t-size", "99", 8), ("--t-size", "-1", 8)],
+)
+def test_search_size_out_of_range_is_usage_error(capsys, flag, size, top):
+    code, out, err = run_cli(capsys, "search", "bicirc", "--n", "8", flag, size)
+    assert (code, out) == (2, "") and err == f"error: {flag} {size} outside 0..{top}\n"
+
+
+def test_search_size_at_range_ends_runs(capsys):
+    code, out, _ = run_cli(
+        capsys, "search", "bicirc", "--n", "8", "--s-size", "7", "--sp-size", "0", "--t-size", "8"
+    )
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["summary"]["stats"]["candidates"] == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_search_jobs_below_one_is_usage_error(capsys, jobs):
+    # As with ISOREG_JOBS, a worker count below 1 is an input error, not 1.
+    code, out, err = run_cli(capsys, "search", "bicirc", "--n", "5", "--jobs", jobs)
+    assert (code, out) == (2, "") and err == f"error: --jobs must be an integer >= 1, got {jobs}\n"
+
+
+@pytest.mark.parametrize(
+    "family, text", [("bicirc-odd", "5..2"), ("tri1", "3..-3"), ("family-b", "2..2")]
+)
+def test_certify_range_without_index_is_usage_error(capsys, family, text):
+    # A range with no index (lo > hi, or family-b/c's even indices only)
+    # would certify no instance and exit 0 as if the claim held.
+    code, out, err = run_cli(capsys, "certify", family, "--range", text)
+    assert (code, out, err) == (2, "", f"error: range {text!r} holds no {family} index\n")
+
+
+def test_circulant_symbol_modulus_zero_is_usage_error(capsys):
+    # circ: text is validated like bi: and tri: text, before any residue is
+    # reduced mod n, so n = 0 is an input error and not a ZeroDivisionError.
+    code, out, err = run_cli(capsys, "build", "circ:n=0;S=1")
+    assert (code, out) == (2, "") and "modulus must be at least 2" in err

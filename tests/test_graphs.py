@@ -273,6 +273,79 @@ def test_builders_match_reference_on_random_symbols():
         assert tricirculant(tri).rows() == reference_tricirculant(tri).rows(), tri.text()
 
 
+def _random_symbols(seed, count):
+    """count seeded random symbols for each r = 1, 2, 3 at n = 2..12, with
+    residues given unreduced (negative or beyond n)."""
+    import random
+
+    from isoreg import Symbol
+    from isoreg.search import symmetric_subsets
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 12)
+        sym_sets = symmetric_subsets(n)
+
+        def unreduced(residues):
+            return [v + n * rng.randint(-2, 2) for v in residues]
+
+        for r in (1, 2, 3):
+            diagonals = [unreduced(rng.choice(sym_sets)) for _ in range(r)]
+            connections = [
+                unreduced(v for v in range(n) if rng.random() < 0.5)
+                for _ in range(r * (r - 1) // 2)
+            ]
+            out.append(Symbol(n, diagonals, connections))
+    return out
+
+
+def test_symbol_text_and_key_match_reference_on_random_symbols():
+    # text() and key() keep the per-r formats byte for byte, and the text,
+    # circ: included, parses back to the same symbol.
+    from conftest import reference_symbol_key, reference_symbol_text
+
+    for sym in _random_symbols(20261018, 150):
+        text = sym.text()
+        assert text == reference_symbol_text(sym)
+        assert sym.key() == reference_symbol_key(sym)
+        assert parse_symbol(text) == sym, text
+
+
+def test_symbol_complement_is_graph_complement_on_random_symbols():
+    for sym in _random_symbols(1018, 60):
+        assert complement(symbol_graph(sym)) == symbol_graph(sym.complement()), sym.text()
+
+
+@pytest.mark.parametrize("n", [5, 7, 8])
+def test_tricirculant_multiply_gives_isomorphic_graph(n):
+    import random
+    from math import gcd
+
+    from isoreg.search import symmetric_subsets
+
+    rng = random.Random(n)
+    sym_sets = symmetric_subsets(n)
+    sym = TricirculantSymbol(
+        n, *(rng.choice(sym_sets) for _ in range(3)),
+        *([v for v in range(n) if rng.random() < 0.5] for _ in range(3)),
+    )
+    g = tricirculant(sym)
+    for a in range(2, n):
+        if gcd(a, n) == 1:
+            assert is_isomorphic(g, tricirculant(sym.multiply(a))) is not None, (a, sym.text())
+
+
+def test_bicirculant_methods_reject_other_orbit_counts():
+    from isoreg import Symbol
+
+    for sym in (Symbol(5, [{1, 4}]), TricirculantSymbol(5, {1, 4}, (), (), {0}, {1}, {2})):
+        with pytest.raises(ValueError):
+            sym.translate(1)
+        with pytest.raises(ValueError):
+            sym.swap_orbits()
+
+
 def _validation_error(n, rows):
     """The ValueError text of Graph(n, rows), or None when it is accepted."""
     try:

@@ -385,7 +385,7 @@ def _multicirc_bicirc_run(spec):
     under the r-orbit worker with pruning on: the default path before T was
     solved from its autocorrelation, kept for the tricirculant search."""
     from isoreg.search import _multicirc_worker, _symmetric_masks
-    from isoreg.symbols import BicirculantSymbol, bicirculant
+    from isoreg.symbols import bicirculant
 
     n = spec.n
     sym_masks = _symmetric_masks(n)
@@ -394,8 +394,8 @@ def _multicirc_bicirc_run(spec):
     t_masks = [m for m in range(1 << n) if spec.t_size is None or m.bit_count() == spec.t_size]
     target = spec.target.as_tuple() if spec.target else None
     records, counts = _multicirc_worker(
-        (n, target, (s_masks, sp_masks), (t_masks,), BicirculantSymbol, bicirculant,
-         spec.sp_is_complement, True, spec.require_iso3, spec.nontrivial_only, True, 0, 1)
+        (n, target, (s_masks, sp_masks), (t_masks,), bicirculant, spec.sp_is_complement,
+         True, spec.require_iso3, spec.nontrivial_only, True, 0, 1)
     )
     candidates = len(s_masks) * (1 if spec.sp_is_complement else len(sp_masks)) * len(t_masks)
     return candidates, sorted(records), counts
