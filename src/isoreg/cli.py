@@ -73,11 +73,18 @@ def _resolve_graph(text: str) -> tuple[str, Graph]:
         raise InputError(f"{exc}; known tags: {', '.join(named_tags())}") from exc
 
 
-def _parse_params(text: str) -> SrgParams:
+def _parse_params(text: str, modulus: int) -> SrgParams:
+    """The --params target of a search on the given modulus.  A target no
+    graph has (a negative k, lambda or mu, or k > n - 1) is an input error,
+    since the search would run empty; a modulus below 2 is left for the
+    search to report."""
     try:
         n, k, lam, mu = (int(tok) for tok in text.replace(" ", "").split(","))
     except ValueError as exc:
         raise InputError(f"parameters must be 'n,k,lambda,mu', got {text!r}") from exc
+    if modulus >= 2 and (min(k, lam, mu) < 0 or k > n - 1):
+        raise InputError(f"no graph has parameters {(n, k, lam, mu)}:"
+                         " need 0 <= k <= n - 1 and lambda, mu >= 0")
     return SrgParams(n, k, lam, mu)
 
 
@@ -214,6 +221,9 @@ def _cmd_replay(args) -> int:
         raise InputError(f"cannot load certificate: {exc}") from exc
     try:
         cert = Certificate.from_json(payload)
+        # A certificate over no instance would replay as if the claim held.
+        if not cert.instances:
+            raise InputError("certificate holds no instance")
         outcome = replay_certificate(cert)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed certificate: {exc!r}") from exc
@@ -247,7 +257,7 @@ def _cmd_search(args) -> int:
     if args.mode == "bicirc":
         spec = SearchSpec(
             n=args.n,
-            target=None if args.params is None else _parse_params(args.params),
+            target=None if args.params is None else _parse_params(args.params, args.n),
             s_size=args.s_size,
             sp_size=args.sp_size,
             t_size=args.t_size,
@@ -260,7 +270,7 @@ def _cmd_search(args) -> int:
         if args.params is None:
             raise InputError("tricirculant search needs --params")
         result = search_tricirculant_srg(
-            args.n, _parse_params(args.params), jobs=jobs, use_pruning=not args.no_prune
+            args.n, _parse_params(args.params, args.n), jobs=jobs, use_pruning=not args.no_prune
         )
     elif args.mode == "bicirc-odd":
         run = confirm_nonexistence_bicirc_odd(args.n, jobs=jobs)

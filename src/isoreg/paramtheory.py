@@ -993,7 +993,10 @@ def certify_range(claim: str, indices: list[int]) -> Certificate:
 
 
 def claim_holds(cert: Certificate) -> bool:
-    """The family-level statement each certificate is meant to establish."""
+    """The family-level statement each certificate is meant to establish;
+    a certificate with no instance establishes nothing."""
+    if not cert.instances:
+        return False
     for inst in cert.instances:
         if cert.claim == "tri-family-1":
             if inst.index == -1:

@@ -23,9 +23,13 @@ A_T = mu - key_c(S) = mu - key_c(S'), where key_c(X) = dX - c*1_X.
   bit-mask backtracker over T containing 0 plus its translates, solving
   t > n/2 through the complement (A_{Z_n - T} = n - 2t + A_T); each shard
   memoises it on (t, A_T).
-- Each (S, S', T) found is built once (S = {} or Z_n - {0} leaves lambda or
-  mu vacuous, so several c reach it), tested with ``srg_params`` and passed
-  to ``_judge``.  Shards take every stride-th allowed S.
+- Symbol-level test: each (S, S', T) found is tested once (S = {} or
+  Z_n - {0} leaves lambda or mu vacuous, so several c reach it) by
+  ``block_srg_params`` on its row blocks (``row_blocks``, with the mask of
+  -T made once per T solution).  Only the symbols that pass are built as a
+  ``Symbol`` and a graph, tested with ``srg_params``, which decides the
+  counters and records, and passed to ``_judge``.  Shards take every
+  stride-th allowed S.
 
 ``--no-prune`` and the tricirculant search run ``_multicirc_worker`` over r =
 2 or 3 orbits.  Orbit a has a diagonal set S_a and each orbit pair a
@@ -34,8 +38,9 @@ only on S_a and the T's that touch it.  The worker walks the tuples of T's
 grouped by their bit counts and skips a count tuple when no common degree k
 leaves every orbit a diagonal size that exists.  For each T tuple it prunes
 each orbit's diagonal candidates once against that orbit's incident
-difference sum (not when pruning is off), then builds every member of the
-product of the per-orbit survivor lists and tests strong regularity and the
+difference sum (not when pruning is off), then tests every member of the
+product of the per-orbit survivor lists on its row blocks as above, builds
+and tests with ``srg_params`` only the members that pass, and checks the
 target; shards take every stride-th mask of the first T.  Both workers
 build ``Symbol(n, diagonals, connections)`` and record its key, and
 ``_run_shards``, told r, rebuilds the survivors' symbols from the keys.
@@ -67,8 +72,9 @@ from .graphs import Graph, complement
 from .isomorphism import invariant_fingerprint, is_isomorphic
 from .isoregularity import triples_isoregular
 from .formats import encode_graph6
-from .srg import SrgParams, srg_params
-from .symbols import _LAYOUT, Symbol, bicirculant, symbol_graph, tricirculant
+from .srg import SrgParams, block_srg_params, srg_params
+from .symbols import (_LAYOUT, Symbol, bicirculant, negated_mask, row_blocks, symbol_graph,
+                      tricirculant)
 
 CANDIDATE_CAP = 1 << 26
 ISO3_ORDER_CAP = 64
@@ -284,6 +290,7 @@ def _multicirc_worker(args) -> tuple[list, list[int]]:
         # Kept for one count group only, so a bicirculant run never holds
         # the vectors of every T.
         conn_vec = {m: _diff_vector(m, n) for m in set().union(*groups)}
+        conn_neg = {m: negated_mask(m, n) for m in conn_vec}
         for conns in product(*groups):
             # Incident difference sum of each orbit, made when first needed.
             sums: list = [None] * r
@@ -307,8 +314,11 @@ def _multicirc_worker(args) -> tuple[list, list[int]]:
                             break
                     survivors.append(diags)
                 else:
+                    negs = [conn_neg[m] for m in conns]
                     for diags in product(*survivors):
                         if sp_is_complement and diags[1] != full & ~diags[0] & ~1:
+                            continue
+                        if block_srg_params(n, row_blocks(diags, conns, negs)) is None:
                             continue
                         sym = Symbol(n, [_mask_to_set(m, n) for m in diags],
                                      [_mask_to_set(m, n) for m in conns])
@@ -399,11 +409,11 @@ def _bicirc_worker(args) -> tuple[list, list[int]]:
     cs = [target[2] - target[3]] if target else range(1 - 2 * n, 2 * n - 1)
     mine = s_masks[shard::stride]
     # S = S' = {} or Z_n - {0} leaves lambda or mu vacuous, so several c
-    # give the same symbol; it is built once.
+    # give the same symbol; it is tested once.
     seen: set[tuple[int, int, int]] = set()
     # A_T depends on S only through key_c(S), so S masks of one bucket share
-    # their T solutions.
-    solved: dict[tuple, tuple[int, ...]] = {}
+    # their T solutions, kept as (mask of T, mask of -T).
+    solved: dict[tuple, list[tuple[int, int]]] = {}
     records: list = []
     counts = [0, 0, 0]
     for c in cs:
@@ -434,13 +444,17 @@ def _bicirc_worker(args) -> tuple[list, list[int]]:
                     continue
                 solutions = solved.get((t, a))
                 if solutions is None:
-                    solutions = solved[t, a] = _t_solutions(n, t, a)
-                for t_mask in solutions:
+                    solutions = solved[t, a] = [(m, negated_mask(m, n))
+                                                for m in _t_solutions(n, t, a)]
+                for t_mask, neg in solutions:
                     for sp_mask in partners:
                         triple = (s_mask, sp_mask, t_mask)
                         if triple in seen:
                             continue
                         seen.add(triple)
+                        blocks = row_blocks((s_mask, sp_mask), (t_mask,), (neg,))
+                        if block_srg_params(n, blocks) is None:
+                            continue
                         sym = Symbol(n, (_mask_to_set(s_mask, n), _mask_to_set(sp_mask, n)),
                                      (_mask_to_set(t_mask, n),))
                         g = build(sym)

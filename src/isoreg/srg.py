@@ -1,5 +1,11 @@
 """Strong regularity: parameter detection, exact eigenvalues, clique bound.
 
+``srg_params`` detects strong regularity on a built graph from all its
+vertex pairs.  ``block_srg_params`` gives the same answer for a
+multicirculant from its symbol's row blocks alone: rotating every orbit is
+an automorphism, so the pairs of one vertex per orbit decide every count.
+The searches run it before they build a graph.
+
 All spectral quantities are exact integers or quadratic surds; no floating
 point anywhere, so conference graphs and certificate replays stay exact.
 """
@@ -9,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph, bits_to_vertices
 
@@ -224,6 +230,20 @@ class SrgParams:
         return cls(data["n"], data["k"], data["lambda"], data["mu"])
 
 
+def _srg_from_pairs(n: int, k: int, pairs: Iterable[tuple[int, int]]) -> Optional[SrgParams]:
+    """SrgParams(n, k, lambda, mu) when the (adjacent, common-neighbor count)
+    pairs give one count to every adjacent pair (lambda) and one to every
+    non-adjacent pair (mu); None otherwise.  A vacuous count is 0."""
+    seen: list[Optional[int]] = [None, None]  # mu, lambda
+    for adjacent, c in pairs:
+        if seen[adjacent] is None:
+            seen[adjacent] = c
+        elif seen[adjacent] != c:
+            return None
+    mu, lam = seen
+    return SrgParams(n, k, lam or 0, mu or 0)
+
+
 def srg_params(g: Graph) -> Optional[SrgParams]:
     """Detect strong regularity by bit-row intersections; None if not SRG.
 
@@ -233,24 +253,41 @@ def srg_params(g: Graph) -> Optional[SrgParams]:
     """
     if not g.is_regular():
         return None
-    k = g.degree(0)
-    lam: Optional[int] = None
-    mu: Optional[int] = None
-    for u in range(g.n):
-        row_u = g.row(u)
-        for v in range(u + 1, g.n):
-            c = (row_u & g.row(v)).bit_count()
-            if (row_u >> v) & 1:
-                if lam is None:
-                    lam = c
-                elif lam != c:
-                    return None
-            else:
-                if mu is None:
-                    mu = c
-                elif mu != c:
-                    return None
-    return SrgParams(g.n, k, lam if lam is not None else 0, mu if mu is not None else 0)
+    rows = [g.row(u) for u in range(g.n)]
+    pairs = ((row_u >> v & 1, (row_u & rows[v]).bit_count())
+             for u, row_u in enumerate(rows) for v in range(u + 1, g.n))
+    return _srg_from_pairs(g.n, g.degree(0), pairs)
+
+
+def block_srg_params(n: int, blocks: Sequence[Sequence[int]]) -> Optional[SrgParams]:
+    """``srg_params`` of the r-orbit multicirculant whose vertex a_0 has the
+    row blocks[a], r = len(blocks), without building the graph: bit j of
+    blocks[a][b] is set iff a_0 ~ b_j (``symbols.row_blocks``).
+
+    Rotating every orbit is an automorphism, so every vertex pair is a
+    rotation of a pair (a_0, b_j), and b_j's row is blocks[b] with every
+    block rotated by j.  The common neighbors of a_0 and b_j are then
+    sum_x |blocks[a][x] & rot_j(blocks[b][x])|: O(r^2 n) popcounts in place
+    of the graph's O((rn)^2).  The result, None included, equals
+    ``srg_params`` of the built graph."""
+    degrees = {sum(m.bit_count() for m in row) for row in blocks}
+    if len(degrees) != 1:
+        return None
+    r = len(blocks)
+    # Rows packed with stride 2n: packed[a] holds block b at bit 2nb, and
+    # doubled[b] holds it twice there, so doubled[b] >> (n - j) holds block b
+    # rotated by j at bit 2nb and stray bits only in the upper halves of the
+    # strides, where packed[a] is 0.
+    packed = [sum(m << (2 * n * b) for b, m in enumerate(row)) for row in blocks]
+    doubled = [p | p << n for p in packed]
+    # Pairs across orbits first: in the searches' candidates the pairs within
+    # an orbit are consistent by construction.  (a_0, a_j) is a rotation of
+    # (a_0, a_{n-j}), so j <= n/2 covers an orbit.
+    orbits = [(a, b, range(n)) for a in range(r) for b in range(a + 1, r)]
+    orbits += [(a, a, range(1, n // 2 + 1)) for a in range(r)]
+    pairs = ((blocks[a][b] >> j & 1, (packed[a] & doubled[b] >> (n - j)).bit_count())
+             for a, b, js in orbits for j in js)
+    return _srg_from_pairs(r * n, degrees.pop(), pairs)
 
 
 def verify_identity(p: SrgParams) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graphs import Graph
 
@@ -125,33 +125,50 @@ def _mask(residues: Iterable[int]) -> int:
     return mask
 
 
+def negated_mask(mask: int, n: int) -> int:
+    """The mask of -T mod n for the mask of T."""
+    return _mask(-r % n for r in range(n) if mask >> r & 1)
+
+
+def row_blocks(diagonals: Sequence[int], connections: Sequence[int],
+               negated: Sequence[int]) -> list[list[int]]:
+    """The row of vertex a_0 of an r-orbit multicirculant, r = len(diagonals),
+    as n-bit blocks: bit j of blocks[a][b] is set iff a_0 ~ b_j.  The
+    arguments are masks: diagonal a, connection c of ``_LAYOUT[r]`` and
+    negated[c], the mask of -connections[c]."""
+    r = len(diagonals)
+    blocks = [[0] * r for _ in range(r)]
+    for a, m in enumerate(diagonals):
+        blocks[a][a] = m
+    for (x, y), t, neg in zip(_LAYOUT[r][2], connections, negated):
+        # x_j ~ y_i iff i - j in T, so y_0 sees x at j = -i.
+        blocks[x][y] = t
+        blocks[y][x] = neg
+    return blocks
+
+
 def symbol_graph(sym: Symbol) -> Graph:
     """Multicirculant on r * n vertices; orbit a occupies a*n..a*n+n-1.
     Within orbit a, i ~ j iff j - i lies in diagonals[a]; a connection T of
     orbit pair (x, y) means x_i ~ y_j iff j - i lies in T.
 
-    The row of a_0 is built block by block; the row of a_i is that row with
-    every block rotated by i."""
+    The row of a_0 is ``row_blocks``; the row of a_i is that row with every
+    block rotated by i."""
     n = sym.n
-    pairs = _LAYOUT[len(sym.diagonals)][2]
+    conns = [_mask(t) for t in sym.connections]
+    blocks = row_blocks([_mask(s) for s in sym.diagonals], conns,
+                        [negated_mask(t, n) for t in conns])
     full = (1 << n) - 1
     rows = []
-    for a, diagonal in enumerate(sym.diagonals):
-        blocks = {a: _mask(diagonal)}
-        for (x, y), t in zip(pairs, sym.connections):
-            if x == a:
-                blocks[y] = _mask(t)
-            elif y == a:
-                # x_j ~ y_i iff i - j in T, so y_0 sees x at j = -r.
-                blocks[x] = _mask(-r % n for r in t)
+    for row in blocks:
         # Block b doubled, so its rotation by i is a shift by n - i.
-        doubled = [(m | m << n, b * n) for b, m in blocks.items()]
+        doubled = [(m | m << n, b * n) for b, m in enumerate(row)]
         for i in range(n):
-            row = 0
+            value = 0
             for m, offset in doubled:
-                row |= (m >> (n - i) & full) << offset
-            rows.append(row)
-    return Graph(len(sym.diagonals) * n, rows)
+                value |= (m >> (n - i) & full) << offset
+            rows.append(value)
+    return Graph(len(blocks) * n, rows)
 
 
 # The bicirculant (u-orbit 0..n-1, w-orbit n..2n-1) and tricirculant names of

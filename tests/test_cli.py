@@ -246,6 +246,11 @@ _HOSTILE_CERTIFICATES = {
         },
         "DIVISIBILITY step with divisor 0",
     ),
+    # No instance proves nothing, so it must not replay as a holding claim.
+    "no-instances": (
+        {"claim": "bicirc-odd", "indices": [], "instances": []},
+        "error: certificate holds no instance",
+    ),
 }
 
 
@@ -467,3 +472,36 @@ def test_circulant_symbol_modulus_zero_is_usage_error(capsys):
     # reduced mod n, so n = 0 is an input error and not a ZeroDivisionError.
     code, out, err = run_cli(capsys, "build", "circ:n=0;S=1")
     assert (code, out) == (2, "") and "modulus must be at least 2" in err
+
+
+@pytest.mark.parametrize(
+    "mode, n, target",
+    [
+        ("bicirc", "5", "10,3,0,-1"),
+        ("bicirc", "5", "10,30,0,1"),
+        ("bicirc", "5", "10,10,0,1"),
+        ("bicirc", "5", "10,-1,0,1"),
+        ("bicirc", "5", "10,3,-1,1"),
+        ("tricirc", "3", "9,4,1,-2"),
+        ("tricirc", "3", "9,9,0,0"),
+    ],
+)
+def test_search_impossible_target_is_usage_error(capsys, mode, n, target):
+    # No graph has a negative k, lambda or mu, or k > n - 1, so the search
+    # would run empty and exit 0 as if it had looked for something.
+    code, out, err = run_cli(capsys, "search", mode, "--n", n, "--params", target)
+    assert (code, out) == (2, "")
+    assert err == (f"error: no graph has parameters ({target.replace(',', ', ')}):"
+                   " need 0 <= k <= n - 1 and lambda, mu >= 0\n")
+
+
+@pytest.mark.parametrize(
+    "mode, n, target", [("bicirc", "5", "10,9,8,0"), ("bicirc", "5", "10,0,0,0"),
+                        ("tricirc", "3", "9,8,7,0")],
+)
+def test_search_extreme_possible_target_runs(capsys, mode, n, target):
+    # k = 0 and k = n - 1 are the empty and the complete graph: possible
+    # targets, which the nontriviality filter then drops.
+    code, out, _ = run_cli(capsys, "search", mode, "--n", n, "--params", target)
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["summary"]["stats"]["survivors"] == 0

@@ -469,3 +469,31 @@ def test_t_solver_matches_brute_force(n):
     assert _t_solutions(n, t, tuple(x + 1 for x in a)) == ()
     if n >= 5:
         assert _t_solutions(n, 2, (-1, 2) + (0,) * (n - 5) + (2, -1)) == ()
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        ("search bicirc --n 12", 66),
+        ("search bicirc --n 13 --params 26,10,3,4 --sp-complement --s-size 6 --t-size 4", 104),
+        ("search bicirc-odd --n 5", 34),
+    ],
+)
+def test_search_builds_only_strongly_regular_symbols(capsys, monkeypatch, argv, built):
+    # Strong regularity is decided on the symbol first, so the search builds
+    # a graph, and runs srg_params on it, only for the symbols that pass:
+    # as many as the summary's srg count (2,620 built at n = 12 when every
+    # candidate was built).
+    import json
+
+    import isoreg.search as search
+    from isoreg.cli import main
+
+    build, test = search.bicirculant, search.srg_params
+    builds, hits = [], []
+    monkeypatch.setattr(search, "bicirculant", lambda sym: builds.append(sym) or build(sym))
+    monkeypatch.setattr(search, "srg_params", lambda g: hits.append(test(g)) or hits[-1])
+    assert main([*argv.split(), "--jobs", "1"]) == 0
+    stats = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]["stats"]
+    assert len(builds) == len(hits) == stats["srg"] == built
+    assert None not in hits

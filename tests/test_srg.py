@@ -1,6 +1,8 @@
 """Strong regularity detection, exact spectra, and the clique bound."""
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,6 +20,9 @@ from isoreg import (
     subconstituent,
     verify_identity,
 )
+
+from isoreg.srg import block_srg_params
+from isoreg.symbols import _LAYOUT, Symbol, _mask, negated_mask, row_blocks, symbol_graph
 
 from conftest import build_corpus, max_clique
 
@@ -165,3 +170,76 @@ def test_surd_arithmetic():
 def test_eigenvalues_reject_trivial():
     with pytest.raises(ValueError):
         eigenvalues(SrgParams(6, 5, 4, 0))
+
+
+def _symbol_srg_params(sym):
+    """block_srg_params on the row blocks of sym, made from its sets."""
+    conns = [_mask(t) for t in sym.connections]
+    blocks = row_blocks([_mask(s) for s in sym.diagonals], conns,
+                        [negated_mask(t, sym.n) for t in conns])
+    return block_srg_params(sym.n, blocks)
+
+
+def _random_symbol(rng, n, r):
+    """A seeded random r-orbit symbol; each set is empty, full or random
+    with equal odds, so the vacuous lambda and mu cases come up often."""
+    def pick(universe, pairs):
+        kind = rng.randrange(3)
+        if kind < 2:
+            return universe if kind else set()
+        return {v for pair in pairs if rng.random() < 0.5 for v in pair}
+
+    nonzero = set(range(1, n))
+    sym_pairs = [{d, n - d} for d in range(1, n // 2 + 1)]
+    diagonals = [pick(nonzero, sym_pairs) for _ in range(r)]
+    connections = [pick(set(range(n)), [{v} for v in range(n)]) for _ in _LAYOUT[r][2]]
+    return Symbol(n, diagonals, connections)
+
+
+def test_block_srg_params_matches_graph_on_random_symbols():
+    # The symbol-level test against srg_params of the built graph, on
+    # circulants, bicirculants and tricirculants, hits and misses alike.
+    rng = random.Random(9)
+    outcomes = set()
+    for n in range(2, 15):
+        for r in (1, 2, 3):
+            for _ in range(60):
+                sym = _random_symbol(rng, n, r)
+                want = srg_params(symbol_graph(sym))
+                assert _symbol_srg_params(sym) == want, sym.text()
+                outcomes.add((r, want is None))
+    assert outcomes == {(r, miss) for r in (1, 2, 3) for miss in (True, False)}
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_block_srg_params_matches_graph_on_vacuous_symbols(n):
+    # Empty and full diagonal and connection sets: the complete, empty and
+    # complete multipartite cases, where lambda or mu is vacuous.
+    diagonals = (set(), set(range(1, n)))
+    connections = (set(), set(range(n)))
+    syms = [Symbol(n, (s,)) for s in diagonals]
+    syms += [Symbol(n, ds, (t,)) for ds in product(diagonals, repeat=2) for t in connections]
+    syms += [Symbol(n, ds, ts) for ds in product(diagonals, repeat=3)
+             for ts in product(connections, repeat=3)]
+    for sym in syms:
+        assert _symbol_srg_params(sym) == srg_params(symbol_graph(sym)), sym.text()
+
+
+def test_block_srg_params_matches_graph_on_every_small_symbol():
+    # Every bicirculant symbol for n <= 6 and every tricirculant symbol for
+    # n <= 3.
+    from isoreg.search import symmetric_subsets
+
+    count = hits = 0
+    for n, r in [(n, 2) for n in range(2, 7)] + [(2, 3), (3, 3)]:
+        diagonals = symmetric_subsets(n)
+        connections = [[v for v in range(n) if m >> v & 1] for m in range(1 << n)]
+        for ds in product(diagonals, repeat=r):
+            for ts in product(connections, repeat=len(_LAYOUT[r][2])):
+                sym = Symbol(n, ds, ts)
+                want = srg_params(symbol_graph(sym))
+                assert _symbol_srg_params(sym) == want, sym.text()
+                count += 1
+                hits += want is not None
+    assert count == 2 * 2 * 4 + 2 * 2 * 8 + 4 * 4 * 16 + 4 * 4 * 32 + 8 * 8 * 64 + 8 * 64 + 8 * 512
+    assert hits
