@@ -9,27 +9,30 @@ strongly regular.  A run with pruning disabled reports identical classes.
 Bicirculant search (``_bicirc_worker``, the default path).  In [S, S', T]
 write dX(d) = |X & (X+d)| and A_T(d) = |T & (T+d)| for d = 1..n-1.  Vertices
 u_i and u_{i+d} have dS(d) + A_T(d) common neighbors and w_i and w_{i+d}
-have dS'(d) + A_T(d), so a strongly regular graph with lambda - mu = c has
-A_T = mu - key_c(S) = mu - key_c(S'), where key_c(X) = dX - c*1_X.
+have dS'(d) + A_T(d), so a strongly regular graph with parameters lambda,
+mu has A_T = lambda*1_S + mu*1_Shat - dS = lambda*1_S' + mu*1_S'hat - dS'.
 
-- Join: the allowed S' masks are hashed by (|S'|, key_c(S')) and every S
-  looks up its partners, for the target's c or, without a target, for every
-  c a graph on 2n vertices can have (S = S' matches every c).  With
-  ``--sp-complement`` the only partner tried is S-hat.
-- Lambda: summing A_T gives t(t-1), so lambda(n-1) = t(t-1) + s(s-1) +
-  c(n-1-s) with s = |S|, t = |T|; each allowed t fixes lambda and mu, or is
-  skipped when they are not non-negative integers or miss the target.
-- T solver: ``_t_solutions`` finds every T with the resulting A_T by a
-  bit-mask backtracker over T containing 0 plus its translates, solving
-  t > n/2 through the complement (A_{Z_n - T} = n - 2t + A_T); each shard
-  memoises it on (t, A_T).
-- Symbol-level test: each (S, S', T) found is tested once (S = {} or
-  Z_n - {0} leaves lambda or mu vacuous, so several c reach it) by
-  ``block_srg_params`` on its row blocks (``row_blocks``, with the mask of
-  -T made once per T solution).  Only the symbols that pass are built as a
-  ``Symbol`` and a graph, tested with ``srg_params``, which decides the
-  counters and records, and passed to ``_judge``.  Shards take every
-  stride-th allowed S.
+- Join: ``_join_keys`` keys each allowed mask X, s = |X|, by (s, t, lambda,
+  mu, A_T) for every allowed t and every lambda, mu that keep A_T within
+  0..t (max dX on X <= lambda <= min dX on X + t, and the same window for mu
+  on X-hat) and satisfy lambda*s + mu*(n-1-s) = t(t-1) + s(s-1), the sum of
+  A_T + dX; a target fixes lambda, mu and s + t.  The S' masks are bucketed
+  once by their keys and every S looks up its partners under each of its
+  own; with ``--sp-complement`` the only partner is S-hat, when its keys
+  hold S's.  X = {} leaves lambda vacuous and X = Z_n - {0} mu, which then
+  takes the value 0, so the only partner is X itself.
+- T solver: ``_t_solutions`` finds every T with the key's A_T by a bit-mask
+  backtracker over one member of each translate class, the one with 0 just
+  after its largest cyclic gap: a gap so far that leaves no room for a wrap
+  gap at least as large ends the loop over the next residue.  It adds the
+  translates of every set found and solves t > n/2 through the complement
+  (A_{Z_n - T} = n - 2t + A_T); each shard memoises it on (t, A_T).
+- Symbol-level test: each (S, S', T) found is tested once (a ``seen`` set
+  guards it) by ``block_srg_params`` on its row blocks (``row_blocks``, with
+  the mask of -T made once per T solution).  Only the symbols that pass are
+  built as a ``Symbol`` and a graph, tested with ``srg_params``, which
+  decides the counters and records, and passed to ``_judge``.  Shards take
+  every stride-th allowed S.
 
 ``--no-prune`` and the tricirculant search run ``_multicirc_worker`` over r =
 2 or 3 orbits.  Orbit a has a diagonal set S_a and each orbit pair a
@@ -339,10 +342,12 @@ def _t_solutions(n: int, t: int, a: tuple[int, ...]) -> tuple[int, ...]:
     as ascending bit masks; () when no such T exists.
 
     A set with t > n/2 is solved through its complement, whose
-    autocorrelation is n - 2t + a.  Otherwise a backtracker fixes 0 in T,
+    autocorrelation is n - 2t + a.  Otherwise a backtracker builds one
+    member of each translate class: the translate that has 0 just after its
+    largest cyclic gap, so that no gap exceeds the wrap gap n - max(T).  It
     adds residues in increasing order while every difference stays within
-    its remaining budget, and a set that uses up all budgets contributes all
-    of its translates."""
+    its remaining budget and the gaps so far leave room for that, and a set
+    that uses up all budgets contributes all of its translates."""
     if 2 * t > n:
         full = (1 << n) - 1
         shift = n - 2 * t
@@ -359,14 +364,20 @@ def _t_solutions(n: int, t: int, a: tuple[int, ...]) -> tuple[int, ...]:
     members = [0]
     found: set[int] = set()
 
-    def extend(low: int, neg: int, spent: int) -> None:
+    def extend(neg: int, spent: int, gap: int) -> None:
         if len(members) == t:
             # Every difference was used up exactly, since none went negative
             # and t(t-1) of them were used.
             mask = sum(1 << x for x in members)
             found.update(_rotate(mask, j, n) for j in range(n))
             return
-        for y in range(low, n - t + len(members) + 1):
+        # With y added and rest = t - len(members) - 1 members still to
+        # come, the wrap gap is at most room - y for room = n - rest; the
+        # largest gap so far and the new gap y - last must stay within it,
+        # which holds for every y up to a bound.
+        last = members[-1]
+        room = n - t + len(members) + 1
+        for y in range(last + 1, min(room - gap, (room + last) // 2) + 1):
             if _rotate(neg, y, n) & spent:
                 continue
             diffs = [y - x for x in members]
@@ -379,91 +390,112 @@ def _t_solutions(n: int, t: int, a: tuple[int, ...]) -> tuple[int, ...]:
                 for d in diffs:
                     if not budget[d]:
                         now |= 1 << d | 1 << (n - d)
-                extend(y + 1, neg | 1 << (n - y), now)
+                extend(neg | 1 << (n - y), now, max(gap, y - last))
                 members.pop()
             for d in diffs:
                 budget[d] += 1
                 budget[n - d] += 1
 
-    extend(1, 1, sum(1 << d for d, x in enumerate(a, 1) if not x))
+    extend(1, sum(1 << d for d, x in enumerate(a, 1) if not x), 0)
     return tuple(sorted(found))
+
+
+def _join_keys(mask: int, n: int, t_sizes, target) -> list[tuple]:
+    """The join keys (s, t, lambda, mu, A_T) of a symmetric mask X, s = |X|:
+    one for each allowed t (s + t = k with a target) and each lambda, mu of
+    the target or, without one, of the windows that keep A_T = lambda*1_X +
+    mu*1_Xhat - dX within 0..t, tied by lambda*s + mu*(n-1-s) = t(t-1) +
+    s(s-1), the sum of A_T + dX over d = 1..n-1.  When X is {} or Z_n - {0},
+    lambda or mu is vacuous and takes the value 0."""
+    vec = _diff_vector(mask, n)
+    s = mask.bit_count()
+    inside = [x for d, x in enumerate(vec, 1) if mask >> d & 1]
+    outside = [x for d, x in enumerate(vec, 1) if not mask >> d & 1]
+    keys = []
+    for t in t_sizes:
+        if target and s + t != target[1]:
+            continue
+        if not inside:
+            lams = [0]
+        elif target:
+            lams = [target[2]] if max(inside) <= target[2] <= min(inside) + t else []
+        else:
+            lams = range(max(inside), min(inside) + t + 1)
+        total = t * (t - 1) + s * (s - 1)
+        for lam in lams:
+            if outside:
+                mu, rem = divmod(total - lam * s, n - 1 - s)
+                if rem or not max(outside) <= mu <= min(outside) + t:
+                    continue
+                if target and mu != target[3]:
+                    continue
+            elif total == lam * s:
+                mu = 0
+            else:
+                continue
+            a = tuple((lam if mask >> d & 1 else mu) - x for d, x in enumerate(vec, 1))
+            keys.append((s, t, lam, mu, a))
+    return keys
 
 
 # perfbench/tracer.py times the bicirculant search's shards under this name.
 def _bicirc_worker(args) -> tuple[list, list[int]]:
     """One shard of the pruned bicirculant search, over the S masks at
     positions shard, shard + stride, ... of s_masks; returns records and
-    counter deltas.  Each S is joined with every allowed S' of the same size
-    and the same key_c = dX - c*1_X, for c = lambda - mu of the target or
-    every c a graph on 2n vertices can have; each allowed t then fixes
-    lambda, the autocorrelation A_T = mu - key_c(S) and so every T."""
+    counter deltas.  Every mask is keyed by (|X|, t, lambda, mu, A_T) for
+    each allowed t and each (lambda, mu) that its windows and the sum
+    relation leave (``_join_keys``); the S' masks are bucketed once by their
+    keys, every S looks up its partners under each of its own, and A_T fixes
+    every T."""
     (n, target, s_masks, sp_masks, t_sizes, build, sp_is_complement,
      require_iso3, nontrivial_only, shard, stride) = args
     full = (1 << n) - 1
-    # With S' = S-hat, sp_masks holds every symmetric mask, S-hat included.
-    vec = {m: _diff_vector(m, n) for m in {*s_masks, *sp_masks}}
-
-    def key(m: int, c: int) -> tuple:
-        return m.bit_count(), tuple(x - c * ((m >> d) & 1) for d, x in enumerate(vec[m], 1))
-
-    cs = [target[2] - target[3]] if target else range(1 - 2 * n, 2 * n - 1)
-    mine = s_masks[shard::stride]
-    # S = S' = {} or Z_n - {0} leaves lambda or mu vacuous, so several c
-    # give the same symbol; it is tested once.
+    if not sp_is_complement:
+        buckets: dict[tuple, list[int]] = {}
+        for m in sp_masks:
+            for key in _join_keys(m, n, t_sizes, target):
+                buckets.setdefault(key, []).append(m)
+    # Distinct keys of one S differ in (t, A_T), and a vacuous lambda or mu
+    # takes one value, so no triple should come twice; seen makes sure.
     seen: set[tuple[int, int, int]] = set()
-    # A_T depends on S only through key_c(S), so S masks of one bucket share
-    # their T solutions, kept as (mask of T, mask of -T).
+    # S masks with one key share their T solutions, kept as (mask of T,
+    # mask of -T).
     solved: dict[tuple, list[tuple[int, int]]] = {}
     records: list = []
     counts = [0, 0, 0]
-    for c in cs:
-        if not sp_is_complement:
-            buckets: dict[tuple, list[int]] = {}
-            for m in sp_masks:
-                buckets.setdefault(key(m, c), []).append(m)
-        for s_mask in mine:
-            s_key = key(s_mask, c)
+    for s_mask in s_masks[shard::stride]:
+        if sp_is_complement:
+            hat = full & ~s_mask & ~1
+            hat_keys = set(_join_keys(hat, n, t_sizes, target))
+        for key in _join_keys(s_mask, n, t_sizes, target):
             if sp_is_complement:
-                hat = full & ~s_mask & ~1
-                partners = [hat] if key(hat, c) == s_key else []
+                partners = [hat] if key in hat_keys else None
             else:
-                partners = buckets.get(s_key)
+                partners = buckets.get(key)
             if not partners:
                 continue
-            s = s_key[0]
-            for t in t_sizes:
-                # Summing A_T over d = 1..n-1 gives t(t-1).
-                lam, rem = divmod(t * (t - 1) + s * (s - 1) + c * (n - 1 - s), n - 1)
-                mu = lam - c
-                if rem or lam < 0 or mu < 0:
-                    continue
-                if target and (s + t, lam, mu) != target[1:]:
-                    continue
-                a = tuple(mu - x for x in s_key[1])
-                if min(a) < 0 or max(a) > t:
-                    continue
-                solutions = solved.get((t, a))
-                if solutions is None:
-                    solutions = solved[t, a] = [(m, negated_mask(m, n))
-                                                for m in _t_solutions(n, t, a)]
-                for t_mask, neg in solutions:
-                    for sp_mask in partners:
-                        triple = (s_mask, sp_mask, t_mask)
-                        if triple in seen:
-                            continue
-                        seen.add(triple)
-                        blocks = row_blocks((s_mask, sp_mask), (t_mask,), (neg,))
-                        if block_srg_params(n, blocks) is None:
-                            continue
-                        sym = Symbol(n, (_mask_to_set(s_mask, n), _mask_to_set(sp_mask, n)),
-                                     (_mask_to_set(t_mask, n),))
-                        g = build(sym)
-                        p = srg_params(g)
-                        if p is None:
-                            continue
-                        counts[0] += 1
-                        if target is None or p.as_tuple() == target:
-                            _judge(sym, g, p, nontrivial_only, require_iso3, records, counts)
+            t, a = key[1], key[4]
+            solutions = solved.get((t, a))
+            if solutions is None:
+                solutions = solved[t, a] = [(m, negated_mask(m, n)) for m in _t_solutions(n, t, a)]
+            for t_mask, neg in solutions:
+                for sp_mask in partners:
+                    triple = (s_mask, sp_mask, t_mask)
+                    if triple in seen:
+                        continue
+                    seen.add(triple)
+                    blocks = row_blocks((s_mask, sp_mask), (t_mask,), (neg,))
+                    if block_srg_params(n, blocks) is None:
+                        continue
+                    sym = Symbol(n, (_mask_to_set(s_mask, n), _mask_to_set(sp_mask, n)),
+                                 (_mask_to_set(t_mask, n),))
+                    g = build(sym)
+                    p = srg_params(g)
+                    if p is None:
+                        continue
+                    counts[0] += 1
+                    if target is None or p.as_tuple() == target:
+                        _judge(sym, g, p, nontrivial_only, require_iso3, records, counts)
     return records, counts
 
 

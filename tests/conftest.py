@@ -428,6 +428,65 @@ def reference_bicirc_worker(args):
     return records, counts
 
 
+def reference_t_solutions(n: int, t: int, a: tuple[int, ...]) -> tuple[int, ...]:
+    """Reference T solver: the backtracker the gap-canonical one replaced.
+    Every T in Z_n with |T| = t and |T & (T+d)| = a[d-1] for d = 1..n-1,
+    as ascending bit masks; () when no such T exists.
+
+    A set with t > n/2 is solved through its complement, whose
+    autocorrelation is n - 2t + a.  Otherwise a backtracker fixes 0 in T,
+    adds residues in increasing order while every difference stays within
+    its remaining budget, and a set that uses up all budgets contributes all
+    of its translates."""
+    from isoreg.search import _rotate
+
+    if 2 * t > n:
+        full = (1 << n) - 1
+        shift = n - 2 * t
+        return tuple(sorted(full ^ m for m in reference_t_solutions(
+            n, n - t, tuple(x + shift for x in a))))
+    if sum(a) != t * (t - 1) or min(a) < 0 or a != a[::-1]:
+        return ()
+    if t == 0:
+        return (0,)
+    # budget[d] is how often difference d may still occur; with a symmetric
+    # it stays equal to budget[n - d], so checking y - x covers x - y too.  Bit
+    # d of spent is set when budget[d] is 0, and bit -x of neg when x is in
+    # T, so the differences y - x of a new residue y are neg rotated by y.
+    budget = [0, *a]
+    members = [0]
+    found: set[int] = set()
+
+    def extend(low: int, neg: int, spent: int) -> None:
+        if len(members) == t:
+            # Every difference was used up exactly, since none went negative
+            # and t(t-1) of them were used.
+            mask = sum(1 << x for x in members)
+            found.update(_rotate(mask, j, n) for j in range(n))
+            return
+        for y in range(low, n - t + len(members) + 1):
+            if _rotate(neg, y, n) & spent:
+                continue
+            diffs = [y - x for x in members]
+            for d in diffs:
+                budget[d] -= 1
+                budget[n - d] -= 1
+            if all(budget[d] >= 0 for d in diffs):
+                members.append(y)
+                now = spent
+                for d in diffs:
+                    if not budget[d]:
+                        now |= 1 << d | 1 << (n - d)
+                extend(y + 1, neg | 1 << (n - y), now)
+                members.pop()
+            for d in diffs:
+                budget[d] += 1
+                budget[n - d] += 1
+
+    extend(1, 1, sum(1 << d for d, x in enumerate(a, 1) if not x))
+    return tuple(sorted(found))
+
+
 def reference_bicirc_run(spec):
     """The bicirculant search's candidate count, sorted records and counters
     as the reference worker computes them for a SearchSpec."""

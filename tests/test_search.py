@@ -403,6 +403,32 @@ def _multicirc_bicirc_run(spec):
 
 _DEDUP13 = SrgParams(26, 10, 3, 4)
 
+# Edge spaces at n = 12 and 13, each with the parameter sets it contains:
+# S = {} and S = Z_n - {0}, which leave lambda or mu vacuous, T = {} and
+# T = Z_n, and S' = S-hat at |S| = (n-1)//2.  At n = 12 that last space holds
+# no symbol (|S-hat| = 6), so it takes a parameter set of the full space.
+_EDGE_SPACES = [
+    (12, "s0", {"s_size": 0}, [(24, 0, 0, 0), (24, 1, 0, 0), (24, 12, 0, 12)]),
+    (12, "s11", {"s_size": 11}, [(24, 11, 10, 0), (24, 22, 20, 22), (24, 23, 22, 0)]),
+    (12, "t0", {"t_size": 0}, [(24, 0, 0, 0), (24, 1, 0, 0), (24, 2, 1, 0), (24, 3, 2, 0),
+                               (24, 5, 4, 0), (24, 11, 10, 0)]),
+    (12, "t12", {"t_size": 12}, [(24, 12, 0, 12), (24, 18, 12, 18), (24, 20, 16, 20),
+                                 (24, 21, 18, 21), (24, 22, 20, 22), (24, 23, 22, 0)]),
+    (12, "shat-s5", {"sp_is_complement": True, "s_size": 5}, [(24, 11, 10, 0)]),
+    (13, "s0", {"s_size": 0}, [(26, 0, 0, 0), (26, 1, 0, 0), (26, 13, 0, 13)]),
+    (13, "s12", {"s_size": 12}, [(26, 12, 11, 0), (26, 24, 22, 24), (26, 25, 24, 0)]),
+    (13, "t0", {"t_size": 0}, [(26, 0, 0, 0), (26, 12, 11, 0)]),
+    (13, "t13", {"t_size": 13}, [(26, 13, 0, 13), (26, 25, 24, 0)]),
+    (13, "shat-s6", {"sp_is_complement": True, "s_size": 6}, [(26, 10, 3, 4), (26, 15, 8, 9)]),
+]
+_EDGE_CASES = [
+    (f"n{n}-{label}" + ("-" + ",".join(map(str, target)) if target else ""),
+     SearchSpec(n=n, target=target and SrgParams(*target), nontrivial_only=False, dedup=False,
+                **filters))
+    for n, label, filters, targets in _EDGE_SPACES
+    for target in [None, *targets]
+]
+
 
 @pytest.mark.parametrize(
     "spec",
@@ -411,13 +437,16 @@ _DEDUP13 = SrgParams(26, 10, 3, 4)
         SearchSpec(n=13, target=_DEDUP13, nontrivial_only=False, dedup=False),
         SearchSpec(n=13, target=_DEDUP13, sp_is_complement=True, s_size=6, t_size=4,
                    nontrivial_only=False, dedup=False),
-    ],
-    ids=["n9", "n10", "n11", "n12", "n13", "n13-target", "n13-target-shat"],
+    ]
+    + [spec for _, spec in _EDGE_CASES],
+    ids=["n9", "n10", "n11", "n12", "n13", "n13-target", "n13-target-shat"]
+    + [name for name, _ in _EDGE_CASES],
 )
 def test_difference_function_search_matches_multicirc_worker(spec):
     # The default bicirculant path solves T from (S, S') against the worker
     # that walks every T, on the full spaces n = 9..13 (trivial graphs
-    # included) and the dedup13 target with and without its filters.
+    # included), the dedup13 target with and without its filters, and the
+    # edge spaces above without a target and with each of theirs.
     candidates, records, counts = _multicirc_bicirc_run(spec)
     result = search_bicirculant(spec, jobs=1)
     got = [(s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3) for s in result.survivors]
@@ -431,15 +460,33 @@ def _autocorrelation(members, n):
     return tuple(sum((x + d) % n in members for x in members) for d in range(1, n))
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+def _symmetric_vectors(n, t):
+    """Every symmetric vector over d = 1..n-1 with entries in 0..t and sum
+    t(t-1): the entries at d <= n/2 count twice, n/2 itself once."""
+    weights = [1 if 2 * d == n else 2 for d in range(1, n // 2 + 1)]
+
+    def fill(i, left):
+        if i == len(weights):
+            if not left:
+                yield ()
+            return
+        room = t * sum(weights[i + 1:])
+        for x in range(max(0, -((room - left) // weights[i])), min(t, left // weights[i]) + 1):
+            for rest in fill(i + 1, left - weights[i] * x):
+                yield (x, *rest)
+
+    for free in fill(0, t * (t - 1)):
+        yield tuple(free[min(d, n - d) - 1] for d in range(1, n))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
 def test_t_solver_matches_brute_force(n):
     # Every realisable (A, t), t = 0 and t = n included, against a scan of
-    # every subset of Z_n; then every symmetric vector with entries in 0..t
-    # and sum t(t-1) that no subset realises (exhaustive for n <= 8, and for
-    # t <= 3 or t >= n - 3, the complement branch, above), and vectors that
-    # are negative, asymmetric or of the wrong sum.
-    from itertools import product
-
+    # every subset of Z_n and against the backtracker the gap-canonical one
+    # replaced; then every symmetric vector with entries in 0..t and sum
+    # t(t-1) that no subset realises, and vectors that are negative,
+    # asymmetric or of the wrong sum.
+    from conftest import reference_t_solutions
     from isoreg.search import _t_solutions
 
     realised = {}
@@ -448,15 +495,11 @@ def test_t_solver_matches_brute_force(n):
         realised.setdefault((len(members), _autocorrelation(members, n)), []).append(mask)
     assert {t for t, _ in realised} == set(range(n + 1))
     for (t, a), masks in realised.items():
-        assert _t_solutions(n, t, a) == tuple(masks), (t, a)
-    half = n // 2
+        assert _t_solutions(n, t, a) == tuple(masks) == reference_t_solutions(n, t, a), (t, a)
     unrealised = 0
     for t in range(n + 1):
-        if n > 8 and 3 < t < n - 3:
-            continue
-        for free in product(range(t + 1), repeat=half):
-            a = tuple(free[min(d, n - d) - 1] for d in range(1, n))
-            if sum(a) == t * (t - 1) and (t, a) not in realised:
+        for a in _symmetric_vectors(n, t):
+            if (t, a) not in realised:
                 unrealised += 1
                 assert _t_solutions(n, t, a) == (), (t, a)
     if n >= 6:
@@ -469,6 +512,47 @@ def test_t_solver_matches_brute_force(n):
     assert _t_solutions(n, t, tuple(x + 1 for x in a)) == ()
     if n >= 5:
         assert _t_solutions(n, 2, (-1, 2) + (0,) * (n - 5) + (2, -1)) == ()
+
+
+@pytest.mark.parametrize("n", range(13, 17))
+def test_t_solver_matches_reference(n):
+    # The gap-canonical backtracker against the one it replaced, beyond the
+    # moduli a subset scan covers: on the autocorrelations of seeded random
+    # T of every size (t = n/2 included), of periodic T, whose every gap
+    # repeats, and of T whose largest cyclic gap occurs more than once; and
+    # on each vector with one unit moved from one distance pair to another,
+    # which keeps it symmetric with the same sum but mostly unrealisable.
+    import random
+
+    from conftest import reference_t_solutions
+    from isoreg.search import _t_solutions
+
+    rng = random.Random(n)
+    sets = [set(rng.sample(range(n), t)) for t in range(n + 1) for _ in range(4)]
+    for p in range(1, n):
+        if n % p == 0:
+            base = rng.sample(range(p), rng.randint(1, p))
+            sets.append({x + p * j for x in base for j in range(n // p)})
+    ties = 0
+    while ties < 12:
+        xs = sorted(rng.sample(range(n), rng.randint(2, n - 1)))
+        gaps = [b - a for a, b in zip(xs, xs[1:] + [xs[0] + n])]
+        if gaps.count(max(gaps)) > 1:
+            sets.append(set(xs))
+            ties += 1
+    for members in sets:
+        t = len(members)
+        a = _autocorrelation(members, n)
+        vectors = [a]
+        d, e = rng.sample(range(1, (n + 1) // 2), 2)
+        if a[d - 1] and a[e - 1] < t:
+            moved = list(a)
+            for x, step in ((d, -1), (n - d, -1), (e, 1), (n - e, 1)):
+                moved[x - 1] += step
+            vectors.append(tuple(moved))
+        for v in vectors:
+            assert _t_solutions(n, t, v) == reference_t_solutions(n, t, v), (t, v)
+        assert sum(1 << x for x in members) in _t_solutions(n, t, a)
 
 
 @pytest.mark.parametrize(
