@@ -2,19 +2,21 @@
 feasibility solver, and replayable non-existence certificates.
 
 Everything here is exact integer arithmetic.  Certificates carry their full
-derivation as typed steps (DIVISIBILITY, INEQUALITY, HOFFMAN_CLIQUE, plus
-SUBSTITUTION for identities, GCD for coprimality facts, and GRAPH_CHECK for
-the two steps that rest on measuring a concrete graph); replaying a
-serialized certificate revalidates every step and regenerates the instance.
+derivation as typed steps, each decided by its kind's rule in `_RULES`;
+replaying a serialized certificate revalidates every step by that rule and
+regenerates the instance.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .isoregularity import edge_iso_params
+from .named import named_graph
 from .srg import SrgParams
 
 
@@ -289,21 +291,12 @@ def even_m_candidates(m: int, family: str) -> LocalParamSolution:
 
 @dataclass(frozen=True)
 class Step:
-    """One replayable derivation step.
+    """One replayable derivation step: its kind, a description of the
+    argument, the data that the kind's rule reads, and the verdict.
 
-    kinds and their data:
-      SUBSTITUTION   {"lhs": int, "rhs": int}            holds iff lhs == rhs
-      GCD            {"values": [a, b], "equals": g}     holds iff gcd == g
-      DIVISIBILITY   {"value": x, "divisor": d,
-                      "divides": bool}                   holds iff claim true
-                  or {"divisor": d, "lo": a, "hi": b,
-                      "multiples": [..]}                 holds iff multiples
-                                                         of d in [a, b] match
-      INEQUALITY     {"lhs": x, "rhs": y, "relation": op}
-      HOFFMAN_CLIQUE {"clique": c, "valency": k,
-                      "eig": m}                          holds iff the clique
-                                                         violates 1 + k/m
-      GRAPH_CHECK    {"graph": tag, "assertion": name}   measured on the graph
+    `_RULES` states each kind's fields and rule once.  Certifiers build every
+    step with `_step`, which takes `holds` from that rule, and replay
+    (`validate_step`) applies the same rule to the recorded data.
     """
 
     kind: str
@@ -324,63 +317,120 @@ class Step:
         return cls(obj["kind"], obj["description"], obj["data"], obj["holds"])
 
 
-_RELATIONS = {
-    "<=": lambda a, b: a <= b,
-    "<": lambda a, b: a < b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+_RELATIONS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt,
+              "==": operator.eq, "!=": operator.ne}
+
+# The named graphs that GRAPH_CHECK steps measure (none of unbounded size),
+# and what each assertion states about edge_iso_params on every edge.
+_CHECKED_GRAPHS = ("t6-complement", "t7")
+_GRAPH_ASSERTIONS = {
+    "no-3-isoregular-edge": lambda p: p is None,
+    "every-edge-3-isoregular-q0-r0-w1": lambda p: p is not None and p.as_tuple() == (0, 0, 1),
+}
+
+# The type of each step field, as an input error names it; a field not
+# listed is an integer.  A JSON boolean is not an integer.
+_FIELD_TYPES = {
+    "values": "a list of two integers",
+    "multiples": "a list of integers",
+    "divides": "a boolean",
+    "relation": "a relation",
+    "graph": "a checked graph",
+    "assertion": "a graph assertion",
+}
+_TYPE_TESTS = {
+    "an integer": lambda x: type(x) is int,
+    "a list of integers": lambda x: type(x) is list and all(type(v) is int for v in x),
+    "a list of two integers": (
+        lambda x: type(x) is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
+    ),
+    "a boolean": lambda x: type(x) is bool,
+    "a relation": lambda x: type(x) is str and x in _RELATIONS,
+    "a checked graph": lambda x: type(x) is str and x in _CHECKED_GRAPHS,
+    "a graph assertion": lambda x: type(x) is str and x in _GRAPH_ASSERTIONS,
 }
 
 
-def validate_step(step: Step) -> bool:
-    """Recompute a step's verdict from its recorded data."""
-    data = step.data
-    if step.kind == "SUBSTITUTION":
-        return (data["lhs"] == data["rhs"]) == step.holds
-    if step.kind == "GCD":
-        a, b = data["values"]
-        return (math.gcd(abs(a), abs(b)) == data["equals"]) == step.holds
-    if step.kind == "DIVISIBILITY":
-        if data["divisor"] == 0:
-            raise ValueError("DIVISIBILITY step with divisor 0")
-        if "multiples" in data:
-            # Count the multiples of d in [lo, hi] before listing them, so a
-            # wide range costs no more than the recorded list.
-            d, lo, hi, multiples = abs(data["divisor"]), data["lo"], data["hi"], data["multiples"]
-            found = len(multiples) == max(0, hi // d - (lo - 1) // d) and (
-                multiples == list(range(-(-lo // d) * d, hi + 1, d))
-            )
-            return found == step.holds
-        ok = data["value"] % data["divisor"] == 0
-        return (ok == data["divides"]) == step.holds
-    if step.kind == "INEQUALITY":
-        return _RELATIONS[data["relation"]](data["lhs"], data["rhs"]) == step.holds
-    if step.kind == "HOFFMAN_CLIQUE":
-        # Clique of the recorded size contradicts |C| <= 1 + k/m.
-        violated = data["eig"] * (data["clique"] - 1) > data["valency"]
-        return violated == step.holds
-    if step.kind == "GRAPH_CHECK":
-        return _validate_graph_check(data) == step.holds
-    return False
+def _divisor(data: dict) -> int:
+    if data["divisor"] == 0:
+        raise ValueError("DIVISIBILITY step with divisor 0")
+    return abs(data["divisor"])
 
 
-def _validate_graph_check(data: dict) -> bool:
-    from .isoregularity import edge_iso_params
-    from .named import named_graph
+def _lists_multiples(data: dict) -> bool:
+    """Whether `multiples` is the list of the multiples of the divisor in
+    [lo, hi].  They are counted before they are listed, so a wide range
+    costs no more than the recorded list."""
+    d, lo, hi, multiples = _divisor(data), data["lo"], data["hi"], data["multiples"]
+    return len(multiples) == max(0, hi // d - (lo - 1) // d) and (
+        multiples == list(range(-(-lo // d) * d, hi + 1, d))
+    )
 
+
+def _graph_check(data: dict) -> bool:
     g = named_graph(data["graph"])
-    assertion = data["assertion"]
-    if assertion == "no-3-isoregular-edge":
-        return all(edge_iso_params(g, u, v) is None for u, v in g.edges())
-    if assertion == "every-edge-3-isoregular-q0-r0-w1":
-        return all(
-            (params := edge_iso_params(g, u, v)) is not None
-            and params.as_tuple() == (0, 0, 1)
-            for u, v in g.edges()
-        )
-    raise ValueError(f"unknown graph assertion {assertion!r}")
+    edge_holds = _GRAPH_ASSERTIONS[data["assertion"]]
+    return all(edge_holds(edge_iso_params(g, u, v)) for u, v in g.edges())
+
+
+# Each step kind's forms: the fields its data must hold and the rule that
+# decides the step from them.  A step takes the first form whose first field
+# it holds, or else the last.  A DIVISIBILITY step lists the multiples of the
+# divisor in a range (the list its argument claims, [] for none), or says
+# whether the divisor divides one value.
+_RULES = {
+    "SUBSTITUTION": [(("lhs", "rhs"), lambda d: d["lhs"] == d["rhs"])],
+    "GCD": [(("values", "equals"), lambda d: math.gcd(*d["values"]) == d["equals"])],
+    "DIVISIBILITY": [
+        (("multiples", "divisor", "lo", "hi"), _lists_multiples),
+        (("value", "divisor", "divides"),
+         lambda d: (d["value"] % _divisor(d) == 0) == d["divides"]),
+    ],
+    "INEQUALITY": [
+        (("lhs", "rhs", "relation"), lambda d: _RELATIONS[d["relation"]](d["lhs"], d["rhs"])),
+    ],
+    # A clique of the recorded size violates the Hoffman bound 1 + k/eig.
+    "HOFFMAN_CLIQUE": [
+        (("clique", "valency", "eig"), lambda d: d["eig"] * (d["clique"] - 1) > d["valency"]),
+    ],
+    # Measured on a named graph, edge by edge.
+    "GRAPH_CHECK": [(("graph", "assertion"), _graph_check)],
+}
+
+
+def _verdict(kind: str, data: dict) -> bool:
+    """Decide a step from its data by its kind's rule in `_RULES`.  An unknown
+    kind, or data that lacks a field (KeyError) or holds one of another type
+    (ValueError), is malformed input, found before any arithmetic."""
+    forms = _RULES.get(kind) if type(kind) is str else None
+    if forms is None:
+        raise ValueError(f"unknown step kind {kind!r}")
+    if type(data) is not dict:
+        raise ValueError(f"{kind} step data is not an object")
+    for fields, rule in forms:
+        if fields[0] in data:
+            break
+    for name in fields:
+        value = data[name]
+        # An integer in an integer field, the common case, passes at once.
+        if type(value) is not int or name in _FIELD_TYPES:
+            type_name = _FIELD_TYPES.get(name, "an integer")
+            if not _TYPE_TESTS[type_name](value):
+                raise ValueError(f"{kind} step field {name!r} is not {type_name}")
+    return rule(data)
+
+
+def _step(kind: str, description: str, **data) -> Step:
+    """The step of this kind on data, holding exactly when its rule does."""
+    return Step(kind, description, data, _verdict(kind, data))
+
+
+def validate_step(step: Step) -> bool:
+    """Recompute a step's verdict from its recorded data; True when it
+    agrees with the recorded `holds`, which must be a boolean."""
+    if type(step.holds) is not bool:
+        raise ValueError(f"step holds {step.holds!r} is not a boolean")
+    return _verdict(step.kind, step.data) == step.holds
 
 
 CONTRADICTION = "CONTRADICTION"
@@ -444,12 +494,21 @@ class Certificate:
 
 
 def _eq2_step(p: SrgParams) -> Step:
-    return Step(
-        "SUBSTITUTION",
-        "parameter identity k(k-lambda-1) = mu(n-1-k)",
-        {"lhs": p.k * (p.k - p.lam - 1), "rhs": p.mu * (p.n - 1 - p.k)},
-        p.k * (p.k - p.lam - 1) == p.mu * (p.n - 1 - p.k),
-    )
+    return _step("SUBSTITUTION", "parameter identity k(k-lambda-1) = mu(n-1-k)",
+                 lhs=p.k * (p.k - p.lam - 1), rhs=p.mu * (p.n - 1 - p.k))
+
+
+def _relation_i_step(p: SrgParams, q: int, r: int, description: str) -> Step:
+    """Edge relation (i), lambda(lambda-Q-1) = R(k-lambda-1), at (Q, R)."""
+    n, k, lam, mu = p.as_tuple()
+    return _step("SUBSTITUTION", description, lhs=lam * (lam - q - 1), rhs=r * (k - lam - 1))
+
+
+def _relation_ii_step(p: SrgParams, q: int, w: int, description: str) -> Step:
+    """Edge relation (ii), lambda mu(k-2lambda+Q) = W(k-mu)(k-lambda-1), at (Q, W)."""
+    n, k, lam, mu = p.as_tuple()
+    return _step("SUBSTITUTION", description,
+                 lhs=lam * mu * (k - 2 * lam + q), rhs=w * (k - mu) * (k - lam - 1))
 
 
 def _settling_steps(steps: list[Step]) -> dict[tuple[int, int, int], str]:
@@ -468,95 +527,55 @@ def certify_bicirc_odd(m: int) -> Instance:
     if m < 2:
         raise ValueError("certify_bicirc_odd needs m >= 2")
     p, _, _ = bicirc_odd_family(m)
-    n, k, lam, mu = p.as_tuple()
-    steps = [_eq2_step(p)]
-
-    steps.append(
-        Step(
+    steps = [
+        _eq2_step(p),
+        _step(
             "GCD",
             "relation (i) gives R = (m-1)(m^2-Q-2)/m; gcd(m-1, m) = 1 forces "
             "m | Q+2, so Q+2 = alpha*m with 1 <= alpha <= m (from Q+2 >= 2 and R >= 0)",
-            {"values": [m - 1, m], "equals": 1},
-            math.gcd(m - 1, m) == 1,
-        )
-    )
-    steps.append(
-        Step(
+            values=[m - 1, m], equals=1,
+        ),
+        _step(
             "HOFFMAN_CLIQUE",
             "alpha = m gives Q = m^2-2, R = 0, so the common neighborhood of the "
             "edge plus its endpoints is a clique of size m^2+1, above 1 + k/(m+1)",
-            {
-                "clique": m * m + 1,
-                "valency": k,
-                "eig": m + 1,
-                "tuple": [m * m - 2, 0, m * m - m],
-            },
-            (m + 1) * (m * m) > k,
-        )
-    )
-    g = math.gcd(m - 1, m + 1)
-    steps.append(
-        Step(
+            clique=m * m + 1, valency=p.k, eig=m + 1, tuple=[m * m - 2, 0, m * m - m],
+        ),
+        _step(
             "GCD",
             "relation (ii) gives W = (alpha+1)(m-1)m/(m+1); gcd(m-1, m+1) "
             "controls the divisor left for alpha+1",
-            {"values": [m - 1, m + 1], "equals": g},
-            True,
-        )
-    )
+            values=[m - 1, m + 1], equals=math.gcd(m - 1, m + 1),
+        ),
+    ]
     if m % 2 == 0:
-        divisor = m + 1
-        multiples = [x for x in range(2, m + 1) if x % divisor == 0]
         steps.append(
-            Step(
+            _step(
                 "DIVISIBILITY",
                 "m even: m+1 must divide alpha+1, impossible for alpha in [1, m-1]",
-                {"divisor": divisor, "lo": 2, "hi": m, "multiples": multiples},
-                multiples == [],
+                divisor=m + 1, lo=2, hi=m, multiples=[],
             )
         )
-        oracle = _solver_cross_check(p, steps)
-        return Instance(m, p, CONTRADICTION, tuple(steps), oracle=oracle)
-
-    divisor = (m + 1) // 2
-    multiples = [x for x in range(2, m + 1) if x % divisor == 0]
-    steps.append(
-        Step(
-            "DIVISIBILITY",
-            "m odd: (m+1)/2 must divide alpha+1; the only multiple in [2, m] "
-            "is (m+1)/2 itself, forcing alpha = (m-1)/2",
-            {"divisor": divisor, "lo": 2, "hi": m, "multiples": multiples},
-            multiples == [divisor],
-        )
-    )
-    q = (m * m - m - 4) // 2
-    r = (m * m - 1) // 2
-    w = (m * (m - 1)) // 2
-    steps.append(
-        Step(
-            "SUBSTITUTION",
-            f"derived Q={q}, R={r}, W={w} satisfy relation (i)",
-            {"lhs": lam * (lam - q - 1), "rhs": r * (k - lam - 1)},
-            lam * (lam - q - 1) == r * (k - lam - 1),
-        )
-    )
-    steps.append(
-        Step(
-            "SUBSTITUTION",
-            "derived values satisfy relation (ii)",
-            {"lhs": lam * mu * (k - 2 * lam + q), "rhs": w * (k - mu) * (k - lam - 1)},
-            lam * mu * (k - 2 * lam + q) == w * (k - mu) * (k - lam - 1),
-        )
-    )
-    steps.append(
-        Step(
-            "DIVISIBILITY",
-            "V = m(m^2+2m-1)/(2(m+2)) is not an integer: m+2 never divides "
-            "m^2+2m-1 = m(m+2)-1",
-            {"value": m * (m * m + 2 * m - 1), "divisor": 2 * (m + 2), "divides": False},
-            (m * (m * m + 2 * m - 1)) % (2 * (m + 2)) != 0,
-        )
-    )
+    else:
+        q = (m * m - m - 4) // 2
+        r = (m * m - 1) // 2
+        w = (m * (m - 1)) // 2
+        steps += [
+            _step(
+                "DIVISIBILITY",
+                "m odd: (m+1)/2 must divide alpha+1; the only multiple in [2, m] "
+                "is (m+1)/2 itself, forcing alpha = (m-1)/2",
+                divisor=(m + 1) // 2, lo=2, hi=m, multiples=[(m + 1) // 2],
+            ),
+            _relation_i_step(p, q, r, f"derived Q={q}, R={r}, W={w} satisfy relation (i)"),
+            _relation_ii_step(p, q, w, "derived values satisfy relation (ii)"),
+            _step(
+                "DIVISIBILITY",
+                "V = m(m^2+2m-1)/(2(m+2)) is not an integer: m+2 never divides "
+                "m^2+2m-1 = m(m+2)-1",
+                value=m * (m * m + 2 * m - 1), divisor=2 * (m + 2), divides=False,
+            ),
+        ]
     oracle = _solver_cross_check(p, steps)
     return Instance(m, p, CONTRADICTION, tuple(steps), oracle=oracle)
 
@@ -581,51 +600,33 @@ def certify_family_b(m: int) -> Instance:
     if m % 2 == 0 or m < 3:
         raise ValueError("family (b) certificate covers odd m >= 3")
     p = SrgParams(4 * m * m, 2 * m * m - m, m * m - m, m * m - m)
-    steps = [_eq2_step(p)]
-    steps.append(
-        Step(
+    steps = [
+        _eq2_step(p),
+        _step(
             "GCD",
             "Q = m^2-m-1 - (m+1)R/m integral with gcd(m+1, m) = 1 forces m | R; "
             "write R = alpha*m",
-            {"values": [m + 1, m], "equals": 1},
-            math.gcd(m + 1, m) == 1,
-        )
-    )
-    steps.append(
-        Step(
+            values=[m + 1, m], equals=1,
+        ),
+        _step(
             "SUBSTITUTION",
             "Q >= 0 bounds R <= m(m^2-m-1)/(m+1), so alpha <= m-2",
-            {"lhs": (m * m - m - 1) // (m + 1), "rhs": m - 2},
-            (m * m - m - 1) // (m + 1) == m - 2,
-        )
-    )
-    steps.append(
-        Step(
+            lhs=(m * m - m - 1) // (m + 1), rhs=m - 2,
+        ),
+        _step(
             "GCD",
             "m odd: gcd(m, m+2) = 1, so V = m(m-2+R)/(m+2) integral forces "
             "(m+2) | (alpha*m - 4), hence (m+2) | 2(alpha+2)",
-            {"values": [m, m + 2], "equals": 1},
-            math.gcd(m, m + 2) == 1,
-        )
-    )
-    steps.append(
-        Step(
-            "GCD",
-            "m+2 odd, so (m+2) | (alpha+2)",
-            {"values": [2, m + 2], "equals": 1},
-            math.gcd(2, m + 2) == 1,
-        )
-    )
-    multiples = [x for x in range(2, m + 1) if x % (m + 2) == 0]
-    steps.append(
-        Step(
+            values=[m, m + 2], equals=1,
+        ),
+        _step("GCD", "m+2 odd, so (m+2) | (alpha+2)", values=[2, m + 2], equals=1),
+        _step(
             "DIVISIBILITY",
             "no multiple of m+2 among alpha+2 in [2, m]: contradiction with "
             "alpha <= m-2",
-            {"divisor": m + 2, "lo": 2, "hi": m, "multiples": multiples},
-            multiples == [],
-        )
-    )
+            divisor=m + 2, lo=2, hi=m, multiples=[],
+        ),
+    ]
     oracle = _solver_cross_check(p, steps)
     return Instance(m, p, CONTRADICTION, tuple(steps), oracle=oracle)
 
@@ -638,103 +639,68 @@ def certify_family_c(m: int) -> Instance:
         raise ValueError("family (c) certificate covers odd m >= 3")
     p = SrgParams(4 * m * m, 2 * m * m + m, m * m + m, m * m + m)
     n, k, lam, mu = p.as_tuple()
-    steps = [_eq2_step(p)]
-    steps.append(
-        Step(
+    # Branch alpha = m: the tuple (2m-1, m^2, m+1, m(m+1)).  Branch alpha = 2:
+    # the tuple (m^2-m+1, 2m, m^2-1, m); its complement edge parameters force
+    # a clique in the complement graph.
+    q1, r1, w1 = 2 * m - 1, m * m, m + 1
+    q2, r2, w2, v2 = m * m - m + 1, 2 * m, m * m - 1, m
+    comp_lam = n - 2 - 2 * k + mu
+    steps = [
+        _eq2_step(p),
+        _step(
             "GCD",
             "Q = m^2+m-1 - (m-1)R/m integral with gcd(m-1, m) = 1 forces m | R; "
             "write R = alpha*m",
-            {"values": [m - 1, m], "equals": 1},
-            math.gcd(m - 1, m) == 1,
-        )
-    )
-    steps.append(
-        Step(
+            values=[m - 1, m], equals=1,
+        ),
+        _step(
             "INEQUALITY",
             "V = m(R-m-2)/(m-2) >= 0 needs R >= m+2, so alpha >= 2",
-            {"lhs": 1 * m, "rhs": m + 2, "relation": "<"},
-            m < m + 2,
-        )
-    )
-    steps.append(
-        Step(
+            lhs=m, rhs=m + 2, relation="<",
+        ),
+        _step(
             "INEQUALITY",
             "V <= mu gives R <= m^2, so alpha <= m",
-            {"lhs": m * (m * m - m - 2), "rhs": (m * m + m) * (m - 2), "relation": "=="},
-            m * (m * m - m - 2) == (m * m + m) * (m - 2),
-        )
-    )
-    steps.append(
-        Step(
+            lhs=m * (m * m - m - 2), rhs=(m * m + m) * (m - 2), relation="==",
+        ),
+        _step(
             "GCD",
             "m odd: gcd(m, m-2) = 1 and m-2 odd force (m-2) | (alpha-2)",
-            {"values": [m, m - 2], "equals": 1},
-            math.gcd(m, m - 2) == 1,
-        )
-    )
-    multiples = [x + 2 for x in range(0, m - 1) if x % (m - 2) == 0]
-    steps.append(
-        Step(
+            values=[m, m - 2], equals=1,
+        ),
+        _step(
             "DIVISIBILITY",
             "alpha - 2 in [0, m-2] divisible by m-2: alpha in {2, m} only",
-            {"divisor": m - 2, "lo": 0, "hi": m - 2, "multiples": [a - 2 for a in multiples]},
-            [a - 2 for a in multiples] == [0, m - 2],
-        )
-    )
-
-    # Branch alpha = m: the tuple (2m-1, m^2, m+1, m(m+1)).
-    q1, r1, w1 = 2 * m - 1, m * m, m + 1
-    steps.append(
-        Step(
-            "SUBSTITUTION",
+            divisor=m - 2, lo=0, hi=m - 2, multiples=[0, m - 2],
+        ),
+        _relation_i_step(
+            p, q1, r1,
             f"alpha = m gives (Q,R,W,V) = ({q1},{r1},{w1},{m * (m + 1)}); relation (i) holds",
-            {"lhs": lam * (lam - q1 - 1), "rhs": r1 * (k - lam - 1)},
-            lam * (lam - q1 - 1) == r1 * (k - lam - 1),
-        )
-    )
-    steps.append(
-        Step(
+        ),
+        _step(
             "HOFFMAN_CLIQUE",
             "alpha = m: each vertex outside the non-edge's common neighborhood "
             "extends {x} to a clique of size 1+m^2, above 1 + k/m",
-            {"clique": m * m + 1, "valency": k, "eig": m, "tuple": [q1, r1, w1]},
-            m * (m * m) > k,
-        )
-    )
-
-    # Branch alpha = 2: the tuple (m^2-m+1, 2m, m^2-1, m); its complement
-    # edge parameters force a clique in the complement graph.
-    q2, r2, w2, v2 = m * m - m + 1, 2 * m, m * m - 1, m
-    steps.append(
-        Step(
-            "SUBSTITUTION",
+            clique=m * m + 1, valency=k, eig=m, tuple=[q1, r1, w1],
+        ),
+        _relation_i_step(
+            p, q2, r2,
             f"alpha = 2 gives (Q,R,W,V) = ({q2},{r2},{w2},{v2}); relation (i) holds",
-            {"lhs": lam * (lam - q2 - 1), "rhs": r2 * (k - lam - 1)},
-            lam * (lam - q2 - 1) == r2 * (k - lam - 1),
-        )
-    )
-    comp_lam = n - 2 - 2 * k + mu
-    comp_k = n - k - 1
-    comp_q = n - 3 - 3 * k + 3 * mu - v2
-    steps.append(
-        Step(
+        ),
+        _step(
             "SUBSTITUTION",
             "alpha = 2: the complement's edge triangle parameter is "
             "Qbar = n-3-3k+3mu-V = lambdabar - 1, so the complement packs a "
             "clique of size lambdabar + 2 = m^2-m",
-            {"lhs": comp_q, "rhs": comp_lam - 1},
-            comp_q == comp_lam - 1,
-        )
-    )
-    steps.append(
-        Step(
+            lhs=n - 3 - 3 * k + 3 * mu - v2, rhs=comp_lam - 1,
+        ),
+        _step(
             "HOFFMAN_CLIQUE",
             "alpha = 2: clique of size m^2-m in the complement, above "
             "1 + kbar/(m+1)",
-            {"clique": comp_lam + 2, "valency": comp_k, "eig": m + 1, "tuple": [q2, r2, w2]},
-            (m + 1) * (comp_lam + 1) > comp_k,
-        )
-    )
+            clique=comp_lam + 2, valency=n - k - 1, eig=m + 1, tuple=[q2, r2, w2],
+        ),
+    ]
     oracle = _solver_cross_check(p, steps)
     return Instance(m, p, CONTRADICTION, tuple(steps), oracle=oracle)
 
@@ -754,115 +720,80 @@ def certify_tri_family1(s: int) -> Instance:
     """First tricirculant family: an edge parameter system exists exactly at
     s = -1, where the graph is the complement of the triangular graph T(6)."""
     if s == 0:
-        step = Step(
+        step = _step(
             "SUBSTITUTION",
             "s = 0 gives order 6 and valency 1 (a perfect matching), which is "
             "disconnected; excluded as trivial",
-            {"lhs": (4 * 0 + 1) * (3 * 0 + 1), "rhs": 1},
-            True,
+            lhs=(4 * 0 + 1) * (3 * 0 + 1), rhs=1,
         )
         return Instance(s, None, DEGENERATE, (step,))
-    entry = _tricirc_entry(1, s, tricirc_families(s)[0].params)
-    p = entry.params
-    n, k, lam, mu = p.as_tuple()
-    steps = [_eq2_step(p)]
-    steps.append(
-        Step(
-            "GCD",
-            "relation (i): R = (4s+3)(4s^2+3s-Q-1)/(4(2s+1)); the factors are "
-            "coprime, so Q = 4s^2+3s-1-4*alpha*(2s+1) and R = alpha(4s+3)",
-            {"values": [4 * s + 3, 4 * (2 * s + 1)], "equals": 1},
-            math.gcd(abs(4 * s + 3), abs(4 * (2 * s + 1))) == 1,
-        )
-    )
-    steps.append(
-        Step(
-            "GCD",
-            "relation (ii): W = s(s-alpha)(4s+3)/(2s+1); coprimality forces "
-            "(2s+1) | (s-alpha), so alpha = s - beta(2s+1), W = beta*s(4s+3)",
-            {"values": [s * (4 * s + 3), 2 * s + 1], "equals": 1},
-            math.gcd(abs(s * (4 * s + 3)), abs(2 * s + 1)) == 1,
-        )
-    )
-    steps.append(
-        Step(
-            "INEQUALITY",
-            "s(4s+3) > 0 for every nonzero s, so W >= 0 forces beta >= 0",
-            {"lhs": s * (4 * s + 3), "rhs": 0, "relation": ">"},
-            s * (4 * s + 3) > 0,
-        )
-    )
+    p = tricirc_families(s)[0].params
 
     def r_of(beta: int) -> int:
         return (4 * s + 3) * (s - beta * (2 * s + 1))
 
-    slope = -(4 * s + 3) * (2 * s + 1)
-    steps.append(
-        Step(
+    betas = []
+    while r_of(len(betas)) >= 0:
+        betas.append(len(betas))
+    steps = [
+        _eq2_step(p),
+        _step(
+            "GCD",
+            "relation (i): R = (4s+3)(4s^2+3s-Q-1)/(4(2s+1)); the factors are "
+            "coprime, so Q = 4s^2+3s-1-4*alpha*(2s+1) and R = alpha(4s+3)",
+            values=[4 * s + 3, 4 * (2 * s + 1)], equals=1,
+        ),
+        _step(
+            "GCD",
+            "relation (ii): W = s(s-alpha)(4s+3)/(2s+1); coprimality forces "
+            "(2s+1) | (s-alpha), so alpha = s - beta(2s+1), W = beta*s(4s+3)",
+            values=[s * (4 * s + 3), 2 * s + 1], equals=1,
+        ),
+        _step(
+            "INEQUALITY",
+            "s(4s+3) > 0 for every nonzero s, so W >= 0 forces beta >= 0",
+            lhs=s * (4 * s + 3), rhs=0, relation=">",
+        ),
+        _step(
             "INEQUALITY",
             "R is strictly decreasing in beta",
-            {"lhs": slope, "rhs": 0, "relation": "<"},
-            slope < 0,
-        )
-    )
-    betas = []
-    beta = 0
-    while r_of(beta) >= 0:
-        betas.append(beta)
-        beta += 1
-    steps.append(
-        Step(
+            lhs=-(4 * s + 3) * (2 * s + 1), rhs=0, relation="<",
+        ),
+        _step(
             "INEQUALITY",
             f"R >= 0 admits beta in {betas} only",
-            {"lhs": r_of(betas[-1] + 1), "rhs": 0, "relation": "<"},
-            r_of(betas[-1] + 1) < 0,
-        )
-    )
+            lhs=r_of(betas[-1] + 1), rhs=0, relation="<",
+        ),
+    ]
 
     solution = None
     for beta in betas:
         if beta == 0:
-            q0 = -(4 * s * s + s + 1)
             steps.append(
-                Step(
+                _step(
                     "INEQUALITY",
                     "beta = 0 gives Q = -(4s^2+s+1) < 0: excluded",
-                    {"lhs": q0, "rhs": 0, "relation": "<"},
-                    q0 < 0,
+                    lhs=-(4 * s * s + s + 1), rhs=0, relation="<",
                 )
             )
-        else:
-            alpha = s - beta * (2 * s + 1)
-            q = 4 * s * s + 3 * s - 1 - 4 * alpha * (2 * s + 1)
-            r = alpha * (4 * s + 3)
-            w = beta * s * (4 * s + 3)
-            steps.append(
-                Step(
-                    "SUBSTITUTION",
-                    f"beta = {beta} gives (Q,R,W) = ({q},{r},{w}); relation (ii) holds",
-                    {
-                        "lhs": lam * mu * (k - 2 * lam + q),
-                        "rhs": w * (k - mu) * (k - lam - 1),
-                    },
-                    lam * mu * (k - 2 * lam + q) == w * (k - mu) * (k - lam - 1),
-                )
-            )
-            steps.append(
-                Step(
-                    "GRAPH_CHECK",
-                    "s = -1: the graph is the complement of T(6); every edge is "
-                    "3-isoregular with (Q,R,W) = (0,0,1), measured directly",
-                    {
-                        "graph": "t6-complement",
-                        "assertion": "every-edge-3-isoregular-q0-r0-w1",
-                        "tuple": [q, r, w],
-                    },
-                    _validate_graph_check(
-                        {"graph": "t6-complement", "assertion": "every-edge-3-isoregular-q0-r0-w1"}
-                    ),
-                )
-            )
-            solution = {"Q": q, "R": r, "W": w}
+            continue
+        alpha = s - beta * (2 * s + 1)
+        q = 4 * s * s + 3 * s - 1 - 4 * alpha * (2 * s + 1)
+        r = alpha * (4 * s + 3)
+        w = beta * s * (4 * s + 3)
+        steps += [
+            _relation_ii_step(
+                p, q, w, f"beta = {beta} gives (Q,R,W) = ({q},{r},{w}); relation (ii) holds"
+            ),
+            _step(
+                "GRAPH_CHECK",
+                "s = -1: the graph is the complement of T(6); every edge is "
+                "3-isoregular with (Q,R,W) = (0,0,1), measured directly",
+                graph="t6-complement",
+                assertion="every-edge-3-isoregular-q0-r0-w1", tuple=[q, r, w],
+            ),
+        ]
+        solution = {"Q": q, "R": r, "W": w}
     verdict = SOLUTION if solution is not None else CONTRADICTION
     oracle = _tri_oracle(p, steps)
     return Instance(s, p, verdict, tuple(steps), solution=solution, oracle=oracle)
@@ -873,101 +804,70 @@ def certify_tri_family2(s: int) -> Instance:
     if s in (-1, 0, 1):
         if s == 1:
             desc = "s = 1 gives order 3 (a triangle): no within-orbit edge structure"
-            data = {"lhs": 3 * (3 - 3 + 1), "rhs": 3}
+            step = _step("SUBSTITUTION", desc, lhs=3 * (3 - 3 + 1), rhs=3)
         else:
-            desc = f"s = {s} gives lambda = -1"
-            data = {"lhs": s * s + s - 1, "rhs": -1}
-        return Instance(
-            s, None, DEGENERATE, (Step("SUBSTITUTION", desc, data, data["lhs"] == data["rhs"]),)
-        )
-    entry = _tricirc_entry(2, s, tricirc_families(s)[1].params)
-    p = entry.params
-    n, k, lam, mu = p.as_tuple()
-    steps = [_eq2_step(p)]
-    steps.append(
-        Step(
+            step = _step("SUBSTITUTION", f"s = {s} gives lambda = -1", lhs=s * s + s - 1, rhs=-1)
+        return Instance(s, None, DEGENERATE, (step,))
+    p = tricirc_families(s)[1].params
+    steps = [
+        _eq2_step(p),
+        _step(
             "GCD",
             "relation (i): R = (s^2+s-1)(s^2+s-Q-2)/(2s(s-1)); the factors are "
             "coprime, so Q = s^2+s-2-2*alpha*s(s-1) and R = alpha(s^2+s-1)",
-            {"values": [s * s + s - 1, 2 * s * (s - 1)], "equals": 1},
-            math.gcd(abs(s * s + s - 1), abs(2 * s * (s - 1))) == 1,
-        )
-    )
-    steps.append(
-        Step(
+            values=[s * s + s - 1, 2 * s * (s - 1)], equals=1,
+        ),
+        _step(
             "INEQUALITY",
             "s^2+s-1 > 0, so R >= 0 forces alpha >= 0",
-            {"lhs": s * s + s - 1, "rhs": 0, "relation": ">"},
-            s * s + s - 1 > 0,
-        )
-    )
-    steps.append(
-        Step(
+            lhs=s * s + s - 1, rhs=0, relation=">",
+        ),
+        _step(
             "INEQUALITY",
             "W = (1-alpha) * s(s^2+s-1)/(2s-1) with positive factor, so W >= 0 "
             "forces alpha <= 1",
-            {"lhs": s * (s * s + s - 1) * (2 * s - 1), "rhs": 0, "relation": ">"},
-            s * (s * s + s - 1) * (2 * s - 1) > 0,
-        )
-    )
+            lhs=s * (s * s + s - 1) * (2 * s - 1), rhs=0, relation=">",
+        ),
+    ]
 
     # Branch alpha = 1.
-    q1 = -(s - 1) * (s - 2)
     if s == 2:
         r1 = s * s + s - 1
-        steps.append(
-            Step(
-                "SUBSTITUTION",
-                f"alpha = 1 at s = 2 gives (Q,R,W) = (0,{r1},0); relation (i) holds",
-                {"lhs": lam * (lam - 0 - 1), "rhs": r1 * (k - lam - 1)},
-                lam * (lam - 1) == r1 * (k - lam - 1),
-            )
-        )
-        steps.append(
-            Step(
+        steps += [
+            _relation_i_step(
+                p, 0, r1, f"alpha = 1 at s = 2 gives (Q,R,W) = (0,{r1},0); relation (i) holds"
+            ),
+            _step(
                 "GRAPH_CHECK",
                 "s = 2: the only such graph is the triangular graph T(7), and "
                 "none of its edges is 3-isoregular, measured directly",
-                {"graph": "t7", "assertion": "no-3-isoregular-edge", "tuple": [0, r1, 0]},
-                _validate_graph_check({"graph": "t7", "assertion": "no-3-isoregular-edge"}),
-            )
-        )
+                graph="t7", assertion="no-3-isoregular-edge", tuple=[0, r1, 0],
+            ),
+        ]
     else:
         steps.append(
-            Step(
+            _step(
                 "INEQUALITY",
                 "alpha = 1 gives Q = -(s-1)(s-2) < 0 for s outside {1, 2}: excluded",
-                {"lhs": q1, "rhs": 0, "relation": "<"},
-                q1 < 0,
+                lhs=-(s - 1) * (s - 2), rhs=0, relation="<",
             )
         )
 
     # Branch alpha = 0.
-    steps.append(
-        Step(
+    steps += [
+        _step(
             "SUBSTITUTION",
             "alpha = 0: 8s(s^2+s-1) = (2s-1)(4s^2+6s-1) - 1, so "
             "(2s-1) | s(s^2+s-1) would force (2s-1) | 1",
-            {"lhs": 8 * s * (s * s + s - 1), "rhs": (2 * s - 1) * (4 * s * s + 6 * s - 1) - 1},
-            8 * s * (s * s + s - 1) == (2 * s - 1) * (4 * s * s + 6 * s - 1) - 1,
-        )
-    )
-    steps.append(
-        Step(
-            "GCD",
-            "gcd(8, 2s-1) = 1",
-            {"values": [8, 2 * s - 1], "equals": 1},
-            math.gcd(8, abs(2 * s - 1)) == 1,
-        )
-    )
-    steps.append(
-        Step(
+            lhs=8 * s * (s * s + s - 1), rhs=(2 * s - 1) * (4 * s * s + 6 * s - 1) - 1,
+        ),
+        _step("GCD", "gcd(8, 2s-1) = 1", values=[8, 2 * s - 1], equals=1),
+        _step(
             "DIVISIBILITY",
             "2s-1 does not divide 1: alpha = 0 excluded",
-            {"value": 1, "divisor": 2 * s - 1, "divides": False},
-            1 % (2 * s - 1) != 0,
-        )
-    )
+            value=1, divisor=2 * s - 1, divides=False,
+        ),
+    ]
     oracle = _tri_oracle(p, steps)
     return Instance(s, p, CONTRADICTION, tuple(steps), oracle=oracle)
 
@@ -1039,10 +939,10 @@ def replay_certificate(obj) -> ReplayResult:
         problems.append("instance indices disagree with the declared range")
     for inst in cert.instances:
         for pos, step in enumerate(inst.steps):
-            if not step.holds:
-                problems.append(f"index {inst.index}: step {pos} recorded as failing")
-            elif not validate_step(step):
+            if not validate_step(step):
                 problems.append(f"index {inst.index}: step {pos} does not revalidate")
+            elif not step.holds:
+                problems.append(f"index {inst.index}: step {pos} recorded as failing")
         regenerated = certifier(inst.index)
         if regenerated.to_json() != inst.to_json():
             problems.append(f"index {inst.index}: regeneration differs from record")

@@ -226,30 +226,66 @@ def test_malformed_range(capsys):
     assert code == 2
 
 
-_DIVISOR_ZERO_STEP = {
-    "kind": "DIVISIBILITY",
-    "description": "divisor 0",
-    "data": {"value": 1, "divisor": 0, "divides": False},
-    "holds": True,
-}
+def _one_step_certificate(kind, data, holds=True):
+    """A bicirc-odd certificate whose one instance holds one step."""
+    step = {"kind": kind, "description": "", "data": data, "holds": holds}
+    instance = {"index": 2, "params": None, "verdict": "CONTRADICTION", "steps": [step],
+                "solution": None, "oracle": None}
+    return {"claim": "bicirc-odd", "indices": [2], "instances": [instance]}
+
+
 _HOSTILE_CERTIFICATES = {
     "array": ([], "malformed certificate"),
     "missing-key": ({"claim": "bicirc-odd"}, "malformed certificate: KeyError('indices')"),
     "divisor-zero": (
-        {
-            "claim": "bicirc-odd",
-            "indices": [2],
-            "instances": [
-                {"index": 2, "params": None, "verdict": "CONTRADICTION",
-                 "steps": [_DIVISOR_ZERO_STEP], "solution": None, "oracle": None}
-            ],
-        },
+        _one_step_certificate("DIVISIBILITY", {"value": 1, "divisor": 0, "divides": False}),
         "DIVISIBILITY step with divisor 0",
     ),
     # No instance proves nothing, so it must not replay as a holding claim.
     "no-instances": (
         {"claim": "bicirc-odd", "indices": [], "instances": []},
         "error: certificate holds no instance",
+    ),
+    # A field of another type is refused before any arithmetic: "ab" * 10^15
+    # would exhaust memory and [0] * 10^7 allocate 80 MB.
+    "hoffman-eig-string": (
+        _one_step_certificate("HOFFMAN_CLIQUE", {"clique": 10**15, "valency": 1, "eig": "ab"}),
+        "HOFFMAN_CLIQUE step field 'eig' is not an integer",
+    ),
+    "hoffman-eig-list": (
+        _one_step_certificate("HOFFMAN_CLIQUE", {"clique": 10**7, "valency": 1, "eig": [0]}),
+        "HOFFMAN_CLIQUE step field 'eig' is not an integer",
+    ),
+    "boolean-as-integer": (
+        _one_step_certificate("SUBSTITUTION", {"lhs": True, "rhs": 1}),
+        "SUBSTITUTION step field 'lhs' is not an integer",
+    ),
+    "missing-field": (
+        _one_step_certificate("INEQUALITY", {"lhs": 1, "rhs": 2}),
+        "malformed certificate: KeyError('relation')",
+    ),
+    "gcd-three-values": (
+        _one_step_certificate("GCD", {"values": [1, 2, 3], "equals": 1}),
+        "GCD step field 'values' is not a list of two integers",
+    ),
+    # A graph of unbounded size, such as a Paley graph on 10^5 vertices,
+    # would exhaust memory before its edges are measured.
+    "graph-not-checked": (
+        _one_step_certificate("GRAPH_CHECK", {"graph": "paley-100049",
+                                              "assertion": "no-3-isoregular-edge"}),
+        "GRAPH_CHECK step field 'graph' is not a checked graph",
+    ),
+    "unknown-kind": (
+        _one_step_certificate("LEMMA", {"lhs": 1, "rhs": 1}),
+        "unknown step kind 'LEMMA'",
+    ),
+    "holds-not-boolean": (
+        _one_step_certificate("SUBSTITUTION", {"lhs": 1, "rhs": 1}, holds="yes"),
+        "step holds 'yes' is not a boolean",
+    ),
+    "holds-zero": (
+        _one_step_certificate("SUBSTITUTION", {"lhs": 1, "rhs": 2}, holds=0),
+        "step holds 0 is not a boolean",
     ),
 }
 
@@ -290,6 +326,53 @@ def test_replay_wide_multiples_range_is_bounded(capsys, tmp_path):
     report = json.loads(out)
     assert code == 1 and not report["replay_ok"]
     assert any("does not revalidate" in m for m in report["mismatches"])
+
+
+# Small ranges that reach every step kind and every branch of the five
+# certifiers: both parities of m, the degenerate indices, the s = -1 solution
+# and the s = 2 graph check.
+_MUTATION_RANGES = {"bicirc-odd": "2..3", "family-b": "3..5", "family-c": "3..5",
+                    "tri1": "-2..1", "tri2": "-1..2"}
+
+
+def _integer_places(data):
+    """(field, position) of every integer in a step's data; the position is
+    None for an integer field and the index for an element of a list."""
+    for field, value in data.items():
+        if type(value) is int:
+            yield field, None
+        elif type(value) is list:
+            yield from ((field, pos) for pos, x in enumerate(value) if type(x) is int)
+
+
+@pytest.mark.parametrize("family", sorted(_MUTATION_RANGES))
+def test_replay_rejects_every_shifted_step_integer(capsys, tmp_path, family):
+    # Seeded mutation: shifting any one integer of any step's data by +1 makes
+    # replay exit 1 with a mismatch, never 0 and never a traceback.
+    cert_file = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "certify", family, f"--range={_MUTATION_RANGES[family]}",
+                         "-o", str(cert_file))
+    assert code == 0
+    payload = json.loads(cert_file.read_text())
+    mutations = 0
+    for instance in payload["instances"]:
+        single = {"claim": payload["claim"], "indices": [instance["index"]],
+                  "instances": [instance]}
+        cert_file.write_text(json.dumps(single))
+        assert run_cli(capsys, "replay", str(cert_file))[0] == 0
+        for pos, step in enumerate(instance["steps"]):
+            for field, item in list(_integer_places(step["data"])):
+                mutant = json.loads(json.dumps(single))
+                data = mutant["instances"][0]["steps"][pos]["data"]
+                if item is None:
+                    data[field] += 1
+                else:
+                    data[field][item] += 1
+                cert_file.write_text(json.dumps(mutant))
+                code, out, _ = run_cli(capsys, "replay", str(cert_file))
+                assert code == 1 and json.loads(out)["mismatches"], (instance["index"], pos, field)
+                mutations += 1
+    assert mutations >= 20
 
 
 def test_certify_range_outside_index_bound(capsys):

@@ -27,7 +27,7 @@ from isoreg import (
     tricirc_families,
     verify_identity,
 )
-from isoreg.paramtheory import Certificate, validate_step
+from isoreg.paramtheory import MAX_FAMILY_INDEX, Certificate, validate_step
 
 from conftest import (
     build_corpus,
@@ -394,18 +394,24 @@ def test_tri_certificates_match_edge_solver():
 
 
 def test_steps_all_validate():
-    for inst in (
-        certify_bicirc_odd(2),
-        certify_bicirc_odd(7),
-        certify_family_b(9),
-        certify_family_c(9),
-        certify_tri_family1(-1),
-        certify_tri_family1(5),
-        certify_tri_family2(2),
-        certify_tri_family2(-6),
+    # Every step of every admitted index |i| <= MAX_FAMILY_INDEX holds and
+    # revalidates.  A step's verdict is its kind's rule, so this checks the
+    # certifiers' arguments themselves, the multiples lists they claim
+    # included.
+    bound = MAX_FAMILY_INDEX
+    steps = 0
+    for certifier, indices in (
+        (certify_bicirc_odd, range(2, bound + 1)),
+        (certify_family_b, range(3, bound + 1, 2)),
+        (certify_family_c, range(3, bound + 1, 2)),
+        (certify_tri_family1, range(-bound, bound + 1)),
+        (certify_tri_family2, range(-bound, bound + 1)),
     ):
-        for step in inst.steps:
-            assert step.holds and validate_step(step), (inst.index, step.description)
+        for index in indices:
+            for step in certifier(index).steps:
+                assert step.holds and validate_step(step), (index, step.description)
+                steps += 1
+    assert steps == 44_966
 
 
 def test_replay_round_trip_and_tamper_detection():

@@ -182,3 +182,38 @@ def test_certify_and_replay_match_schemas(capsys, tmp_path, family, span):
     report = json.loads(_run(capsys, ["replay", str(path)], 1))
     assert report["mismatches"]
     assert schema_errors(report, _schema("replay-report")) == []
+
+
+def test_certificate_step_variants_are_the_rule_table():
+    # One step variant per form of each kind in the replay rule table, with
+    # exactly its required fields and their types; "tuple" is the one
+    # optional field, an integer list that only the certifiers read.
+    from isoreg.paramtheory import (
+        _CHECKED_GRAPHS, _FIELD_TYPES, _GRAPH_ASSERTIONS, _RELATIONS, _RULES,
+    )
+
+    integers = {"type": "array", "items": {"type": "integer"}}
+    as_schema = {
+        "an integer": {"type": "integer"},
+        "a boolean": {"type": "boolean"},
+        "a checked graph": {"enum": list(_CHECKED_GRAPHS)},
+        "a list of integers": integers,
+        "a list of two integers": {**integers, "minItems": 2, "maxItems": 2},
+        "a relation": {"enum": list(_RELATIONS)},
+        "a graph assertion": {"enum": list(_GRAPH_ASSERTIONS)},
+    }
+    expected = [
+        (kind, {name: as_schema[_FIELD_TYPES.get(name, "an integer")] for name in fields})
+        for kind, forms in _RULES.items()
+        for fields, _ in forms
+    ]
+    step = _schema("certificate")["properties"]["instances"]["items"]["properties"]["steps"]
+    variants = []
+    for variant in step["items"]["oneOf"]:
+        (kind,) = variant["properties"]["kind"]["enum"]
+        data = variant["properties"]["data"]
+        properties = dict(data["properties"])
+        assert properties.pop("tuple", integers) == integers
+        assert list(properties) == data["required"]
+        variants.append((kind, properties))
+    assert variants == expected
