@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .graphs import Graph, complement
+from .graphs import MAX_VERTICES, Graph, complement
 from .symbols import BicirculantSymbol, bicirculant, circulant
 
 
@@ -22,7 +22,10 @@ def _is_prime(p: int) -> bool:
 
 
 def paley(p: int) -> Graph:
-    """Paley graph on Z_p: x ~ y iff x - y is a nonzero quadratic residue."""
+    """Paley graph on Z_p: x ~ y iff x - y is a nonzero quadratic residue.
+    A p above ``MAX_VERTICES`` is refused before its primality is tested."""
+    if p > MAX_VERTICES:
+        raise ValueError(f"vertex count {p} outside 1..{MAX_VERTICES}")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p % 4 != 1:

@@ -1,10 +1,10 @@
 """Exhaustive symbol-space searches for strongly regular and 3-isoregular
 multicirculants, with sound pruning and isomorphism deduplication.
 
-Pruning never drops a strongly regular candidate: the filters are necessary
-conditions for strong regularity (within-orbit common-neighbor counts are
-determined by set difference multisets), and 3-isoregular graphs are always
-strongly regular.  A run with pruning disabled reports identical classes.
+The joins never drop a strongly regular candidate: the equations they solve
+are necessary conditions for strong regularity (within-orbit common-neighbor
+counts are determined by set difference multisets), and 3-isoregular graphs
+are always strongly regular.  A ``--no-prune`` run reports identical classes.
 
 Bicirculant search (``_bicirc_worker``, the default path).  In [S, S', T]
 write dX(d) = |X & (X+d)| and A_T(d) = |T & (T+d)| for d = 1..n-1.  Vertices
@@ -27,48 +27,50 @@ mu has A_T = lambda*1_S + mu*1_Shat - dS = lambda*1_S' + mu*1_S'hat - dS'.
   gap at least as large ends the loop over the next residue.  It adds the
   translates of every set found and solves t > n/2 through the complement
   (A_{Z_n - T} = n - 2t + A_T); each shard memoises it on (t, A_T).
-- Symbol-level test: each (S, S', T) found is tested once (a ``seen`` set
-  guards it) by ``block_srg_params`` on its row blocks (``row_blocks``, with
-  the mask of -T made once per T solution).  Only the symbols that pass are
-  built as a ``Symbol`` and a graph, tested with ``srg_params``, which
-  decides the counters and records, and passed to ``_judge``.  Shards take
-  every stride-th allowed S.
+- Each (S, S', T) found is judged once (a ``seen`` set guards it); shards
+  take every stride-th allowed S.
 
-``--no-prune`` and the tricirculant search run ``_multicirc_worker`` over r =
-2 or 3 orbits.  Orbit a has a diagonal set S_a and each orbit pair a
-connection set T; the within-orbit common-neighbor counts of orbit a depend
-only on S_a and the T's that touch it.  The worker walks the tuples of T's
-grouped by their bit counts and skips a count tuple when no common degree k
-leaves every orbit a diagonal size that exists.  For each T tuple it prunes
-each orbit's diagonal candidates once against that orbit's incident
-difference sum (not when pruning is off), then tests every member of the
-product of the per-orbit survivor lists on its row blocks as above, builds
-and tests with ``srg_params`` only the members that pass, and checks the
-target; shards take every stride-th mask of the first T.  Both workers
-build ``Symbol(n, diagonals, connections)`` and record its key, and
-``_run_shards``, told r, rebuilds the survivors' symbols from the keys.
+Tricirculant search (``_tricirc_worker``, the default path).  The same
+reduction on three orbits: with D_a = lambda*1_{S_a} + mu*1_{S_a-hat} -
+dS_a, the connection of orbits a, b (c the third) has A_T = (D_a + D_b -
+D_c)/2 and |T| = (k - |S_a| - |S_b| + |S_c|)/2, so each diagonal triple
+fixes every connection's size and autocorrelation, and ``_t_solutions``
+(memoised per shard on (t, A_T)) gives the connections.  Shards take every
+stride-th S0.
 
-The bicirculant candidate count is taken in closed form from the allowed
-sizes (C((n-1)//2, s//2) symmetric sets of size s, none when n and s are
-both odd) and checked against ``CANDIDATE_CAP`` before any mask list is
-built; then only masks of the allowed sizes are built: S' of sizes n-1-s
-under ``--sp-complement``, and T of the allowed t under ``--no-prune``.
+``--no-prune`` runs ``_multicirc_worker``, the plain product over r = 2 or 3
+orbits: it walks the tuples of connections grouped by their bit counts,
+skips a count tuple when no common degree k leaves every orbit a diagonal
+size that exists, and judges every member of the product of the diagonal
+masks of those sizes; shards take every stride-th mask of the first
+connection.
 
-``_judge`` applies the shared tail (nontriviality from the parameters, the
-triple test, the profile) and records the survivor.  ``_run_shards`` runs
-the shards serially or on a process pool and merges them, and ``_finish``
-deduplicates.  Workers are stateless and survivors are sorted by symbol
-encoding before deduplication, so output is independent of worker count and
-scheduling.
+The candidate counts are taken in closed form from the allowed sizes
+(C((n-1)//2, s//2) symmetric sets of size s, none when n and s are both odd)
+and checked against ``CANDIDATE_CAP`` before any mask list is built; then
+the bicirculant search builds only masks of the allowed sizes: S' of sizes
+n-1-s under ``--sp-complement``, and T of the allowed t under
+``--no-prune``.
+
+Every worker ends in ``_judge``, which takes a candidate as masks: it tests
+it on its row blocks (``block_srg_params`` on ``row_blocks``, one vertex per
+orbit), builds only the candidates that pass as a ``Symbol`` and a graph,
+tests them with ``srg_params``, which decides the counters and records, and
+applies the shared tail (nontriviality from the parameters, the triple
+test, the profile) to the target matches.  ``_run_shards``, told r, runs
+the shards serially or on a process pool, merges them and rebuilds the
+survivors' symbols from the record keys, and ``_finish`` deduplicates.
+Workers are stateless and survivors are sorted by symbol encoding before
+deduplication, so output is independent of worker count and scheduling.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, product
-from math import comb, isqrt, prod
-from operator import add
+from math import comb, isqrt
 from typing import Iterable, Optional
 
 from .graphs import Graph, complement
@@ -136,29 +138,6 @@ def _rotate(mask: int, d: int, n: int) -> int:
 def _diff_vector(mask: int, n: int) -> tuple[int, ...]:
     """Entry d-1 is |A intersect (A+d)| for d = 1..n-1."""
     return tuple((mask & _rotate(mask, d, n)).bit_count() for d in range(1, n))
-
-
-def _orbit_consistent(
-    total: list[int], s_mask: int, n: int, lam: Optional[int], mu: Optional[int]
-) -> bool:
-    """Within-orbit pair condition: common-neighbor totals constant on the
-    adjacent class (d in S) and on the non-adjacent class, matching the
-    target values when given."""
-    seen_lam = lam
-    seen_mu = mu
-    for d in range(1, n):
-        c = total[d - 1]
-        if (s_mask >> d) & 1:
-            if seen_lam is None:
-                seen_lam = c
-            elif seen_lam != c:
-                return False
-        else:
-            if seen_mu is None:
-                seen_mu = c
-            elif seen_mu != c:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -232,12 +211,27 @@ class SearchResult:
         return out
 
 
-def _judge(sym, g: Graph, p: SrgParams, nontrivial_only: bool, require_iso3: bool,
-           records: list, counts: list[int]) -> None:
-    """Shared tail of both workers, for a strongly regular candidate that met
-    the target: nontriviality (0 < mu < k, which for a strongly regular graph
-    means it and its complement are connected), the triple test, the profile
-    and the record.  counts holds the srg, nontrivial and iso3 hits."""
+def _judge(rule: tuple, diags, conns, negs, records: list, counts: list[int]) -> None:
+    """Judge one candidate, given as masks: diagonal a, connection c of
+    ``_LAYOUT[r]`` and negs[c], the mask of -conns[c]; rule is the run's
+    (n, target, build, count_all_srg, require_iso3, nontrivial_only).
+    counts holds the srg hits (every strongly regular graph with
+    count_all_srg, else the target matches), the nontrivial ones (0 < mu <
+    k, which for a strongly regular graph means it and its complement are
+    connected) and the iso3 ones."""
+    n, target, build, count_all_srg, require_iso3, nontrivial_only = rule
+    if block_srg_params(n, row_blocks(diags, conns, negs)) is None:
+        return
+    sym = Symbol(n, [_mask_to_set(m, n) for m in diags], [_mask_to_set(m, n) for m in conns])
+    g = build(sym)
+    p = srg_params(g)
+    if p is None:
+        return
+    hit = target is None or p.as_tuple() == target
+    if hit or count_all_srg:
+        counts[0] += 1
+    if not hit:
+        return
     nontrivial = p.is_nontrivial()
     if nontrivial:
         counts[1] += 1
@@ -262,27 +256,25 @@ def _by_count(masks) -> dict[int, list[int]]:
 
 
 def _multicirc_worker(args) -> tuple[list, list[int]]:
-    """One shard of an r-orbit run (r = 2 or 3); returns records and counter
-    deltas.  diag_masks[a] holds the allowed diagonal masks of orbit a and
-    conn_masks[c] those of connection c; the shard takes every stride-th
-    mask of connection 0 in each bit-count group.  sp_is_complement keeps
-    only the members with S' = S-hat (bicirculant orbits 0 and 1), and
-    count_all_srg counts every strongly regular graph built, not only the
-    target matches."""
-    (n, target, diag_masks, conn_masks, build, sp_is_complement,
-     count_all_srg, require_iso3, nontrivial_only, use_pruning, shard, stride) = args
-    lam = target[2] if target else None
-    mu = target[3] if target else None
+    """One shard of the plain (``--no-prune``) r-orbit product, r = 2 or 3;
+    returns records and counter deltas.  diag_masks[a] holds the allowed
+    diagonal masks of orbit a and conn_masks[c] those of connection c; the
+    shard takes every stride-th mask of connection 0 in each bit-count
+    group.  sp_is_complement keeps only the members with S' = S-hat
+    (bicirculant orbits 0 and 1).  Every member of the product is judged."""
+    diag_masks, conn_masks, sp_is_complement, rule, shard, stride = args
+    n, target = rule[0], rule[1]
     r = len(diag_masks)
     # The connections touching each orbit.
     incident = [[c for c, pair in enumerate(_LAYOUT[r][2]) if a in pair] for a in range(r)]
     full = (1 << n) - 1
     diag_by_size = [_by_count(masks) for masks in diag_masks]
     conn_by_count = [_by_count(masks) for masks in conn_masks]
-    vec = {m: _diff_vector(m, n) for m in set().union(*diag_masks)}
     records: list = []
     counts = [0, 0, 0]
     for conn_counts in product(*(sorted(groups) for groups in conn_by_count)):
+        # A count tuple needs a common degree k that leaves every orbit a
+        # diagonal size that exists.
         inc = [sum(conn_counts[c] for c in incident[a]) for a in range(r)]
         degrees = [target[1]] if target else {sz + inc[0] for sz in diag_by_size[0]}
         degrees = [k for k in degrees if all(k - inc[a] in diag_by_size[a] for a in range(r))]
@@ -291,49 +283,15 @@ def _multicirc_worker(args) -> tuple[list, list[int]]:
         groups = [conn_by_count[c][cnt] for c, cnt in enumerate(conn_counts)]
         groups[0] = groups[0][shard::stride]
         # Kept for one count group only, so a bicirculant run never holds
-        # the vectors of every T.
-        conn_vec = {m: _diff_vector(m, n) for m in set().union(*groups)}
-        conn_neg = {m: negated_mask(m, n) for m in conn_vec}
+        # the negations of every T.
+        conn_neg = {m: negated_mask(m, n) for m in set().union(*groups)}
         for conns in product(*groups):
-            # Incident difference sum of each orbit, made when first needed.
-            sums: list = [None] * r
+            negs = [conn_neg[m] for m in conns]
             for k in degrees:
-                survivors = []
-                for a in range(r):
-                    diags = diag_by_size[a][k - inc[a]]
-                    if use_pruning:
-                        total = sums[a]
-                        if total is None:
-                            first, *rest = incident[a]
-                            total = conn_vec[conns[first]]
-                            for c in rest:
-                                total = list(map(add, total, conn_vec[conns[c]]))
-                            sums[a] = total
-                        diags = [
-                            m for m in diags
-                            if _orbit_consistent(list(map(add, vec[m], total)), m, n, lam, mu)
-                        ]
-                        if not diags:
-                            break
-                    survivors.append(diags)
-                else:
-                    negs = [conn_neg[m] for m in conns]
-                    for diags in product(*survivors):
-                        if sp_is_complement and diags[1] != full & ~diags[0] & ~1:
-                            continue
-                        if block_srg_params(n, row_blocks(diags, conns, negs)) is None:
-                            continue
-                        sym = Symbol(n, [_mask_to_set(m, n) for m in diags],
-                                     [_mask_to_set(m, n) for m in conns])
-                        g = build(sym)
-                        p = srg_params(g)
-                        if p is None:
-                            continue
-                        hit = target is None or p.as_tuple() == target
-                        if hit or count_all_srg:
-                            counts[0] += 1
-                        if hit:
-                            _judge(sym, g, p, nontrivial_only, require_iso3, records, counts)
+                for diags in product(*(diag_by_size[a][k - inc[a]] for a in range(r))):
+                    if sp_is_complement and diags[1] != full & ~diags[0] & ~1:
+                        continue
+                    _judge(rule, diags, conns, negs, records, counts)
     return records, counts
 
 
@@ -405,8 +363,10 @@ def _join_keys(mask: int, n: int, t_sizes, target) -> list[tuple]:
     one for each allowed t (s + t = k with a target) and each lambda, mu of
     the target or, without one, of the windows that keep A_T = lambda*1_X +
     mu*1_Xhat - dX within 0..t, tied by lambda*s + mu*(n-1-s) = t(t-1) +
-    s(s-1), the sum of A_T + dX over d = 1..n-1.  When X is {} or Z_n - {0},
-    lambda or mu is vacuous and takes the value 0."""
+    s(s-1), the sum of A_T + dX over d = 1..n-1.  Through that relation the
+    mu window bounds lambda too, so only the lambda of both windows are
+    walked.  When X is {} or Z_n - {0}, lambda or mu is vacuous and takes
+    the value 0."""
     vec = _diff_vector(mask, n)
     s = mask.bit_count()
     inside = [x for d, x in enumerate(vec, 1) if mask >> d & 1]
@@ -415,13 +375,18 @@ def _join_keys(mask: int, n: int, t_sizes, target) -> list[tuple]:
     for t in t_sizes:
         if target and s + t != target[1]:
             continue
+        total = t * (t - 1) + s * (s - 1)
         if not inside:
             lams = [0]
         elif target:
             lams = [target[2]] if max(inside) <= target[2] <= min(inside) + t else []
+        elif outside:
+            # max(outside) <= mu <= min(outside) + t for mu*rest = total - lambda*s.
+            rest = n - 1 - s
+            lo = max(max(inside), -(((min(outside) + t) * rest - total) // s))
+            lams = range(lo, min(min(inside) + t, (total - max(outside) * rest) // s) + 1)
         else:
             lams = range(max(inside), min(inside) + t + 1)
-        total = t * (t - 1) + s * (s - 1)
         for lam in lams:
             if outside:
                 mu, rem = divmod(total - lam * s, n - 1 - s)
@@ -438,17 +403,19 @@ def _join_keys(mask: int, n: int, t_sizes, target) -> list[tuple]:
     return keys
 
 
+def _solver(n: int):
+    """A shard's ``_t_solutions`` as (mask of T, mask of -T), memoised on (t, A_T)."""
+    return cache(lambda t, a: [(m, negated_mask(m, n)) for m in _t_solutions(n, t, a)])
+
+
 # perfbench/tracer.py times the bicirculant search's shards under this name.
 def _bicirc_worker(args) -> tuple[list, list[int]]:
-    """One shard of the pruned bicirculant search, over the S masks at
-    positions shard, shard + stride, ... of s_masks; returns records and
-    counter deltas.  Every mask is keyed by (|X|, t, lambda, mu, A_T) for
-    each allowed t and each (lambda, mu) that its windows and the sum
-    relation leave (``_join_keys``); the S' masks are bucketed once by their
-    keys, every S looks up its partners under each of its own, and A_T fixes
-    every T."""
-    (n, target, s_masks, sp_masks, t_sizes, build, sp_is_complement,
-     require_iso3, nontrivial_only, shard, stride) = args
+    """One shard of the bicirculant join, over the S masks at positions
+    shard, shard + stride, ... of s_masks; returns records and counter
+    deltas.  The S' masks are bucketed once by their ``_join_keys``, every S
+    looks up its partners under each of its own, and A_T fixes every T."""
+    s_masks, sp_masks, t_sizes, sp_is_complement, rule, shard, stride = args
+    n, target = rule[0], rule[1]
     full = (1 << n) - 1
     if not sp_is_complement:
         buckets: dict[tuple, list[int]] = {}
@@ -458,9 +425,7 @@ def _bicirc_worker(args) -> tuple[list, list[int]]:
     # Distinct keys of one S differ in (t, A_T), and a vacuous lambda or mu
     # takes one value, so no triple should come twice; seen makes sure.
     seen: set[tuple[int, int, int]] = set()
-    # S masks with one key share their T solutions, kept as (mask of T,
-    # mask of -T).
-    solved: dict[tuple, list[tuple[int, int]]] = {}
+    solve = _solver(n)
     records: list = []
     counts = [0, 0, 0]
     for s_mask in s_masks[shard::stride]:
@@ -474,28 +439,13 @@ def _bicirc_worker(args) -> tuple[list, list[int]]:
                 partners = buckets.get(key)
             if not partners:
                 continue
-            t, a = key[1], key[4]
-            solutions = solved.get((t, a))
-            if solutions is None:
-                solutions = solved[t, a] = [(m, negated_mask(m, n)) for m in _t_solutions(n, t, a)]
-            for t_mask, neg in solutions:
+            for t_mask, neg in solve(key[1], key[4]):
                 for sp_mask in partners:
                     triple = (s_mask, sp_mask, t_mask)
                     if triple in seen:
                         continue
                     seen.add(triple)
-                    blocks = row_blocks((s_mask, sp_mask), (t_mask,), (neg,))
-                    if block_srg_params(n, blocks) is None:
-                        continue
-                    sym = Symbol(n, (_mask_to_set(s_mask, n), _mask_to_set(sp_mask, n)),
-                                 (_mask_to_set(t_mask, n),))
-                    g = build(sym)
-                    p = srg_params(g)
-                    if p is None:
-                        continue
-                    counts[0] += 1
-                    if target is None or p.as_tuple() == target:
-                        _judge(sym, g, p, nontrivial_only, require_iso3, records, counts)
+                    _judge(rule, (s_mask, sp_mask), (t_mask,), (neg,), records, counts)
     return records, counts
 
 
@@ -533,16 +483,15 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     s_masks = _symmetric_masks(n, s_sizes)
     sp_masks = _symmetric_masks(n, sp_sizes)
 
-    target = spec.target.as_tuple() if spec.target else None
+    rule = (n, spec.target.as_tuple() if spec.target else None, bicirculant, True,
+            spec.require_iso3, spec.nontrivial_only)
     if spec.use_pruning:
         worker = _bicirc_worker
-        args = (n, target, s_masks, sp_masks, t_sizes, bicirculant, spec.sp_is_complement,
-                spec.require_iso3, spec.nontrivial_only)
+        args = (s_masks, sp_masks, t_sizes, spec.sp_is_complement, rule)
     else:
         t_masks = [sum(1 << i for i in c) for b in t_sizes for c in combinations(range(n), b)]
         worker = _multicirc_worker
-        args = (n, target, (s_masks, sp_masks), (t_masks,), bicirculant,
-                spec.sp_is_complement, True, spec.require_iso3, spec.nontrivial_only, False)
+        args = ((s_masks, sp_masks), (t_masks,), spec.sp_is_complement, rule)
     survivors, counts = _run_shards(worker, args, jobs, 2)
     return _finish(survivors, candidates, counts, spec.dedup)
 
@@ -626,32 +575,68 @@ def _complement_class_count(rep_graphs: list[Graph]) -> int:
 # Tricirculant search
 
 
+def _tricirc_worker(args) -> tuple[list, list[int]]:
+    """One shard of the tricirculant join, over the S0 masks at positions
+    shard, shard + stride, ... of sym_masks; returns records and counter
+    deltas.  Orbit a's pairs (a_0, a_d) have dS_a plus the autocorrelations
+    of its two connections as common neighbors, so each diagonal triple
+    fixes the size and autocorrelation of every connection (see the module
+    docstring); a half that is odd or outside 0..n rejects the triple."""
+    sym_masks, rule, shard, stride = args
+    n, (_, k, lam, mu) = rule[0], rule[1]
+    # D_a = lambda*1_{S_a} + mu*1_{S_a-hat} - dS_a of each diagonal mask.
+    excess = {m: [(lam if m >> d & 1 else mu) - x for d, x in enumerate(_diff_vector(m, n), 1)]
+              for m in sym_masks}
+    solve = _solver(n)
+    records: list = []
+    counts = [0, 0, 0]
+    for s0 in sym_masks[shard::stride]:
+        for s1, s2 in product(sym_masks, repeat=2):
+            diags = (s0, s1, s2)
+            options = []
+            for a, b in _LAYOUT[3][2]:
+                x, y, z = diags[a], diags[b], diags[3 - a - b]
+                t, odd = divmod(k - x.bit_count() - y.bit_count() + z.bit_count(), 2)
+                twice = [p + q - r for p, q, r in zip(excess[x], excess[y], excess[z])]
+                if odd or not 0 <= t <= n or any(v % 2 for v in twice):
+                    break
+                options.append(solve(t, tuple(v // 2 for v in twice)))
+            else:
+                for picked in product(*options):
+                    conns, negs = zip(*picked)
+                    _judge(rule, diags, conns, negs, records, counts)
+    return records, counts
+
+
 def search_tricirculant_srg(
     n: int, target: SrgParams, jobs: int = 1, use_pruning: bool = True
 ) -> SearchResult:
-    """Exhaustive tricirculant symbol search for a target parameter set."""
+    """Exhaustive tricirculant symbol search for a target parameter set: the
+    join solves the connections from the diagonals (``_tricirc_worker``),
+    and with use_pruning off every symbol is judged (``_multicirc_worker``)."""
     if n < 2:
         raise ValueError("modulus must be at least 2")
     if 3 * n > TRICIRC_ORDER_CAP:
         raise SearchCapError(f"3n = {3 * n} above the tricirculant cap {TRICIRC_ORDER_CAP}", 0)
     if target.n != 3 * n:
         raise ValueError(f"target order {target.n} is not 3n = {3 * n}")
-    sym_masks = _symmetric_masks(n)
-    sym_by_size = {size: len(masks) for size, masks in _by_count(sym_masks).items()}
+    # Connections of sizes c01, c12, c20 leave the diagonals k - c01 - c20,
+    # k - c01 - c12 and k - c12 - c20.
     k = target.k
-    candidates = 0
-    for c01, c12, c20 in product(range(n + 1), repeat=3):
-        sizes = (k - c01 - c20, k - c01 - c12, k - c12 - c20)
-        if all(sz in sym_by_size for sz in sizes):
-            ways = comb(n, c01) * comb(n, c12) * comb(n, c20)
-            candidates += ways * prod(sym_by_size[sz] for sz in sizes)
+    candidates = sum(
+        comb(n, c01) * comb(n, c12) * comb(n, c20) * _symmetric_count(n, k - c01 - c20)
+        * _symmetric_count(n, k - c01 - c12) * _symmetric_count(n, k - c12 - c20)
+        for c01, c12, c20 in product(range(n + 1), repeat=3)
+    )
     if candidates > CANDIDATE_CAP:
         raise SearchCapError("tricirculant space too large", candidates)
-
-    t_masks = list(range(1 << n))
-    args = (n, target.as_tuple(), (sym_masks,) * 3, (t_masks,) * 3, tricirculant,
-            False, False, False, True, use_pruning)
-    survivors, counts = _run_shards(_multicirc_worker, args, jobs, 3)
+    sym_masks = _symmetric_masks(n)
+    rule = (n, target.as_tuple(), tricirculant, False, False, True)
+    if use_pruning:
+        worker, args = _tricirc_worker, (sym_masks, rule)
+    else:
+        worker, args = _multicirc_worker, ((sym_masks,) * 3, (range(1 << n),) * 3, False, rule)
+    survivors, counts = _run_shards(worker, args, jobs, 3)
     return _finish(survivors, candidates, counts, True)
 
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph
+from .graphs import MAX_VERTICES, Graph
 
 
 # Layout of an r-orbit symbol, r = len(diagonals): the text kind, the field
@@ -153,8 +153,11 @@ def symbol_graph(sym: Symbol) -> Graph:
     orbit pair (x, y) means x_i ~ y_j iff j - i lies in T.
 
     The row of a_0 is ``row_blocks``; the row of a_i is that row with every
-    block rotated by i."""
+    block rotated by i.  An order above ``MAX_VERTICES`` is refused before
+    any row is built."""
     n = sym.n
+    if len(sym.diagonals) * n > MAX_VERTICES:
+        raise ValueError(f"vertex count {len(sym.diagonals) * n} outside 1..{MAX_VERTICES}")
     conns = [_mask(t) for t in sym.connections]
     blocks = row_blocks([_mask(s) for s in sym.diagonals], conns,
                         [negated_mask(t, n) for t in conns])

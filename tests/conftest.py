@@ -371,11 +371,176 @@ def reference_symbol_key(sym) -> tuple:
     )
 
 
+def reference_orbit_consistent(total, s_mask, n, lam, mu) -> bool:
+    """Within-orbit pair condition, the diagonal pruning the joins replaced:
+    common-neighbor totals constant on the adjacent class (d in S) and on
+    the non-adjacent class, matching the target values when given."""
+    seen_lam = lam
+    seen_mu = mu
+    for d in range(1, n):
+        c = total[d - 1]
+        if (s_mask >> d) & 1:
+            if seen_lam is None:
+                seen_lam = c
+            elif seen_lam != c:
+                return False
+        else:
+            if seen_mu is None:
+                seen_mu = c
+            elif seen_mu != c:
+                return False
+    return True
+
+
+def reference_judge(sym, g, p, nontrivial_only, require_iso3, records, counts) -> None:
+    """The shared tail of the workers as it was before it took masks, for a
+    strongly regular candidate that met the target: nontriviality, the
+    triple test, the profile and the record.  counts holds the srg,
+    nontrivial and iso3 hits."""
+    from isoreg.isoregularity import triples_isoregular
+
+    nontrivial = p.is_nontrivial()
+    if nontrivial:
+        counts[1] += 1
+    elif nontrivial_only:
+        return
+    ok3, vals = triples_isoregular(g)
+    iso3 = ok3 and nontrivial
+    if iso3:
+        counts[2] += 1
+    if require_iso3 and not iso3:
+        return
+    profile = (vals[3] or 0, vals[2] or 0, vals[1] or 0, vals[0] or 0) if iso3 else None
+    records.append((sym.key(), p.as_tuple(), profile, iso3))
+
+
+def reference_multicirc_worker(args):
+    """Reference r-orbit worker, r = 2 or 3, as it was before the joins
+    replaced its pruning: it walks the tuples of connection masks grouped by
+    their bit counts, prunes each orbit's diagonal masks against that
+    orbit's incident difference sum, and tests every member of the product
+    of the survivors on its row blocks, then on its graph.  count_all_srg
+    counts every strongly regular graph built, not only the target
+    matches."""
+    from itertools import product
+    from operator import add
+
+    from isoreg.search import _diff_vector, _mask_to_set
+    from isoreg.srg import block_srg_params, srg_params
+    from isoreg.symbols import _LAYOUT, Symbol, negated_mask, row_blocks
+
+    (n, target, diag_masks, conn_masks, build, sp_is_complement,
+     count_all_srg, require_iso3, nontrivial_only, shard, stride) = args
+    lam = target[2] if target else None
+    mu = target[3] if target else None
+    r = len(diag_masks)
+    incident = [[c for c, pair in enumerate(_LAYOUT[r][2]) if a in pair] for a in range(r)]
+    full = (1 << n) - 1
+
+    def by_count(masks):
+        out = {}
+        for m in masks:
+            out.setdefault(m.bit_count(), []).append(m)
+        return out
+
+    diag_by_size = [by_count(masks) for masks in diag_masks]
+    conn_by_count = [by_count(masks) for masks in conn_masks]
+    vec = {m: _diff_vector(m, n) for m in set().union(*diag_masks)}
+    records: list = []
+    counts = [0, 0, 0]
+    for conn_counts in product(*(sorted(groups) for groups in conn_by_count)):
+        inc = [sum(conn_counts[c] for c in incident[a]) for a in range(r)]
+        degrees = [target[1]] if target else {sz + inc[0] for sz in diag_by_size[0]}
+        degrees = [k for k in degrees if all(k - inc[a] in diag_by_size[a] for a in range(r))]
+        if not degrees:
+            continue
+        groups = [conn_by_count[c][cnt] for c, cnt in enumerate(conn_counts)]
+        groups[0] = groups[0][shard::stride]
+        conn_vec = {m: _diff_vector(m, n) for m in set().union(*groups)}
+        conn_neg = {m: negated_mask(m, n) for m in conn_vec}
+        for conns in product(*groups):
+            sums = []
+            for a in range(r):
+                first, *rest = incident[a]
+                total = conn_vec[conns[first]]
+                for c in rest:
+                    total = list(map(add, total, conn_vec[conns[c]]))
+                sums.append(total)
+            for k in degrees:
+                survivors = []
+                for a in range(r):
+                    diags = [
+                        m for m in diag_by_size[a][k - inc[a]]
+                        if reference_orbit_consistent(list(map(add, vec[m], sums[a])), m, n,
+                                                      lam, mu)
+                    ]
+                    if not diags:
+                        break
+                    survivors.append(diags)
+                else:
+                    negs = [conn_neg[m] for m in conns]
+                    for diags in product(*survivors):
+                        if sp_is_complement and diags[1] != full & ~diags[0] & ~1:
+                            continue
+                        if block_srg_params(n, row_blocks(diags, conns, negs)) is None:
+                            continue
+                        sym = Symbol(n, [_mask_to_set(m, n) for m in diags],
+                                     [_mask_to_set(m, n) for m in conns])
+                        g = build(sym)
+                        p = srg_params(g)
+                        if p is None:
+                            continue
+                        hit = target is None or p.as_tuple() == target
+                        if hit or count_all_srg:
+                            counts[0] += 1
+                        if hit:
+                            reference_judge(sym, g, p, nontrivial_only, require_iso3, records,
+                                            counts)
+    return records, counts
+
+
+def reference_join_keys(mask: int, n: int, t_sizes, target) -> list[tuple]:
+    """Reference join keys (s, t, lambda, mu, A_T) of a symmetric mask X:
+    without a target it walks every lambda of X's own window and drops
+    afterwards those whose mu misses its window or is not integral."""
+    from isoreg.search import _diff_vector
+
+    vec = _diff_vector(mask, n)
+    s = mask.bit_count()
+    inside = [x for d, x in enumerate(vec, 1) if mask >> d & 1]
+    outside = [x for d, x in enumerate(vec, 1) if not mask >> d & 1]
+    keys = []
+    for t in t_sizes:
+        if target and s + t != target[1]:
+            continue
+        if not inside:
+            lams = [0]
+        elif target:
+            lams = [target[2]] if max(inside) <= target[2] <= min(inside) + t else []
+        else:
+            lams = range(max(inside), min(inside) + t + 1)
+        total = t * (t - 1) + s * (s - 1)
+        for lam in lams:
+            if outside:
+                mu, rem = divmod(total - lam * s, n - 1 - s)
+                if rem or not max(outside) <= mu <= min(outside) + t:
+                    continue
+                if target and mu != target[3]:
+                    continue
+            elif total == lam * s:
+                mu = 0
+            else:
+                continue
+            a = tuple((lam if mask >> d & 1 else mu) - x for d, x in enumerate(vec, 1))
+            keys.append((s, t, lam, mu, a))
+    return keys
+
+
 def reference_bicirc_worker(args):
     """Reference bicirculant shard worker: nested T -> S -> S' loops, each S'
     pruned again for every surviving S.  It takes the argument tuple the
     search built for it before the r-orbit worker replaced it."""
-    from isoreg.search import _diff_vector, _judge, _mask_to_set, _orbit_consistent
+    from isoreg.search import _diff_vector, _mask_to_set
     from isoreg.srg import srg_params
     from isoreg.symbols import BicirculantSymbol, bicirculant
 
@@ -398,7 +563,7 @@ def reference_bicirc_worker(args):
                 continue
             if use_pruning:
                 total = [s_vectors[s_mask][d] + bt[d] for d in range(n - 1)]
-                if not _orbit_consistent(total, s_mask, n, lam, mu):
+                if not reference_orbit_consistent(total, s_mask, n, lam, mu):
                     continue
             if sp_is_complement:
                 sp_candidates = [full & ~s_mask & ~1]
@@ -412,7 +577,7 @@ def reference_bicirc_worker(args):
                     if vec is None:
                         vec = _diff_vector(sp_mask, n)
                     total = [vec[d] + bt[d] for d in range(n - 1)]
-                    if not _orbit_consistent(total, sp_mask, n, lam, mu):
+                    if not reference_orbit_consistent(total, sp_mask, n, lam, mu):
                         continue
                 sym = BicirculantSymbol(
                     n, _mask_to_set(s_mask, n), _mask_to_set(sp_mask, n), _mask_to_set(t_mask, n)
@@ -424,7 +589,7 @@ def reference_bicirc_worker(args):
                 counts[0] += 1
                 if target is not None and p.as_tuple() != target:
                     continue
-                _judge(sym, g, p, nontrivial_only, require_iso3, records, counts)
+                reference_judge(sym, g, p, nontrivial_only, require_iso3, records, counts)
     return records, counts
 
 
@@ -512,8 +677,7 @@ def reference_bicirc_run(spec):
 def reference_tricirc_worker(args):
     """Reference tricirculant shard worker: six nested loops over T01, T12,
     T20, S0, S1 and S2, each diagonal pruned inside the loop above it."""
-    from isoreg.search import _diff_vector, _judge, _mask_to_set, _orbit_consistent
-    from isoreg.search import _symmetric_masks
+    from isoreg.search import _diff_vector, _mask_to_set, _symmetric_masks
     from isoreg.srg import srg_params
     from isoreg.symbols import TricirculantSymbol, tricirculant
 
@@ -559,17 +723,17 @@ def reference_tricirc_worker(args):
                 for s0 in sym_by_size[s0_size]:
                     if use_pruning:
                         total = [diff[s0][d] + v01[d] + v20[d] for d in range(n - 1)]
-                        if not _orbit_consistent(total, s0, n, lam, mu):
+                        if not reference_orbit_consistent(total, s0, n, lam, mu):
                             continue
                     for s1 in sym_by_size[s1_size]:
                         if use_pruning:
                             total = [diff[s1][d] + v01[d] + v12[d] for d in range(n - 1)]
-                            if not _orbit_consistent(total, s1, n, lam, mu):
+                            if not reference_orbit_consistent(total, s1, n, lam, mu):
                                 continue
                         for s2 in sym_by_size[s2_size]:
                             if use_pruning:
                                 total = [diff[s2][d] + v12[d] + v20[d] for d in range(n - 1)]
-                                if not _orbit_consistent(total, s2, n, lam, mu):
+                                if not reference_orbit_consistent(total, s2, n, lam, mu):
                                     continue
                             sym = TricirculantSymbol(
                                 n,
@@ -585,5 +749,5 @@ def reference_tricirc_worker(args):
                             if p is None or p.as_tuple() != target:
                                 continue
                             counts[0] += 1
-                            _judge(sym, g, p, True, False, records, counts)
+                            reference_judge(sym, g, p, True, False, records, counts)
     return records, counts

@@ -302,6 +302,36 @@ def test_replay_hostile_certificate_is_input_error(capsys, tmp_path, name):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "srg", "paley-100049"),
+        ("check", "srg", "paley-1000000000000000000000000000057"),
+        ("build", "circ:n=200000;S=1,-1"),
+        ("build", "bi:n=100000;S=1,-1;Sp=;T=0"),
+    ],
+    ids=" ".join,
+)
+def test_oversized_graph_input_is_input_error(argv):
+    # A graph above MAX_VERTICES is refused before its rows are built, and a
+    # Paley order before its primality is tested.  The child runs under an
+    # 800 MB address-space limit and a timeout, so a regression fails
+    # instead of exhausting memory or running on.
+    src = os.path.dirname(os.path.dirname(isoreg.__file__))
+    code = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20)); "
+        "from isoreg.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=30,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "outside 1..4096" in proc.stderr
+
+
 def test_replay_wide_multiples_range_is_bounded(capsys, tmp_path):
     # A DIVISIBILITY step claiming the multiples of d in [2, 10^11] is checked
     # by counting them, not by scanning the range: the forged steps fail to

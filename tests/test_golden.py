@@ -5,7 +5,10 @@ The digests were recorded from the code before the search, triple-kernel,
 solver and builder merges (the bicirc --params, --sp-complement, --sp-size and
 --no-prune runs before the two search workers became one; the bicirc n = 11,
 12 and 13 runs before the default bicirculant path solved T from its
-autocorrelation); any change to the bytes these commands print fails here.
+autocorrelation; the tricirc n = 7 run and the n = 5 --no-prune run before
+the tricirculant search solved its connections from their autocorrelations
+and --no-prune became the plain product); any change to the bytes these
+commands print fails here.
 Each search runs at --jobs 1 and --jobs 2.  The certificate digests were
 recorded from the code that scanned every R in 0..lambda, before the
 edge-parameter solver walked one arithmetic progression in R; they pin the
@@ -23,6 +26,10 @@ SEARCHES = {
         0, "a02c7a9c2975f5c49f6da620fd3f91c9e6ec221cc196c5e796bd625de6ac31ac"),
     "search tricirc --n 5 --params 15,8,4,4": (
         0, "325ff997837a35758d3f1570ec33e991f669755e3db688e5c85a05fb01509010"),
+    "search tricirc --n 7 --params 21,10,5,4": (
+        0, "0c5de22041d464f7bab1157de1aecb1509dedbbf44069013440af96567f5732a"),
+    "search tricirc --n 5 --params 15,6,1,3 --no-prune": (
+        0, "a02c7a9c2975f5c49f6da620fd3f91c9e6ec221cc196c5e796bd625de6ac31ac"),
     "search tricirc --n 3 --params 9,4,1,2 --no-prune": (
         0, "889e260485b62ffaa3610b21a2ec5d7c3f75065bd2e6804ffafb1742fa08d4f4"),
     "search bicirc --n 8": (

@@ -232,18 +232,27 @@ def _tricirc_targets(n):
 
 
 def test_parameter_nontriviality_matches_connectivity(monkeypatch):
-    # Every strongly regular graph the searches hand to the shared tail, trivial
-    # ones included: 0 < mu < k holds exactly when the graph and its
-    # complement are connected, so the searches need no connectivity test.
+    # Every strongly regular graph the searches count, trivial ones included:
+    # 0 < mu < k holds exactly when the graph and its complement are
+    # connected, so the searches need no connectivity test.  The bicirculant
+    # runs have no target and the tricirculant search counts only target
+    # matches, so a judged candidate that raised the srg counter reached the
+    # shared tail.
     import isoreg.search as search_mod
-    from isoreg import complement
+    from isoreg import Symbol, complement, srg_params
+    from isoreg.search import _mask_to_set
 
     seen = []
     judge = search_mod._judge
 
-    def recording_judge(sym, g, p, *rest):
-        seen.append((g, p))
-        return judge(sym, g, p, *rest)
+    def recording_judge(rule, diags, conns, negs, records, counts):
+        before = counts[0]
+        judge(rule, diags, conns, negs, records, counts)
+        if counts[0] > before:
+            n = rule[0]
+            g = symbol_graph(Symbol(n, [_mask_to_set(m, n) for m in diags],
+                                    [_mask_to_set(m, n) for m in conns]))
+            seen.append((g, srg_params(g)))
 
     monkeypatch.setattr(search_mod, "_judge", recording_judge)
     for m in range(2, 9):
@@ -259,11 +268,10 @@ def test_parameter_nontriviality_matches_connectivity(monkeypatch):
     assert 0 < sum(p.is_nontrivial() for _, p in seen) < len(seen)
 
 
-def test_jobs_clamped_to_cpu_count(monkeypatch):
-    # A fake pool records its size and runs the shards inline, so no large
-    # pool is ever started.
+def _inline_pool(monkeypatch) -> list[int]:
+    """Replace the process pool with one that records its size and runs the
+    shards inline, so no large pool is ever started; returns the sizes."""
     import concurrent.futures
-    import os
 
     sizes = []
 
@@ -281,6 +289,13 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
             return [fn(item) for item in items]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    import os
+
+    sizes = _inline_pool(monkeypatch)
     spec = SearchSpec(n=6)
     serial = search_bicirculant(spec)
     tri_serial = search_tricirculant_srg(3, SrgParams(9, 4, 1, 2))
@@ -295,7 +310,7 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
 
 
 def _bicirc_specs(n):
-    """The spaces the r-orbit worker is compared on at modulus n: the full
+    """The spaces the bicirculant search is compared on at modulus n: the full
     space, S' = S-hat, the 3-isoregular filter, every size filter, every
     S-hat size combination, every parameter set the space contains as a
     target, and each of those with lambda + 1, a target that the strongly
@@ -324,10 +339,11 @@ def _bicirc_specs(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_bicirc_worker_matches_reference(n):
-    # The r-orbit worker against the nested-loop worker it replaced: same
-    # candidate count, records and counters on every space, pruned or not.
-    # At n = 8 an unpruned run builds every symbol of its space, so only the
-    # full space, which contains all the others, also runs unpruned.
+    # The join (pruned) and the plain product (unpruned) against the
+    # nested-loop worker: same candidate count, records and counters on
+    # every space.  At n = 8 an unpruned run judges every symbol of its
+    # space, so only the full space, which contains all the others, also
+    # runs unpruned.
     from dataclasses import replace
 
     from conftest import reference_bicirc_run
@@ -350,16 +366,19 @@ def test_bicirc_worker_matches_reference(n):
 @pytest.mark.parametrize(
     "n,target,use_pruning",
     [(3, t, prune) for t in _tricirc_targets(3) for prune in (True, False)]
-    + [(5, SrgParams(15, 6, 1, 3), True), (5, SrgParams(15, 8, 4, 4), True)],
+    + [(5, t, True) for t in _tricirc_targets(5)]
+    + [(7, SrgParams(21, 10, 5, 4), True)],
     ids=str,
 )
-def test_tricirc_worker_matches_reference(n, target, use_pruning):
-    # The r-orbit worker against the six-loop worker it replaced, and the
-    # candidate count against a scan of every T01, T12, T20 that counts the
-    # diagonal triples of the sizes the valency leaves.
+def test_tricirc_worker_matches_reference(monkeypatch, n, target, use_pruning):
+    # The join (pruned) and the plain product (unpruned) against the six-loop
+    # worker they replaced, on every parameter set at n = 3 and 5 and on
+    # (21,10,5,4) at n = 7; the same records at --jobs 2, run as two shards
+    # inline; and the candidate count against a count over every T01, T12,
+    # T20 bit count of the diagonal triples of the sizes the valency leaves.
+    import os
     from collections import Counter
     from itertools import product
-    from math import prod
 
     from conftest import reference_tricirc_worker
 
@@ -369,22 +388,27 @@ def test_tricirc_worker_matches_reference(n, target, use_pruning):
     stats = result.stats
     assert got == sorted(records)
     assert [stats.srg, stats.nontrivial_srg, stats.iso3] == counts
+    sizes = _inline_pool(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert search_tricirculant_srg(n, target, jobs=2, use_pruning=use_pruning) == result
+    assert sizes == [2]
     per_size = Counter(len(s) for s in symmetric_subsets(n))
+    per_count = Counter(m.bit_count() for m in range(1 << n))
     candidates = sum(
-        prod(
-            per_size[target.k - a.bit_count() - b.bit_count()]
-            for a, b in ((t01, t20), (t01, t12), (t12, t20))
-        )
-        for t01, t12, t20 in product(range(1 << n), repeat=3)
+        per_count[c01] * per_count[c12] * per_count[c20]
+        * per_size[target.k - c01 - c20] * per_size[target.k - c01 - c12]
+        * per_size[target.k - c12 - c20]
+        for c01, c12, c20 in product(per_count, repeat=3)
     )
     assert stats.candidates == candidates
 
 
 def _multicirc_bicirc_run(spec):
     """Candidate count, sorted records and counters of a bicirculant space
-    under the r-orbit worker with pruning on: the default path before T was
-    solved from its autocorrelation, kept for the tricirculant search."""
-    from isoreg.search import _multicirc_worker, _symmetric_masks
+    under the pruned r-orbit reference worker, the default path before T was
+    solved from its autocorrelation."""
+    from conftest import reference_multicirc_worker
+    from isoreg.search import _symmetric_masks
     from isoreg.symbols import bicirculant
 
     n = spec.n
@@ -393,9 +417,9 @@ def _multicirc_bicirc_run(spec):
     sp_masks = [m for m in sym_masks if spec.sp_size is None or m.bit_count() == spec.sp_size]
     t_masks = [m for m in range(1 << n) if spec.t_size is None or m.bit_count() == spec.t_size]
     target = spec.target.as_tuple() if spec.target else None
-    records, counts = _multicirc_worker(
+    records, counts = reference_multicirc_worker(
         (n, target, (s_masks, sp_masks), (t_masks,), bicirculant, spec.sp_is_complement,
-         True, spec.require_iso3, spec.nontrivial_only, True, 0, 1)
+         True, spec.require_iso3, spec.nontrivial_only, 0, 1)
     )
     candidates = len(s_masks) * (1 if spec.sp_is_complement else len(sp_masks)) * len(t_masks)
     return candidates, sorted(records), counts
@@ -443,8 +467,8 @@ _EDGE_CASES = [
     + [name for name, _ in _EDGE_CASES],
 )
 def test_difference_function_search_matches_multicirc_worker(spec):
-    # The default bicirculant path solves T from (S, S') against the worker
-    # that walks every T, on the full spaces n = 9..13 (trivial graphs
+    # The default bicirculant path solves T from (S, S') against the pruned
+    # r-orbit reference worker, which walks every T, on the full spaces n = 9..13 (trivial graphs
     # included), the dedup13 target with and without its filters, and the
     # edge spaces above without a target and with each of theirs.
     candidates, records, counts = _multicirc_bicirc_run(spec)
@@ -553,6 +577,28 @@ def test_t_solver_matches_reference(n):
         for v in vectors:
             assert _t_solutions(n, t, v) == reference_t_solutions(n, t, v), (t, v)
         assert sum(1 << x for x in members) in _t_solutions(n, t, a)
+
+
+@pytest.mark.parametrize("n", range(2, 16))
+def test_join_keys_match_reference(n):
+    # The lambda window cut by the one the mu window implies against the
+    # walk over lambda's own window: the same keys for every symmetric mask,
+    # without a target and with every (k, lambda, mu) a key holds, and with
+    # lambda + 1 in its place.
+    from conftest import reference_join_keys
+    from isoreg.search import _join_keys, _symmetric_masks
+
+    masks = _symmetric_masks(n)
+    t_sizes = range(n + 1)
+    targets = set()
+    for m in masks:
+        keys = reference_join_keys(m, n, t_sizes, None)
+        assert _join_keys(m, n, t_sizes, None) == keys, m
+        targets.update((2 * n, s + t, lam + e, mu) for s, t, lam, mu, _ in keys for e in (0, 1))
+    for target in sorted(targets):
+        for m in masks:
+            assert _join_keys(m, n, t_sizes, target) == reference_join_keys(
+                m, n, t_sizes, target), (target, m)
 
 
 @pytest.mark.parametrize(
