@@ -2,8 +2,9 @@
 replay.
 
 Exit codes: 0 = claim holds / result produced, 1 = claim fails (report
-carries a witness), 2 = usage or input error.  Output is deterministic JSON
-(sorted keys, no timestamps) and byte-identical across --jobs settings.
+carries a witness), 2 = usage or input error, an output that cannot be
+written, or a closed stdout.  Output is deterministic JSON (sorted keys, no
+timestamps) and byte-identical across --jobs settings.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import os
 import sys
 
-from .formats import Graph6Error, decode_graph6, encode_graph6, to_dot
+from .formats import Graph6Error, decode_graph6, encode_graph6, indented_json, to_dot
 from .graphs import Graph
 from .isoregularity import (
     is_k_isoregular,
@@ -21,7 +22,7 @@ from .isoregularity import (
     iso_profile,
     t_vertex_condition,
 )
-from .named import named_graph, named_tags
+from .named import named_graph
 from .paramtheory import (
     Certificate,
     bicirc_odd_family,
@@ -64,13 +65,11 @@ def _resolve_graph(text: str) -> tuple[str, Graph]:
             raise InputError(f"malformed graph6: {exc}") from exc
     if text.startswith(("bi:", "tri:", "circ:")):
         try:
-            return (text, symbol_graph(parse_symbol(text)))
+            symbol = parse_symbol(text)
         except ValueError as exc:
             raise InputError(f"malformed symbol: {exc}") from exc
-    try:
-        return (text, named_graph(text))
-    except ValueError as exc:
-        raise InputError(f"{exc}; known tags: {', '.join(named_tags())}") from exc
+        return (text, symbol_graph(symbol))
+    return (text, named_graph(text))
 
 
 def _parse_params(text: str, modulus: int) -> SrgParams:
@@ -100,14 +99,17 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _write(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="ascii") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+    _write(indented_json(payload) + "\n", out)
 
 
 def _cmd_build(args) -> int:
@@ -396,9 +398,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        # Flush here, so a reader that closed early is caught below and not
+        # at interpreter exit.
+        sys.stdout.flush()
+        return code
     except (InputError, ValueError) as exc:  # SearchCapError, Graph6Error included
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # Point fd 1 at devnull so the interpreter's last flush of what is
+        # still buffered stays quiet (the recipe in the `signal` docs).
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass
+        else:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
         return 2
 
 

@@ -136,7 +136,7 @@ def named_graph(tag: str) -> Graph:
         except ValueError:
             raise ValueError(f"malformed paley tag {tag!r}") from None
         return paley(p)
-    raise ValueError(f"unknown graph tag {tag!r}")
+    raise ValueError(f"unknown graph tag {tag!r}; known tags: {', '.join(named_tags())}")
 
 
 def named_tags() -> list[str]:

@@ -54,8 +54,10 @@ def test_build_symbol_and_g6_inputs(capsys, tmp_path):
 
 
 def test_unknown_tag_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "build", "nope")
-    assert code == 2 and "unknown graph tag" in err
+    code, out, err = run_cli(capsys, "build", "nope")
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown graph tag 'nope'; known tags: c5, clebsch, gq22, k4xk4,"
+                   " petersen, shrikhande-a, shrikhande-b, t6-complement, t7, paley-<p>\n")
 
 
 def test_malformed_graph6_is_usage_error(capsys):
@@ -302,21 +304,23 @@ def test_replay_hostile_certificate_is_input_error(capsys, tmp_path, name):
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("check", "srg", "paley-100049"),
-        ("check", "srg", "paley-1000000000000000000000000000057"),
-        ("build", "circ:n=200000;S=1,-1"),
-        ("build", "bi:n=100000;S=1,-1;Sp=;T=0"),
-    ],
-    ids=" ".join,
-)
+# argv -> the vertex count its error names.
+_OVERSIZED_INPUTS = {
+    ("check", "srg", "paley-100049"): 100049,
+    ("check", "srg", "paley-1000000000000000000000000000057"): 1000000000000000000000000000057,
+    ("build", "circ:n=200000;S=1,-1"): 200000,
+    ("build", "bi:n=100000;S=1,-1;Sp=;T=0"): 200000,
+}
+
+
+@pytest.mark.parametrize("argv", list(_OVERSIZED_INPUTS), ids=" ".join)
 def test_oversized_graph_input_is_input_error(argv):
     # A graph above MAX_VERTICES is refused before its rows are built, and a
     # Paley order before its primality is tested.  The child runs under an
     # 800 MB address-space limit and a timeout, so a regression fails
-    # instead of exhausting memory or running on.
+    # instead of exhausting memory or running on.  The error names the size
+    # alone: the input is well formed, so it is no "malformed symbol", and
+    # the tag is known, so the list of tags is not appended.
     src = os.path.dirname(os.path.dirname(isoreg.__file__))
     code = (
         "import resource, sys; "
@@ -328,8 +332,7 @@ def test_oversized_graph_input_is_input_error(argv):
         env={**os.environ, "PYTHONPATH": src},
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-    assert "outside 1..4096" in proc.stderr
+    assert proc.stderr == f"error: vertex count {_OVERSIZED_INPUTS[argv]} outside 1..4096\n"
 
 
 def test_replay_wide_multiples_range_is_bounded(capsys, tmp_path):
@@ -618,3 +621,59 @@ def test_search_extreme_possible_target_runs(capsys, mode, n, target):
     code, out, _ = run_cli(capsys, "search", mode, "--n", n, "--params", target)
     assert code == 0
     assert json.loads(out.splitlines()[-1])["summary"]["stats"]["survivors"] == 0
+
+
+@pytest.mark.parametrize("target", ["missing-dir/cert.json", "."], ids=["no-such-dir", "a-directory"])
+def test_unwritable_output_is_input_error(capsys, tmp_path, target):
+    # A write error is an input error (exit 2), never a traceback and never
+    # exit 1, the "claim fails" code.
+    out_path = tmp_path / target
+    code, out, err = run_cli(capsys, "certify", "bicirc-odd", "--range", "2..5", "-o", str(out_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write or flush (as chosen)
+    raises BrokenPipeError.  It has no fileno(), so main leaves fd 1 alone."""
+
+    def __init__(self, fail_on):
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.fail_on == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv",
+    [("search", "bicirc-odd", "--n", "5"), ("build", "c5", "--format", "json"),
+     ("certify", "bicirc-odd", "--range", "2..5")],
+    ids=" ".join,
+)
+def test_closed_stdout_is_input_error(capsys, monkeypatch, argv, fail_on):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout(fail_on))
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert (code, err) == (2, "error: stdout was closed before the output was written\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("build", "circ:n=x;S=1"), "malformed symbol: symbol text missing integer field n"),
+        (("check", "srg", "paley-x"), "malformed paley tag 'paley-x'"),
+    ],
+    ids=["malformed-symbol", "malformed-paley-tag"],
+)
+def test_malformed_graph_input_error_texts(capsys, argv, message):
+    # Only a tag that names no graph gets the list of known tags.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,5 +1,5 @@
-"""Golden CLI output: exit code and SHA-256 of stdout for searches, checks and
-certificates.
+"""Golden CLI output: exit code and SHA-256 of stdout for searches, checks,
+certificates, the other JSON reports and replay.
 
 The digests were recorded from the code before the search, triple-kernel,
 solver and builder merges (the bicirc --params, --sp-complement, --sp-size and
@@ -12,10 +12,14 @@ commands print fails here.
 Each search runs at --jobs 1 and --jobs 2.  The certificate digests were
 recorded from the code that scanned every R in 0..lambda, before the
 edge-parameter solver walked one arithmetic progression in R; they pin the
-certificate bytes, solver oracle included.
+certificate bytes, solver oracle included.  The REPORTS and REPLAYS digests
+were recorded from the code that wrote every indented report with
+json.dumps(sort_keys=True, indent=2), before one list-append emitter wrote
+them all.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -85,8 +89,39 @@ CERTIFICATES = {
         0, "59fc9697f2768ea809569fca033d1e0c4d6c1e4d7b2de0443c70d4816be7e75e"),
 }
 
+# The indented reports of build, check, params and families that no entry
+# above covers.
+REPORTS = {
+    "build c5 --format json": (
+        0, "840e4b4f913b6efc0a1b6739580235804b10dd6f5bfe8db9f14356f4332d613d"),
+    "check srg clebsch": (
+        0, "74fedaafa3da6fc210e3c6e375b0e6aa5525356211c85cacfe9d634e610ab332"),
+    "check tvertex petersen --t 2": (
+        0, "29815a0a39780fcb76f5246b9fea8d5a60c7be958e09816c5a5707baaceed8fc"),
+    "check local3 clebsch": (
+        0, "a7fdcb2303250d55b7dbffa6fe7ae624308d98d28a5dbde07455f4c1eefce697"),
+    # No solution: "solutions" is an empty list.
+    "params solve 50 21 8 9": (
+        0, "802b6af8323dc4ad5d66613f80143df2204a686f58768d76a9a36a292a62dcf0"),
+    "families thm22 --max 10": (
+        0, "e8a1bff43db503c3f8b1775d2b6a8e182007821abc78096f864e55e9ee4b795e"),
+    "families lm93 --max 10": (
+        0, "99f82e01705621d01a94f18e5e2d740278b104a868044a9ad99b00b80d41c401"),
+    "families tri --max 10": (
+        0, "4f0efb3397071635c8ef247715a58c2d10b29dba0cf81b5833b32574df3b81a7"),
+}
+
 CASES = [(f"{cmd} --jobs {jobs}", want) for cmd, want in SEARCHES.items() for jobs in (1, 2)]
-CASES += list(CHECKS.items()) + list(CERTIFICATES.items())
+CASES += list(CHECKS.items()) + list(CERTIFICATES.items()) + list(REPORTS.items())
+
+# The replay report of the certificate `certify bicirc-odd --range 2..5`
+# writes, as written and with the lhs of index 3's first step raised by 1.
+REPLAYS = {
+    "as-written": (
+        0, "06fb7838be1dec04fa0efed2ca9f5d89baa5d2466488824b921997e1a4faf67d"),
+    "step-shifted": (
+        1, "4b54af6aae122a0ec00422dc9386f8e6674f0d40879caea9b0a9b7ad6e574663"),
+}
 
 
 @pytest.mark.parametrize("command,want", CASES, ids=[c for c, _ in CASES])
@@ -94,3 +129,17 @@ def test_golden_stdout(capsys, command, want):
     code = main(command.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == want
+
+
+@pytest.mark.parametrize("variant", sorted(REPLAYS))
+def test_golden_replay_report(capsys, tmp_path, variant):
+    path = tmp_path / "cert.json"
+    assert main(["certify", "bicirc-odd", "--range", "2..5", "-o", str(path)]) == 0
+    if variant == "step-shifted":
+        cert = json.loads(path.read_text())
+        cert["instances"][1]["steps"][0]["data"]["lhs"] += 1
+        path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    code = main(["replay", str(path)])
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == REPLAYS[variant]
