@@ -104,8 +104,16 @@ def _write(text: str, out: str | None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise InputError(f"cannot write output: {exc}") from exc
-    else:
+    elif getattr(sys.stdout, "buffer", None) is None:
         sys.stdout.write(text)
+    else:
+        # Write the bytes ourselves: a TextIOWrapper over an unbuffered raw
+        # file (PYTHONUNBUFFERED) ignores a short write, and the rest of the
+        # text would be lost without an error.
+        sys.stdout.flush()
+        data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[sys.stdout.buffer.write(data) or 0:]
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -288,9 +296,9 @@ def _cmd_search(args) -> int:
     else:
         raise InputError(f"unknown search mode {args.mode!r}")
     for survivor in result.survivors:
-        sys.stdout.write(json.dumps(survivor.to_json(), sort_keys=True) + "\n")
+        _write(json.dumps(survivor.to_json(), sort_keys=True) + "\n", None)
     summary = {"mode": args.mode, "n": args.n, **extra, "stats": result.stats.to_json()}
-    sys.stdout.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+    _write(json.dumps({"summary": summary}, sort_keys=True) + "\n", None)
     return 0 if claim_ok else 1
 
 

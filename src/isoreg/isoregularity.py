@@ -15,9 +15,8 @@ valency per induced edge count and the first violation.  The search's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graphs import Graph, vertices_to_bits
 from .srg import SrgParams, distance_sets, srg_params, subconstituent
@@ -126,8 +125,7 @@ def _triple_type_code(g: Graph, a: int, b: int, c: int) -> int:
     return _CODE_BY_EDGES3[edges]
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(NamedTuple):
     """Two equally typed subsets with different valencies."""
 
     type: IsoType
@@ -146,8 +144,7 @@ class IsoWitness:
         }
 
 
-@dataclass(frozen=True)
-class KIsoregularity:
+class KIsoregularity(NamedTuple):
     holds: bool
     k: int
     witness: Optional[IsoWitness] = None
@@ -241,8 +238,7 @@ def is_k_isoregular(g: Graph, k: int) -> KIsoregularity:
     return KIsoregularity(witness is None, k, witness)
 
 
-@dataclass(frozen=True)
-class IsoProfile:
+class IsoProfile(NamedTuple):
     """Type-to-valency map of a k-isoregular graph; vacuous types report 0."""
 
     k: int
@@ -277,14 +273,13 @@ def iso_profile(g: Graph, k: int) -> Optional[IsoProfile]:
     return IsoProfile(k, valencies, frozenset(vacuous))
 
 
-@dataclass(frozen=True)
-class EdgeLocalParams:
+class EdgeLocalParams(NamedTuple):
     """Valencies (Q, R, W) of triples through a 3-isoregular edge."""
 
     q: int
     r: int
     w: int
-    vacuous: frozenset[str] = field(default_factory=frozenset)
+    vacuous: frozenset[str] = frozenset()
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.q, self.r, self.w)
@@ -293,14 +288,13 @@ class EdgeLocalParams:
         return {"Q": self.q, "R": self.r, "W": self.w, "vacuous": sorted(self.vacuous)}
 
 
-@dataclass(frozen=True)
-class NonEdgeLocalParams:
+class NonEdgeLocalParams(NamedTuple):
     """Valencies (R', W', V) of triples through a 3-isoregular non-edge."""
 
     rp: int
     wp: int
     v: int
-    vacuous: frozenset[str] = field(default_factory=frozenset)
+    vacuous: frozenset[str] = frozenset()
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.rp, self.wp, self.v)
@@ -344,8 +338,7 @@ def nonedge_iso_params(g: Graph, x: int, z: int) -> Optional[NonEdgeLocalParams]
     return _pair_params(NonEdgeLocalParams, ("K1,2", "K2+K1", "3K1"), g, x, z)
 
 
-@dataclass(frozen=True)
-class LocalReport:
+class LocalReport(NamedTuple):
     """Witnesses for local 3-isoregularity at a vertex."""
 
     x: int
@@ -398,8 +391,7 @@ def is_locally_3isoregular(g: Graph) -> Optional[LocalReport]:
     return None
 
 
-@dataclass(frozen=True)
-class DPartition:
+class DPartition(NamedTuple):
     """Cells D^i_j = (distance-i from x) intersect (distance-j from y)."""
 
     x: int
@@ -447,8 +439,7 @@ def d_partition_expected_sizes(p: SrgParams, adjacent: bool) -> tuple[int, int, 
     return (d11, d12, d21, d22)
 
 
-@dataclass(frozen=True)
-class TVertexWitness:
+class TVertexWitness(NamedTuple):
     j: int
     pair_class: str
     type: IsoType
@@ -469,8 +460,7 @@ class TVertexWitness:
         }
 
 
-@dataclass(frozen=True)
-class TVertexResult:
+class TVertexResult(NamedTuple):
     holds: bool
     t: int
     witness: Optional[TVertexWitness] = None

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .isoregularity import edge_iso_params
 from .named import named_graph
@@ -42,8 +41,7 @@ def bicirc_odd_family(m: int) -> tuple[SrgParams, int, int]:
     return params, m * (m + 1), m * m
 
 
-@dataclass(frozen=True)
-class LeungMaEntry:
+class LeungMaEntry(NamedTuple):
     """One partial-difference-triple family entry (n; c, d; lambda, mu)."""
 
     label: str
@@ -86,8 +84,7 @@ def leung_ma_families(m: int) -> list[LeungMaEntry]:
     return out
 
 
-@dataclass(frozen=True)
-class TricircEntry:
+class TricircEntry(NamedTuple):
     """One tricirculant parameter set with validity and hypothesis flags."""
 
     family: int
@@ -161,17 +158,40 @@ def nonedge_relations_check(p: SrgParams, rp: int, wp: int, v: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class LocalParamSolution:
-    """Non-negative integer tuple (Q, R, W, V) satisfying all five relations
-    with the edge/non-edge identification R = R', W = W'."""
-
+# LocalParamSolution's fields; it gives each solution its own trace dict in
+# __new__, which a NamedTuple class body may not define.
+class _LocalParamFields(NamedTuple):
     q: int
     r: int
     w: int
     v: int
-    vacuous: frozenset[str] = field(default_factory=frozenset)
-    trace: dict = field(default_factory=dict, compare=False, hash=False)
+    vacuous: frozenset[str]
+    trace: dict
+
+
+class LocalParamSolution(_LocalParamFields):
+    """Non-negative integer tuple (Q, R, W, V) satisfying all five relations
+    with the edge/non-edge identification R = R', W = W'.  Equality and the
+    hash leave out ``trace``, which records how the tuple was found."""
+
+    __slots__ = ()
+
+    def __new__(cls, q: int, r: int, w: int, v: int, vacuous: frozenset[str] = frozenset(),
+                trace: Optional[dict] = None):
+        return tuple.__new__(cls, (q, r, w, v, vacuous, {} if trace is None else trace))
+
+    def __eq__(self, other):
+        if not isinstance(other, LocalParamSolution):
+            return NotImplemented
+        return self[:5] == other[:5]
+
+    # tuple's own __ne__ would compare trace too.
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.q, self.r, self.w, self.v)
@@ -289,8 +309,7 @@ def even_m_candidates(m: int, family: str) -> LocalParamSolution:
 # Certificates
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One replayable derivation step: its kind, a description of the
     argument, the data that the kind's rule reads, and the verdict.
 
@@ -438,8 +457,7 @@ SOLUTION = "SOLUTION"
 DEGENERATE = "DEGENERATE"
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """Verdict and derivation trace for one family index."""
 
     index: int
@@ -471,8 +489,7 @@ class Instance:
         )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     claim: str
     indices: tuple[int, ...]
     instances: tuple[Instance, ...]
@@ -916,8 +933,7 @@ def claim_holds(cert: Certificate) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ReplayResult:
+class ReplayResult(NamedTuple):
     ok: bool
     mismatches: tuple[str, ...]
 

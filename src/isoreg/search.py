@@ -67,11 +67,10 @@ deduplication, so output is independent of worker count and scheduling.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, product
 from math import comb, isqrt
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graphs import Graph, complement
 from .isomorphism import invariant_fingerprint, is_isomorphic
@@ -140,8 +139,7 @@ def _diff_vector(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask & _rotate(mask, d, n)).bit_count() for d in range(1, n))
 
 
-@dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(NamedTuple):
     """Parameters of a bicirculant symbol search."""
 
     n: int
@@ -156,8 +154,7 @@ class SearchSpec:
     use_pruning: bool = True
 
 
-@dataclass(frozen=True)
-class Survivor:
+class Survivor(NamedTuple):
     symbol: Symbol
     params: SrgParams
     profile: Optional[tuple[int, int, int, int]]
@@ -176,8 +173,7 @@ class Survivor:
         }
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     candidates: int
     srg: int
     nontrivial_srg: int
@@ -198,8 +194,7 @@ class SearchStats:
         }
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     survivors: tuple[Survivor, ...]
     class_reps: tuple[int, ...]
     stats: SearchStats
@@ -538,16 +533,11 @@ def _finish(
                 assigned = len(reps)
                 reps.append((s.params.as_tuple(), fp, g, assigned))
                 class_reps.append(i)
-            filled.append(
-                Survivor(s.symbol, s.params, s.profile, encode_graph6(g), s.iso3, assigned)
-            )
+            filled.append(s._replace(graph6=encode_graph6(g), class_id=assigned))
         complement_classes = _complement_class_count([r[2] for r in reps])
         classes = len(reps)
     else:
-        filled = [
-            Survivor(s.symbol, s.params, s.profile, encode_graph6(g), s.iso3, -1)
-            for s, g in zip(survivors, graphs)
-        ]
+        filled = [s._replace(graph6=encode_graph6(g)) for s, g in zip(survivors, graphs)]
         classes = None
         complement_classes = None
     stats = SearchStats(candidates, *counts, len(filled), classes, complement_classes)
@@ -644,8 +634,7 @@ def search_tricirculant_srg(
 # Twice-odd-order confirmation runs
 
 
-@dataclass(frozen=True)
-class OddRunResult:
+class OddRunResult(NamedTuple):
     """Full bicirculant enumeration at odd modulus plus the structural facts
     the twice-odd-order theory predicts for the nontrivial survivors."""
 
@@ -655,7 +644,7 @@ class OddRunResult:
     locally_iso3_classes: int
     family_index: Optional[int]
     structure_ok: bool
-    structure_failures: tuple[str, ...] = field(default_factory=tuple)
+    structure_failures: tuple[str, ...] = ()
 
 
 def _family_index_for(n: int) -> Optional[int]:

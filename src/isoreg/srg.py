@@ -13,9 +13,8 @@ point anywhere, so conference graphs and certificate replays stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import Graph, bits_to_vertices
 
@@ -198,8 +197,7 @@ class Surd:
     __repr__ = __str__
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(NamedTuple):
     """Strongly regular graph parameters (n, k, lambda, mu)."""
 
     n: int

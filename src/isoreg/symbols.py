@@ -14,8 +14,7 @@ deterministic and suitable for golden files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graphs import MAX_VERTICES, Graph
 
@@ -30,19 +29,24 @@ _LAYOUT = {
 }
 
 
-@dataclass(frozen=True)
-class Symbol:
+# Symbol's fields; Symbol validates them in __new__, which a NamedTuple
+# class body may not define.
+class _SymbolFields(NamedTuple):
+    n: int
+    diagonals: tuple[frozenset[int], ...]
+    connections: tuple[frozenset[int], ...]
+
+
+class Symbol(_SymbolFields):
     """Residue data of an n-multicirculant on r = 1, 2 or 3 orbits: a
     symmetric diagonal set per orbit and a connection set per orbit pair of
     ``_LAYOUT[r]``.  A bicirculant [S, Sp, T] has diagonals (S, Sp) and
     connections (T,)."""
 
-    n: int
-    diagonals: tuple[frozenset[int], ...]
-    connections: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __init__(self, n: int, diagonals: Iterable[Iterable[int]],
-                 connections: Iterable[Iterable[int]] = ()):
+    def __new__(cls, n: int, diagonals: Iterable[Iterable[int]],
+                connections: Iterable[Iterable[int]] = ()):
         if n < 2:
             raise ValueError("modulus must be at least 2")
         diagonals = tuple([frozenset(v % n for v in s) for s in diagonals])
@@ -56,9 +60,12 @@ class Symbol:
             bad = {v for v in s if (-v) % n not in s}
             if bad:
                 raise ValueError(f"{name} is not closed under negation mod {n}: {sorted(bad)}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "diagonals", diagonals)
-        object.__setattr__(self, "connections", connections)
+        return tuple.__new__(cls, (n, diagonals, connections))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Symbol":
+        """Validate, as the constructor does; ``_replace`` builds through here."""
+        return cls(*fields)
 
     # The bicirculant names of the sets.
     s = property(lambda self: self.diagonals[0])

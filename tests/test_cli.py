@@ -677,3 +677,53 @@ def test_malformed_graph_input_error_texts(capsys, argv, message):
     # Only a tag that names no graph gets the list of known tags.
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class _ShortWrites:
+    """A stdout whose byte layer takes at most 7 bytes a write, as a raw
+    pipe may; the text layer must not be used."""
+
+    encoding = "ascii"
+    errors = "strict"
+
+    def __init__(self):
+        self.data = bytearray()
+        self.buffer = self
+
+    def write(self, data):
+        if isinstance(data, str):
+            raise AssertionError("text written past the byte layer")
+        self.data += data[:7]
+        return min(len(data), 7)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv", [("build", "c5", "--format", "json"), ("search", "bicirc-odd", "--n", "5")], ids=" ".join
+)
+def test_short_writes_are_retried(capsys, monkeypatch, argv):
+    want = run_cli(capsys, *argv)
+    stdout = _ShortWrites()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(list(argv))
+    assert (code, stdout.data.decode(), capsys.readouterr().err) == want
+
+
+def test_unbuffered_stdout_closed_early_is_input_error():
+    # With PYTHONUNBUFFERED the text layer writes straight to the pipe, and a
+    # reader that takes one byte and goes cuts the first write short.  The
+    # report is far larger than a pipe buffer, so the rest cannot be written.
+    src = os.path.dirname(os.path.dirname(isoreg.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "isoreg.cli", "certify", "bicirc-odd", "--range", "2..200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": "1"},
+    )
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (
+        2, b"error: stdout was closed before the output was written\n")

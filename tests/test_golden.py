@@ -15,7 +15,8 @@ edge-parameter solver walked one arithmetic progression in R; they pin the
 certificate bytes, solver oracle included.  The REPORTS and REPLAYS digests
 were recorded from the code that wrote every indented report with
 json.dumps(sort_keys=True, indent=2), before one list-append emitter wrote
-them all.
+them all, except the two "params solve 16" reports, recorded from the code
+before the value classes became NamedTuples.
 """
 
 import hashlib
@@ -103,6 +104,12 @@ REPORTS = {
     # No solution: "solutions" is an empty list.
     "params solve 50 21 8 9": (
         0, "802b6af8323dc4ad5d66613f80143df2204a686f58768d76a9a36a292a62dcf0"),
+    # Solutions with an empty "trace" object.
+    "params solve 16 6 2 2": (
+        0, "7893254d9227161c4e322c3aface1e6078c5ab1eb56bcf5ca36e256b36b3d4fc"),
+    # lambda = 0, so Q is vacuous.
+    "params solve 16 5 0 2": (
+        0, "b5d7f25314fd1201a2c29dd49da30a291d6bfbd2f9a5eabd1ef69d0041a2824d"),
     "families thm22 --max 10": (
         0, "e8a1bff43db503c3f8b1775d2b6a8e182007821abc78096f864e55e9ee4b795e"),
     "families lm93 --max 10": (

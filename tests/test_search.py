@@ -65,10 +65,8 @@ def test_pruning_soundness_full_n5():
 def test_pruning_soundness_on_restricted_sizes(spec):
     # Only masks of the allowed sizes are built, S' of sizes n-1-s under
     # sp_is_complement; both paths still agree on survivors and counters.
-    from dataclasses import replace
-
     pruned = search_bicirculant(spec)
-    unpruned = search_bicirculant(replace(spec, use_pruning=False))
+    unpruned = search_bicirculant(spec._replace(use_pruning=False))
     assert [s.symbol.key() for s in pruned.survivors] == [
         s.symbol.key() for s in unpruned.survivors
     ]
@@ -315,25 +313,23 @@ def _bicirc_specs(n):
     S-hat size combination, every parameter set the space contains as a
     target, and each of those with lambda + 1, a target that the strongly
     regular graphs of its valency miss."""
-    from dataclasses import replace
-
     from conftest import reference_bicirc_run
 
     sizes = sorted({len(s) for s in symmetric_subsets(n)})
     base = SearchSpec(n=n, nontrivial_only=False)
-    specs = [base, replace(base, sp_is_complement=True), SearchSpec(n=n, require_iso3=True)]
-    specs += [replace(base, s_size=a) for a in sizes]
-    specs += [replace(base, sp_size=a) for a in sizes]
-    specs += [replace(base, t_size=b) for b in range(n + 1)]
+    specs = [base, base._replace(sp_is_complement=True), SearchSpec(n=n, require_iso3=True)]
+    specs += [base._replace(s_size=a) for a in sizes]
+    specs += [base._replace(sp_size=a) for a in sizes]
+    specs += [base._replace(t_size=b) for b in range(n + 1)]
     specs += [
-        replace(base, sp_is_complement=True, s_size=a, t_size=b)
+        base._replace(sp_is_complement=True, s_size=a, t_size=b)
         for a in sizes
         for b in range(n + 1)
     ]
     targets = sorted({params for _, params, _, _ in reference_bicirc_run(base)[1]})
     targets += [(v, k, lam + 1, mu) for v, k, lam, mu in targets]
-    specs += [replace(base, target=SrgParams(*t)) for t in targets]
-    specs += [replace(base, target=SrgParams(*t), sp_is_complement=True) for t in targets]
+    specs += [base._replace(target=SrgParams(*t)) for t in targets]
+    specs += [base._replace(target=SrgParams(*t), sp_is_complement=True) for t in targets]
     return specs
 
 
@@ -344,13 +340,11 @@ def test_bicirc_worker_matches_reference(n):
     # every space.  At n = 8 an unpruned run judges every symbol of its
     # space, so only the full space, which contains all the others, also
     # runs unpruned.
-    from dataclasses import replace
-
     from conftest import reference_bicirc_run
 
     for i, spec in enumerate(_bicirc_specs(n)):
         for use_pruning in (True, False) if n < 8 or i == 0 else (True,):
-            spec = replace(spec, use_pruning=use_pruning, dedup=False)
+            spec = spec._replace(use_pruning=use_pruning, dedup=False)
             candidates, records, counts = reference_bicirc_run(spec)
             result = search_bicirculant(spec)
             got = [
