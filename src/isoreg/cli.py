@@ -250,7 +250,7 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    jobs = args.jobs
+    jobs = _env_jobs() if args.jobs is None else args.jobs
     if jobs < 1:
         raise InputError(f"--jobs must be an integer >= 1, got {jobs}")
     # Flags that shape the bicirculant space only; another mode would ignore
@@ -258,7 +258,7 @@ def _cmd_search(args) -> int:
     flags = {"--iso3": args.iso3, "--s-size": args.s_size, "--sp-size": args.sp_size,
              "--t-size": args.t_size, "--sp-complement": args.sp_complement}
     if args.mode == "bicirc-odd":
-        flags.update({"--params": args.params, "--no-prune": args.no_prune})
+        flags["--params"] = args.params
     given = [flag for flag, value in flags.items() if value is not None and value is not False]
     if args.mode != "bicirc" and given:
         raise InputError(f"search {args.mode} does not take {', '.join(given)}")
@@ -273,15 +273,12 @@ def _cmd_search(args) -> int:
             t_size=args.t_size,
             sp_is_complement=args.sp_complement,
             require_iso3=args.iso3,
-            use_pruning=not args.no_prune,
         )
         result = search_bicirculant(spec, jobs=jobs)
     elif args.mode == "tricirc":
         if args.params is None:
             raise InputError("tricirculant search needs --params")
-        result = search_tricirculant_srg(
-            args.n, _parse_params(args.params, args.n), jobs=jobs, use_pruning=not args.no_prune
-        )
+        result = search_tricirculant_srg(args.n, _parse_params(args.params, args.n), jobs=jobs)
     elif args.mode == "bicirc-odd":
         run = confirm_nonexistence_bicirc_odd(args.n, jobs=jobs)
         result = run.result
@@ -321,12 +318,16 @@ def _cmd_families(args) -> int:
         for s in range(-args.max, args.max + 1):
             f1, f2 = tricirc_families(s)
             rows.append({"s": s, "families": [f1.to_json(), f2.to_json()]})
+    # A table of no row would exit 0 as if a table had been asked for.
+    if not rows:
+        raise InputError(f"--max {args.max} gives no {args.family} row")
     _emit({"family": args.family, "rows": rows}, args.out)
     return 0
 
 
-def _default_jobs() -> int:
-    """Worker count from ISOREG_JOBS, an integer >= 1; 1 when unset."""
+def _env_jobs() -> int:
+    """Worker count from ISOREG_JOBS, an integer >= 1; 1 when unset.  Read
+    only by a search that is not given --jobs."""
     text = os.environ.get("ISOREG_JOBS", "1")
     try:
         jobs = int(text)
@@ -343,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Strongly regular multicirculants: construction, "
         "3-isoregularity checks, certificates, exhaustive searches.",
     )
-    default_jobs = _default_jobs()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="construct a graph and write it out")
@@ -390,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--sp-size", type=int)
     p_search.add_argument("--t-size", type=int)
     p_search.add_argument("--sp-complement", action="store_true")
-    p_search.add_argument("--no-prune", action="store_true")
-    p_search.add_argument("--jobs", type=int, default=default_jobs)
+    p_search.add_argument("--jobs", type=int, help="worker count (default ISOREG_JOBS, else 1)")
     p_search.set_defaults(fn=_cmd_search)
 
     p_fam = sub.add_parser("families", help="parameter family tables")

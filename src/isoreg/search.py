@@ -4,13 +4,13 @@ multicirculants, with sound pruning and isomorphism deduplication.
 The joins never drop a strongly regular candidate: the equations they solve
 are necessary conditions for strong regularity (within-orbit common-neighbor
 counts are determined by set difference multisets), and 3-isoregular graphs
-are always strongly regular.  A ``--no-prune`` run reports identical classes.
+are always strongly regular.
 
-Bicirculant search (``_bicirc_worker``, the default path).  In [S, S', T]
-write dX(d) = |X & (X+d)| and A_T(d) = |T & (T+d)| for d = 1..n-1.  Vertices
-u_i and u_{i+d} have dS(d) + A_T(d) common neighbors and w_i and w_{i+d}
-have dS'(d) + A_T(d), so a strongly regular graph with parameters lambda,
-mu has A_T = lambda*1_S + mu*1_Shat - dS = lambda*1_S' + mu*1_S'hat - dS'.
+Bicirculant search (``_bicirc_worker``).  In [S, S', T] write dX(d) =
+|X & (X+d)| and A_T(d) = |T & (T+d)| for d = 1..n-1.  Vertices u_i and
+u_{i+d} have dS(d) + A_T(d) common neighbors and w_i and w_{i+d} have
+dS'(d) + A_T(d), so a strongly regular graph with parameters lambda, mu has
+A_T = lambda*1_S + mu*1_Shat - dS = lambda*1_S' + mu*1_S'hat - dS'.
 
 - Join: ``_join_keys`` keys each allowed mask X, s = |X|, by (s, t, lambda,
   mu, A_T) for every allowed t and every lambda, mu that keep A_T within
@@ -30,27 +30,18 @@ mu has A_T = lambda*1_S + mu*1_Shat - dS = lambda*1_S' + mu*1_S'hat - dS'.
 - Each (S, S', T) found is judged once (a ``seen`` set guards it); shards
   take every stride-th allowed S.
 
-Tricirculant search (``_tricirc_worker``, the default path).  The same
-reduction on three orbits: with D_a = lambda*1_{S_a} + mu*1_{S_a-hat} -
-dS_a, the connection of orbits a, b (c the third) has A_T = (D_a + D_b -
-D_c)/2 and |T| = (k - |S_a| - |S_b| + |S_c|)/2, so each diagonal triple
-fixes every connection's size and autocorrelation, and ``_t_solutions``
-(memoised per shard on (t, A_T)) gives the connections.  Shards take every
-stride-th S0.
-
-``--no-prune`` runs ``_multicirc_worker``, the plain product over r = 2 or 3
-orbits: it walks the tuples of connections grouped by their bit counts,
-skips a count tuple when no common degree k leaves every orbit a diagonal
-size that exists, and judges every member of the product of the diagonal
-masks of those sizes; shards take every stride-th mask of the first
-connection.
+Tricirculant search (``_tricirc_worker``).  The same reduction on three
+orbits: with D_a = lambda*1_{S_a} + mu*1_{S_a-hat} - dS_a, the connection
+of orbits a, b (c the third) has A_T = (D_a + D_b - D_c)/2 and |T| = (k -
+|S_a| - |S_b| + |S_c|)/2, so each diagonal triple fixes every connection's
+size and autocorrelation, and ``_t_solutions`` (memoised per shard on (t,
+A_T)) gives the connections.  Shards take every stride-th S0.
 
 The candidate counts are taken in closed form from the allowed sizes
 (C((n-1)//2, s//2) symmetric sets of size s, none when n and s are both odd)
 and checked against ``CANDIDATE_CAP`` before any mask list is built; then
-the bicirculant search builds only masks of the allowed sizes: S' of sizes
-n-1-s under ``--sp-complement``, and T of the allowed t under
-``--no-prune``.
+the bicirculant search builds only masks of the allowed sizes, S' of sizes
+n-1-s under ``--sp-complement``.
 
 Every worker ends in ``_judge``, which takes a candidate as masks: it tests
 it on its row blocks (``block_srg_params`` on ``row_blocks``, one vertex per
@@ -86,8 +77,13 @@ TRICIRC_ORDER_CAP = 40
 
 
 class SearchCapError(ValueError):
-    def __init__(self, message: str, estimate: int):
-        super().__init__(f"{message} (estimated {estimate} candidates)")
+    """A search refused for its size; estimate is the candidate count, when
+    one was taken."""
+
+    def __init__(self, message: str, estimate: Optional[int] = None):
+        if estimate is not None:
+            message += f" (estimated {estimate} candidates)"
+        super().__init__(message)
         self.estimate = estimate
 
 
@@ -151,7 +147,6 @@ class SearchSpec(NamedTuple):
     require_iso3: bool = False
     dedup: bool = True
     nontrivial_only: bool = True
-    use_pruning: bool = True
 
 
 class Survivor(NamedTuple):
@@ -241,53 +236,6 @@ def _judge(rule: tuple, diags, conns, negs, records: list, counts: list[int]) ->
     # (K3, K1,2, K2+K1, 3K1) with vacuous types reported as 0.
     profile = (vals[3] or 0, vals[2] or 0, vals[1] or 0, vals[0] or 0) if iso3 else None
     records.append((sym.key(), p.as_tuple(), profile, iso3))
-
-
-def _by_count(masks) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for m in masks:
-        out.setdefault(m.bit_count(), []).append(m)
-    return out
-
-
-def _multicirc_worker(args) -> tuple[list, list[int]]:
-    """One shard of the plain (``--no-prune``) r-orbit product, r = 2 or 3;
-    returns records and counter deltas.  diag_masks[a] holds the allowed
-    diagonal masks of orbit a and conn_masks[c] those of connection c; the
-    shard takes every stride-th mask of connection 0 in each bit-count
-    group.  sp_is_complement keeps only the members with S' = S-hat
-    (bicirculant orbits 0 and 1).  Every member of the product is judged."""
-    diag_masks, conn_masks, sp_is_complement, rule, shard, stride = args
-    n, target = rule[0], rule[1]
-    r = len(diag_masks)
-    # The connections touching each orbit.
-    incident = [[c for c, pair in enumerate(_LAYOUT[r][2]) if a in pair] for a in range(r)]
-    full = (1 << n) - 1
-    diag_by_size = [_by_count(masks) for masks in diag_masks]
-    conn_by_count = [_by_count(masks) for masks in conn_masks]
-    records: list = []
-    counts = [0, 0, 0]
-    for conn_counts in product(*(sorted(groups) for groups in conn_by_count)):
-        # A count tuple needs a common degree k that leaves every orbit a
-        # diagonal size that exists.
-        inc = [sum(conn_counts[c] for c in incident[a]) for a in range(r)]
-        degrees = [target[1]] if target else {sz + inc[0] for sz in diag_by_size[0]}
-        degrees = [k for k in degrees if all(k - inc[a] in diag_by_size[a] for a in range(r))]
-        if not degrees:
-            continue
-        groups = [conn_by_count[c][cnt] for c, cnt in enumerate(conn_counts)]
-        groups[0] = groups[0][shard::stride]
-        # Kept for one count group only, so a bicirculant run never holds
-        # the negations of every T.
-        conn_neg = {m: negated_mask(m, n) for m in set().union(*groups)}
-        for conns in product(*groups):
-            negs = [conn_neg[m] for m in conns]
-            for k in degrees:
-                for diags in product(*(diag_by_size[a][k - inc[a]] for a in range(r))):
-                    if sp_is_complement and diags[1] != full & ~diags[0] & ~1:
-                        continue
-                    _judge(rule, diags, conns, negs, records, counts)
-    return records, counts
 
 
 def _t_solutions(n: int, t: int, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -452,7 +400,7 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     if n < 2:
         raise ValueError("modulus must be at least 2")
     if spec.require_iso3 and 2 * n > ISO3_ORDER_CAP:
-        raise SearchCapError(f"2n = {2 * n} above the 3-isoregularity cap {ISO3_ORDER_CAP}", 0)
+        raise SearchCapError(f"2n = {2 * n} above the 3-isoregularity cap {ISO3_ORDER_CAP}")
     if spec.target is not None and spec.target.n != 2 * n:
         raise ValueError(f"target order {spec.target.n} is not 2n = {2 * n}")
     if spec.sp_is_complement and spec.sp_size is not None:
@@ -480,14 +428,8 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
 
     rule = (n, spec.target.as_tuple() if spec.target else None, bicirculant, True,
             spec.require_iso3, spec.nontrivial_only)
-    if spec.use_pruning:
-        worker = _bicirc_worker
-        args = (s_masks, sp_masks, t_sizes, spec.sp_is_complement, rule)
-    else:
-        t_masks = [sum(1 << i for i in c) for b in t_sizes for c in combinations(range(n), b)]
-        worker = _multicirc_worker
-        args = ((s_masks, sp_masks), (t_masks,), spec.sp_is_complement, rule)
-    survivors, counts = _run_shards(worker, args, jobs, 2)
+    args = (s_masks, sp_masks, t_sizes, spec.sp_is_complement, rule)
+    survivors, counts = _run_shards(_bicirc_worker, args, jobs, 2)
     return _finish(survivors, candidates, counts, spec.dedup)
 
 
@@ -598,16 +540,13 @@ def _tricirc_worker(args) -> tuple[list, list[int]]:
     return records, counts
 
 
-def search_tricirculant_srg(
-    n: int, target: SrgParams, jobs: int = 1, use_pruning: bool = True
-) -> SearchResult:
+def search_tricirculant_srg(n: int, target: SrgParams, jobs: int = 1) -> SearchResult:
     """Exhaustive tricirculant symbol search for a target parameter set: the
-    join solves the connections from the diagonals (``_tricirc_worker``),
-    and with use_pruning off every symbol is judged (``_multicirc_worker``)."""
+    join solves the connections from the diagonals (``_tricirc_worker``)."""
     if n < 2:
         raise ValueError("modulus must be at least 2")
     if 3 * n > TRICIRC_ORDER_CAP:
-        raise SearchCapError(f"3n = {3 * n} above the tricirculant cap {TRICIRC_ORDER_CAP}", 0)
+        raise SearchCapError(f"3n = {3 * n} above the tricirculant cap {TRICIRC_ORDER_CAP}")
     if target.n != 3 * n:
         raise ValueError(f"target order {target.n} is not 3n = {3 * n}")
     # Connections of sizes c01, c12, c20 leave the diagonals k - c01 - c20,
@@ -622,11 +561,7 @@ def search_tricirculant_srg(
         raise SearchCapError("tricirculant space too large", candidates)
     sym_masks = _symmetric_masks(n)
     rule = (n, target.as_tuple(), tricirculant, False, False, True)
-    if use_pruning:
-        worker, args = _tricirc_worker, (sym_masks, rule)
-    else:
-        worker, args = _multicirc_worker, ((sym_masks,) * 3, (range(1 << n),) * 3, False, rule)
-    survivors, counts = _run_shards(worker, args, jobs, 3)
+    survivors, counts = _run_shards(_tricirc_worker, (sym_masks, rule), jobs, 3)
     return _finish(survivors, candidates, counts, True)
 
 

@@ -195,14 +195,24 @@ def parse_symbol(text: str) -> Symbol:
       tri:n=5;S0=1,-1;S1=;S2=;T01=0;T12=0;T20=0
     """
     kind, _, body = text.partition(":")
+    for r, (layout_kind, names, _) in _LAYOUT.items():
+        if layout_kind == kind:
+            break
+    else:
+        raise ValueError(f"unknown symbol kind {kind!r}")
     fields: dict[str, str] = {}
     for part in body.split(";"):
         if not part:
             continue
         key, eq, val = part.partition("=")
+        key = key.strip()
         if not eq:
             raise ValueError(f"malformed symbol field {part!r}")
-        fields[key.strip()] = val.strip()
+        if key != "n" and key not in names:
+            raise ValueError(f"{kind} symbol has no field {key!r}")
+        if key in fields:
+            raise ValueError(f"field {key!r} given twice")
+        fields[key] = val.strip()
 
     def ints(key: str) -> list[int]:
         if key not in fields:
@@ -220,8 +230,5 @@ def parse_symbol(text: str) -> Symbol:
     except (KeyError, ValueError) as exc:
         raise ValueError("symbol text missing integer field n") from exc
 
-    for r, (layout_kind, names, _) in _LAYOUT.items():
-        if layout_kind == kind:
-            sets = [ints(name) for name in names]
-            return Symbol(n, sets[:r], sets[r:])
-    raise ValueError(f"unknown symbol kind {kind!r}")
+    sets = [ints(name) for name in names]
+    return Symbol(n, sets[:r], sets[r:])

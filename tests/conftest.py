@@ -652,9 +652,10 @@ def reference_t_solutions(n: int, t: int, a: tuple[int, ...]) -> tuple[int, ...]
     return tuple(sorted(found))
 
 
-def reference_bicirc_run(spec):
+def reference_bicirc_run(spec, use_pruning=True):
     """The bicirculant search's candidate count, sorted records and counters
-    as the reference worker computes them for a SearchSpec."""
+    as the reference worker computes them for a SearchSpec, with its diagonal
+    pruning or, with use_pruning off, as the plain product."""
     from isoreg.search import _symmetric_masks
 
     n = spec.n
@@ -669,7 +670,7 @@ def reference_bicirc_run(spec):
     target = spec.target.as_tuple() if spec.target else None
     records, counts = reference_bicirc_worker(
         (n, target, s_masks, sp_masks, t_masks, spec.sp_is_complement, spec.require_iso3,
-         spec.nontrivial_only, spec.use_pruning, 0, 1)
+         spec.nontrivial_only, use_pruning, 0, 1)
     )
     return len(s_masks) * sp_count * len(t_masks), sorted(records), counts
 

@@ -167,14 +167,20 @@ def test_search_tricirc_cli(capsys):
 
 
 def test_jobs_env_default(capsys, monkeypatch):
-    from isoreg.cli import build_parser
+    # The worker count a search runs with: ISOREG_JOBS without --jobs, the
+    # flag over the variable (which is then not read), else 1.
+    import isoreg.cli as cli
 
+    search, seen = cli.search_bicirculant, []
+    monkeypatch.setattr(cli, "search_bicirculant",
+                        lambda spec, jobs: seen.append(jobs) or search(spec, jobs=1))
     monkeypatch.setenv("ISOREG_JOBS", "3")
-    args = build_parser().parse_args(["search", "bicirc", "--n", "5"])
-    assert args.jobs == 3
+    assert run_cli(capsys, "search", "bicirc", "--n", "5")[0] == 0
+    monkeypatch.setenv("ISOREG_JOBS", "abc")
+    assert run_cli(capsys, "search", "bicirc", "--n", "5", "--jobs", "2")[0] == 0
     monkeypatch.delenv("ISOREG_JOBS")
-    args = build_parser().parse_args(["search", "bicirc", "--n", "5"])
-    assert args.jobs == 1
+    assert run_cli(capsys, "search", "bicirc", "--n", "5")[0] == 0
+    assert seen == [3, 2, 1]
 
 
 def test_bad_jobs_env_is_usage_error(capsys, monkeypatch):
@@ -183,6 +189,14 @@ def test_bad_jobs_env_is_usage_error(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "search", "bicirc", "--n", "5")
         assert code == 2 and out == ""
         assert err.startswith("error: ISOREG_JOBS must be an integer >= 1")
+
+
+@pytest.mark.parametrize("argv", [("check", "srg", "petersen"), ("build", "c5")], ids=" ".join)
+def test_bad_jobs_env_is_not_read_outside_search(capsys, monkeypatch, argv):
+    want = run_cli(capsys, *argv)
+    assert want[0] == 0
+    monkeypatch.setenv("ISOREG_JOBS", "abc")
+    assert run_cli(capsys, *argv) == want
 
 
 def test_check_local3_vertex_out_of_range(capsys):
@@ -198,6 +212,18 @@ def test_search_cap_is_usage_error(capsys):
     assert code == 2 and "candidates" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("search tricirc --n 14 --params 42,10,3,2", "3n = 42 above the tricirculant cap 40"),
+        ("search bicirc --n 33 --iso3", "2n = 66 above the 3-isoregularity cap 64"),
+    ],
+)
+def test_order_cap_error_claims_no_estimate(capsys, argv, message):
+    # The order caps are checked before any candidate count is taken.
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
 def test_output_deterministic_across_runs_and_jobs(capsys):
     _, out1, _ = run_cli(capsys, "search", "bicirc", "--n", "8", "--params", "16,5,0,2")
     _, out2, _ = run_cli(capsys, "search", "bicirc", "--n", "8", "--params", "16,5,0,2")
@@ -209,6 +235,13 @@ def test_output_deterministic_across_runs_and_jobs(capsys):
     _, c1, _ = run_cli(capsys, "check", "isoreg", "k4xk4")
     _, c2, _ = run_cli(capsys, "check", "isoreg", "k4xk4")
     assert c1 == c2
+
+
+@pytest.mark.parametrize("family, top", [("thm22", "0"), ("lm93", "0"), ("tri", "-3")])
+def test_families_without_row_is_usage_error(capsys, family, top):
+    # A table of no row would exit 0 as if a table had been asked for.
+    code, out, err = run_cli(capsys, "families", family, f"--max={top}")
+    assert (code, out, err) == (2, "", f"error: --max {top} gives no {family} row\n")
 
 
 def test_families_tables(capsys):
@@ -493,8 +526,7 @@ def test_search_modulus_below_two_is_usage_error(capsys, argv):
     assert (code, out) == (2, "") and "modulus must be at least 2" in err
 
 
-@pytest.mark.parametrize("extra", [(), ("--no-prune",)], ids=["pruned", "no-prune"])
-def test_search_one_symbol_space_builds_no_full_mask_list(extra):
+def test_search_one_symbol_space_builds_no_full_mask_list():
     # One candidate at n = 60: the cap is checked on closed-form counts and
     # only masks of the requested sizes are built, never the 2^30 symmetric
     # masks or the 2^60 T masks.  The child runs under a 1 GiB address-space
@@ -507,7 +539,7 @@ def test_search_one_symbol_space_builds_no_full_mask_list(extra):
     )
     argv = ["search", "bicirc", "--n", "60", "--s-size", "0", "--sp-size", "0", "--t-size", "0"]
     proc = subprocess.run(
-        [sys.executable, "-c", code, *argv, *extra],
+        [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
@@ -535,7 +567,6 @@ _MODE_ARGS = {"tricirc": ("--n", "3", "--params", "9,4,1,2"), "bicirc-odd": ("--
         ("tricirc", ("--t-size", "1")),
         ("tricirc", ("--sp-complement",)),
         ("bicirc-odd", ("--params", "10,3,0,1")),
-        ("bicirc-odd", ("--no-prune",)),
         ("bicirc-odd", ("--iso3",)),
         ("bicirc-odd", ("--t-size", "0")),
     ],
@@ -669,9 +700,11 @@ def test_closed_stdout_is_input_error(capsys, monkeypatch, argv, fail_on):
     "argv, message",
     [
         (("build", "circ:n=x;S=1"), "malformed symbol: symbol text missing integer field n"),
+        (("build", "circ:n=5;S=1,4;T=1,2"), "malformed symbol: circ symbol has no field 'T'"),
+        (("build", "bi:n=5;S=1,4;Sp=2,3;T=0;S=2,3"), "malformed symbol: field 'S' given twice"),
         (("check", "srg", "paley-x"), "malformed paley tag 'paley-x'"),
     ],
-    ids=["malformed-symbol", "malformed-paley-tag"],
+    ids=["malformed-symbol", "field-of-another-kind", "repeated-field", "malformed-paley-tag"],
 )
 def test_malformed_graph_input_error_texts(capsys, argv, message):
     # Only a tag that names no graph gets the list of known tags.
@@ -727,3 +760,40 @@ def test_unbuffered_stdout_closed_early_is_input_error():
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (
         2, b"error: stdout was closed before the output was written\n")
+
+
+def test_removed_no_prune_flag_is_usage_error():
+    # --no-prune selected a second search path; both searches now have one.
+    src = os.path.dirname(os.path.dirname(isoreg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isoreg.cli", "search", "bicirc", "--n", "5", "--no-prune"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "unrecognized arguments: --no-prune" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _readme_commands():
+    """Every ``isoreg`` command of README's command block and every inline
+    ``isoreg ...`` code span, as argument lists; a pipe ends a command."""
+    import re
+    import shlex
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("isoreg ")]
+    lines += [" ".join(span.split()) for span in re.findall(r"`(isoreg [^`]*)`", text)]
+    return [shlex.split(line.split(" | ")[0], comments=True)[1:] for line in lines]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_parse(argv):
+    # The documented commands are parsed, not run, so a stale flag fails here.
+    from isoreg.cli import build_parser
+
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README command does not parse: isoreg {' '.join(argv)}")

@@ -2,13 +2,14 @@
 certificates, the other JSON reports and replay.
 
 The digests were recorded from the code before the search, triple-kernel,
-solver and builder merges (the bicirc --params, --sp-complement, --sp-size and
---no-prune runs before the two search workers became one; the bicirc n = 11,
-12 and 13 runs before the default bicirculant path solved T from its
-autocorrelation; the tricirc n = 7 run and the n = 5 --no-prune run before
-the tricirculant search solved its connections from their autocorrelations
-and --no-prune became the plain product); any change to the bytes these
-commands print fails here.
+solver and builder merges (the bicirc --params, --sp-complement and --sp-size
+runs, and "bicirc --n 6" and "tricirc --n 3" with --no-prune, before the two
+search workers became one; the bicirc n = 11, 12 and 13 runs before the
+default bicirculant path solved T from its autocorrelation; the tricirc n = 7
+run before the tricirculant search solved its connections from their
+autocorrelations).  --no-prune ran the plain product of every symbol; that
+path and the flag are gone, and the join prints the same bytes for those two
+runs.  Any change to the bytes these commands print fails here.
 Each search runs at --jobs 1 and --jobs 2.  The certificate digests were
 recorded from the code that scanned every R in 0..lambda, before the
 edge-parameter solver walked one arithmetic progression in R; they pin the
@@ -33,9 +34,7 @@ SEARCHES = {
         0, "325ff997837a35758d3f1570ec33e991f669755e3db688e5c85a05fb01509010"),
     "search tricirc --n 7 --params 21,10,5,4": (
         0, "0c5de22041d464f7bab1157de1aecb1509dedbbf44069013440af96567f5732a"),
-    "search tricirc --n 5 --params 15,6,1,3 --no-prune": (
-        0, "a02c7a9c2975f5c49f6da620fd3f91c9e6ec221cc196c5e796bd625de6ac31ac"),
-    "search tricirc --n 3 --params 9,4,1,2 --no-prune": (
+    "search tricirc --n 3 --params 9,4,1,2": (
         0, "889e260485b62ffaa3610b21a2ec5d7c3f75065bd2e6804ffafb1742fa08d4f4"),
     "search bicirc --n 8": (
         0, "2c46ca6affd41b8b611ef645c3e3c83213dd1c0cfa7b02294659904766496f1f"),
@@ -49,7 +48,7 @@ SEARCHES = {
         0, "f2e792493ad0759e3e1dcab3a0143340e794b41421be8645a10d506ecd4efec0"),
     "search bicirc --n 8 --sp-size 3": (
         0, "5badaf60e497974809432430518e14ec371bb4758de6deab483099dc290b7b88"),
-    "search bicirc --n 6 --no-prune": (
+    "search bicirc --n 6": (
         0, "dff9c191a9ed79d56778d4b987f7fd55ad77a98eedd585a78fbfb8ed62d7774f"),
     "search bicirc --n 11": (
         0, "dc8ea72dec920fa52cbce0a57af75a040186b6c85a03fc5196d0374abb198948"),

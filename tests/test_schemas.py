@@ -125,7 +125,7 @@ def test_validator_rejects_each_kind_of_fault():
     [
         "search bicirc --n 5",
         "search bicirc --n 5 --iso3",
-        "search bicirc --n 6 --s-size 2 --no-prune",
+        "search bicirc --n 6 --s-size 2",
         "search tricirc --n 3 --params 9,4,1,2",
         "search bicirc-odd --n 5",
         "search bicirc-odd --n 7",

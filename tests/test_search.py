@@ -44,13 +44,21 @@ def test_search_petersen_target():
         assert ok3 == survivor.iso3
 
 
+def _assert_matches_plain_product(spec):
+    """The search against the plain product of the reference worker, which
+    judges every symbol of the space: the same records and, with no target
+    (every strongly regular graph counts), the same counters."""
+    from conftest import reference_bicirc_run
+
+    candidates, records, counts = reference_bicirc_run(spec, use_pruning=False)
+    result = search_bicirculant(spec)
+    got = [(s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3) for s in result.survivors]
+    assert got == records
+    assert result.stats[:5] == (candidates, *counts, len(records))
+
+
 def test_pruning_soundness_full_n5():
-    pruned = search_bicirculant(SearchSpec(n=5))
-    unpruned = search_bicirculant(SearchSpec(n=5, use_pruning=False))
-    assert [s.symbol.key() for s in pruned.survivors] == [
-        s.symbol.key() for s in unpruned.survivors
-    ]
-    assert pruned.stats == unpruned.stats
+    _assert_matches_plain_product(SearchSpec(n=5))
 
 
 @pytest.mark.parametrize(
@@ -64,13 +72,9 @@ def test_pruning_soundness_full_n5():
 )
 def test_pruning_soundness_on_restricted_sizes(spec):
     # Only masks of the allowed sizes are built, S' of sizes n-1-s under
-    # sp_is_complement; both paths still agree on survivors and counters.
-    pruned = search_bicirculant(spec)
-    unpruned = search_bicirculant(spec._replace(use_pruning=False))
-    assert [s.symbol.key() for s in pruned.survivors] == [
-        s.symbol.key() for s in unpruned.survivors
-    ]
-    assert pruned.stats == unpruned.stats
+    # sp_is_complement; the join still agrees with the plain product on
+    # survivors and counters.
+    _assert_matches_plain_product(spec)
 
 
 def test_symmetric_masks_by_size_match_brute_force():
@@ -183,14 +187,17 @@ def test_tricirculant_small_space():
 
 
 def test_tricirculant_pruning_soundness_n3():
+    # The join against the plain product of the six-loop reference worker,
+    # which judges every symbol of the space.
+    from conftest import reference_tricirc_worker
+
     target = SrgParams(9, 4, 1, 2)
-    pruned = search_tricirculant_srg(3, target)
-    unpruned = search_tricirculant_srg(3, target, use_pruning=False)
-    assert [s.symbol.key() for s in pruned.survivors] == [
-        s.symbol.key() for s in unpruned.survivors
-    ]
-    assert pruned.stats == unpruned.stats
-    assert pruned.stats.classes == 1
+    records, counts = reference_tricirc_worker((3, target.as_tuple(), False, 0, 1))
+    result = search_tricirculant_srg(3, target)
+    got = [(s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3) for s in result.survivors]
+    assert got == sorted(records)
+    assert result.stats[1:5] == (*counts, len(records))
+    assert result.stats.classes == 1
 
 
 def test_closure_under_symbol_equivalences():
@@ -335,56 +342,61 @@ def _bicirc_specs(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_bicirc_worker_matches_reference(n):
-    # The join (pruned) and the plain product (unpruned) against the
-    # nested-loop worker: same candidate count, records and counters on
-    # every space.  At n = 8 an unpruned run judges every symbol of its
-    # space, so only the full space, which contains all the others, also
-    # runs unpruned.
+    # The join against the nested-loop worker, pruned: same candidate count,
+    # records and counters on every space; and against its plain product,
+    # which judges every symbol: same records.  With a target the plain
+    # product also counts the strongly regular graphs of the target's
+    # valency that miss it, so only the target-hit counters match it.  At
+    # n = 8 only the full space, which contains all the others, is compared
+    # with the plain product.
     from conftest import reference_bicirc_run
 
     for i, spec in enumerate(_bicirc_specs(n)):
-        for use_pruning in (True, False) if n < 8 or i == 0 else (True,):
-            spec = spec._replace(use_pruning=use_pruning, dedup=False)
-            candidates, records, counts = reference_bicirc_run(spec)
-            result = search_bicirculant(spec)
-            got = [
-                (s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3)
-                for s in result.survivors
-            ]
-            stats = result.stats
+        spec = spec._replace(dedup=False)
+        result = search_bicirculant(spec)
+        got = [(s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3) for s in result.survivors]
+        stats = list(result.stats[:4])
+        candidates, records, counts = reference_bicirc_run(spec)
+        assert got == records, spec
+        assert stats == [candidates, *counts], spec
+        if n < 8 or i == 0:
+            candidates, records, counts = reference_bicirc_run(spec, use_pruning=False)
             assert got == records, spec
-            assert (stats.candidates, [stats.srg, stats.nontrivial_srg, stats.iso3]) == (
-                candidates, counts), spec
+            assert stats[0] == candidates and stats[2:] == counts[1:], spec
+            if spec.target is None:
+                assert stats[1] == counts[0], spec
 
 
 @pytest.mark.parametrize(
-    "n,target,use_pruning",
+    "n,target,pruned_reference",
     [(3, t, prune) for t in _tricirc_targets(3) for prune in (True, False)]
     + [(5, t, True) for t in _tricirc_targets(5)]
     + [(7, SrgParams(21, 10, 5, 4), True)],
     ids=str,
 )
-def test_tricirc_worker_matches_reference(monkeypatch, n, target, use_pruning):
-    # The join (pruned) and the plain product (unpruned) against the six-loop
-    # worker they replaced, on every parameter set at n = 3 and 5 and on
-    # (21,10,5,4) at n = 7; the same records at --jobs 2, run as two shards
-    # inline; and the candidate count against a count over every T01, T12,
-    # T20 bit count of the diagonal triples of the sizes the valency leaves.
+def test_tricirc_worker_matches_reference(monkeypatch, n, target, pruned_reference):
+    # The join against the six-loop worker it replaced, pruned, on every
+    # parameter set at n = 3 and 5 and on (21,10,5,4) at n = 7, and against
+    # that worker's plain product, which judges every symbol, at n = 3: the
+    # same records and counters (both count only the target matches); the
+    # same records at --jobs 2, run as two shards inline; and the candidate
+    # count against a count over every T01, T12, T20 bit count of the
+    # diagonal triples of the sizes the valency leaves.
     import os
     from collections import Counter
     from itertools import product
 
     from conftest import reference_tricirc_worker
 
-    records, counts = reference_tricirc_worker((n, target.as_tuple(), use_pruning, 0, 1))
-    result = search_tricirculant_srg(n, target, use_pruning=use_pruning)
+    records, counts = reference_tricirc_worker((n, target.as_tuple(), pruned_reference, 0, 1))
+    result = search_tricirculant_srg(n, target)
     got = [(s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3) for s in result.survivors]
     stats = result.stats
     assert got == sorted(records)
     assert [stats.srg, stats.nontrivial_srg, stats.iso3] == counts
     sizes = _inline_pool(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert search_tricirculant_srg(n, target, jobs=2, use_pruning=use_pruning) == result
+    assert search_tricirculant_srg(n, target, jobs=2) == result
     assert sizes == [2]
     per_size = Counter(len(s) for s in symmetric_subsets(n))
     per_count = Counter(m.bit_count() for m in range(1 << n))
