@@ -28,7 +28,6 @@ from .isomorphism import invariant_fingerprint, is_isomorphic
 from .formats import Graph6Error, decode_graph6, encode_graph6, to_dot
 from .srg import (
     SrgParams,
-    Surd,
     complement_params,
     eigenvalues,
     hoffman_bound,

@@ -140,6 +140,13 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    # Each kind reads at most one of these flags; it would ignore the others.
+    reads = {"srg": None, "isoreg": "--k", "local3": "--vertex", "tvertex": "--t"}
+    flags = {"--k": args.k, "--t": args.t, "--vertex": args.vertex}
+    given = [flag for flag, value in flags.items()
+             if value is not None and flag != reads[args.what]]
+    if given:
+        raise InputError(f"check {args.what} does not take {', '.join(given)}")
     name, g = _resolve_graph(args.graph)
     base = {"graph": name, "graph6": encode_graph6(g), "check": args.what}
     if args.what == "srg":
@@ -147,16 +154,16 @@ def _cmd_check(args) -> int:
         base["srg"] = None if p is None else p.to_json()
         base["nontrivial"] = is_nontrivial_srg(g)
         if p is not None and p.is_nontrivial():
-            k, r, s = eigenvalues(p)
-            base["eigenvalues"] = [str(k), str(r), str(s)]
-            base["hoffman_bound"] = str(hoffman_bound(p))
+            base["eigenvalues"] = list(eigenvalues(p))
+            base["hoffman_bound"] = hoffman_bound(p)
         _emit(base, args.out)
         return 0 if p is not None else 1
     if args.what == "isoreg":
-        verdict = is_k_isoregular(g, args.k)
-        base["k"] = args.k
+        k = 3 if args.k is None else args.k
+        verdict = is_k_isoregular(g, k)
+        base["k"] = k
         base["isoregular"] = verdict.holds
-        profile = iso_profile(g, args.k) if verdict.holds else None
+        profile = iso_profile(g, k) if verdict.holds else None
         base["profile"] = None if profile is None else profile.to_json()
         base["witness"] = None if verdict.witness is None else verdict.witness.to_json()
         _emit(base, args.out)
@@ -175,8 +182,9 @@ def _cmd_check(args) -> int:
         _emit(base, args.out)
         return 0 if holds else 1
     if args.what == "tvertex":
-        verdict = t_vertex_condition(g, args.t)
-        base["t"] = args.t
+        t = 4 if args.t is None else args.t
+        verdict = t_vertex_condition(g, t)
+        base["t"] = t
         base["holds"] = verdict.holds
         base["witness"] = None if verdict.witness is None else verdict.witness.to_json()
         _emit(base, args.out)
@@ -355,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run a property check with witness output")
     p_check.add_argument("what", choices=("srg", "isoreg", "local3", "tvertex"))
     p_check.add_argument("graph")
-    p_check.add_argument("--k", type=int, default=3)
-    p_check.add_argument("--t", type=int, default=4)
-    p_check.add_argument("--vertex", type=int)
+    p_check.add_argument("--k", type=int, help="isoreg only (default 3)")
+    p_check.add_argument("--t", type=int, help="tvertex only (default 4)")
+    p_check.add_argument("--vertex", type=int, help="local3 only (default: every vertex)")
     p_check.add_argument("-o", "--out")
     p_check.set_defaults(fn=_cmd_check)
 

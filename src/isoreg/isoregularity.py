@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import NamedTuple, Optional, Sequence
 
-from .graphs import Graph, vertices_to_bits
+from .graphs import Graph, bits_to_vertices, vertices_to_bits
 from .srg import SrgParams, distance_sets, srg_params, subconstituent
 
 
@@ -410,19 +410,8 @@ def d_partition(g: Graph, x: int, y: int) -> DPartition:
         raise ValueError("distinct vertices required")
     x1, x2 = distance_sets(g, x)
     y1, y2 = distance_sets(g, y)
-
-    def cell(a: int, b: int) -> tuple[int, ...]:
-        bits = a & b
-        out = []
-        v = 0
-        while bits:
-            if bits & 1:
-                out.append(v)
-            bits >>= 1
-            v += 1
-        return tuple(out)
-
-    return DPartition(x, y, cell(x1, y1), cell(x1, y2), cell(x2, y1), cell(x2, y2))
+    cells = (tuple(bits_to_vertices(a & b)) for a in (x1, x2) for b in (y1, y2))
+    return DPartition(x, y, *cells)
 
 
 def d_partition_expected_sizes(p: SrgParams, adjacent: bool) -> tuple[int, int, int, int]:

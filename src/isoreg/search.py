@@ -67,7 +67,7 @@ from .graphs import Graph, complement
 from .isomorphism import invariant_fingerprint, is_isomorphic
 from .isoregularity import triples_isoregular
 from .formats import encode_graph6
-from .srg import SrgParams, block_srg_params, srg_params
+from .srg import SrgParams, block_srg_params, complement_params, srg_params
 from .symbols import (_LAYOUT, Symbol, bicirculant, negated_mask, row_blocks, symbol_graph,
                       tricirculant)
 
@@ -611,7 +611,8 @@ def confirm_nonexistence_bicirc_odd(n: int, jobs: int = 1) -> OddRunResult:
     expected = None
     if m is not None:
         family_params, _, t_size = bicirc_odd_family(m)
-        expected = {family_params.as_tuple(): t_size, _complement_tuple(family_params): n - t_size}
+        co_params = complement_params(family_params)
+        expected = {family_params.as_tuple(): t_size, co_params.as_tuple(): n - t_size}
     for s in result.survivors:
         sym = s.symbol
         if m is None:
@@ -634,7 +635,3 @@ def confirm_nonexistence_bicirc_odd(n: int, jobs: int = 1) -> OddRunResult:
         if is_locally_3isoregular(symbol_graph(result.survivors[i].symbol)) is not None
     )
     return OddRunResult(n, result, iso3_count, locally, m, not failures, tuple(failures))
-
-
-def _complement_tuple(p: SrgParams) -> tuple[int, int, int, int]:
-    return (p.n, p.n - p.k - 1, p.n - 2 - 2 * p.k + p.mu, p.n - 2 * p.k + p.lam)

@@ -6,195 +6,38 @@ multicirculant from its symbol's row blocks alone: rotating every orbit is
 an automorphism, so the pairs of one vertex per orbit decide every count.
 The searches run it before they build a graph.
 
-All spectral quantities are exact integers or quadratic surds; no floating
-point anywhere, so conference graphs and certificate replays stay exact.
+``eigenvalues`` and ``hoffman_bound`` print the spectrum and the clique
+bound exactly, from closed forms in (n, k, lambda, mu), as integers,
+fractions or quadratic surds; nothing is floating point.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .graphs import Graph, bits_to_vertices
 
 
-def _squarefree_split(d: int) -> tuple[int, int]:
-    """d = root^2 * squarefree; returns (root, squarefree)."""
-    root = 1
-    rem = d
+def _surd_text(a: int, b: int, d: int, den: int) -> str:
+    """(a + b*sqrt(d))/den in lowest terms, for d >= 1 and den >= 1: the
+    square part of d moves into b, and sqrt(1) folds into a."""
     f = 2
-    while f * f <= rem:
-        while rem % (f * f) == 0:
-            rem //= f * f
-            root *= f
+    while f * f <= d:
+        while d % (f * f) == 0:
+            d //= f * f
+            b *= f
         f += 1
-    return root, rem
-
-
-class Surd:
-    """Exact value (a + b*sqrt(d)) / den with d squarefree, b = 0 iff rational."""
-
-    __slots__ = ("a", "b", "d", "den")
-
-    def __init__(self, a: int, b: int = 0, d: int = 0, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("surd with zero denominator")
-        if d < 0:
-            raise ValueError("negative discriminant")
-        if b != 0 and d > 1:
-            root, sf = _squarefree_split(d)
-            b *= root
-            d = sf
-        if d == 1:
-            # sqrt(1) folds into the rational part.
-            a += b
-            b = 0
-        if b == 0 or d == 0:
-            b = 0
-            d = 0
-        if den < 0:
-            a, b, den = -a, -b, -den
-        g = math.gcd(math.gcd(abs(a), abs(b)), den)
-        if g > 1:
-            a //= g
-            b //= g
-            den //= g
-        self.a = a
-        self.b = b
-        self.d = d
-        self.den = den
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "Surd":
-        return cls(f.numerator, 0, 0, f.denominator)
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def is_integer(self) -> bool:
-        return self.b == 0 and self.den == 1
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.a, self.den)
-
-    @staticmethod
-    def _coerce(value) -> "Surd":
-        if isinstance(value, Surd):
-            return value
-        if isinstance(value, int):
-            return Surd(value)
-        if isinstance(value, Fraction):
-            return Surd.from_fraction(value)
-        raise TypeError(f"cannot combine Surd with {type(value).__name__}")
-
-    def _common_d(self, other: "Surd") -> int:
-        if self.b == 0:
-            return other.d
-        if other.b == 0:
-            return self.d
-        if self.d != other.d:
-            raise ValueError(f"incompatible radicals sqrt({self.d}) and sqrt({other.d})")
-        return self.d
-
-    def __add__(self, other) -> "Surd":
-        o = self._coerce(other)
-        d = self._common_d(o)
-        return Surd(self.a * o.den + o.a * self.den, self.b * o.den + o.b * self.den, d, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Surd":
-        return Surd(-self.a, -self.b, self.d, self.den)
-
-    def __sub__(self, other) -> "Surd":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Surd":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "Surd":
-        o = self._coerce(other)
-        d = self._common_d(o)
-        a = self.a * o.a + self.b * o.b * d
-        b = self.a * o.b + self.b * o.a
-        return Surd(a, b, d, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Surd":
-        o = self._coerce(other)
-        norm = o.a * o.a - o.b * o.b * o.d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero surd")
-        conj = Surd(o.a * o.den, -o.b * o.den, o.d, norm)
-        return self * conj
-
-    def __rtruediv__(self, other) -> "Surd":
-        return self._coerce(other) / self
-
-    def _numerator_sign(self) -> int:
-        a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Opposite signs: compare a^2 against b^2 d (equality impossible,
-        # sqrt(d) is irrational here).
-        if a * a > b * b * d:
-            return (a > 0) - (a < 0)
-        return (b > 0) - (b < 0)
-
-    def sign(self) -> int:
-        return self._numerator_sign()
-
-    def __eq__(self, other) -> bool:
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return (self.a, self.b, self.d, self.den) == (o.a, o.b, o.d, o.den)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.d, self.den))
-
-    def __lt__(self, other) -> bool:
-        return (self - self._coerce(other)).sign() < 0
-
-    def __le__(self, other) -> bool:
-        return (self - self._coerce(other)).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        return (self - self._coerce(other)).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        return (self - self._coerce(other)).sign() >= 0
-
-    def floor(self) -> int:
-        if self.b == 0:
-            return self.a // self.den
-        bb = self.b * self.b * self.d
-        if self.b > 0:
-            f = math.isqrt(bb)
-        else:
-            f = -math.isqrt(bb) - 1
-        return (self.a + f) // self.den
-
-    def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a) if self.den == 1 else f"{self.a}/{self.den}"
-        b = "" if self.b == 1 else ("-" if self.b == -1 else str(self.b))
-        radical = f"{b}sqrt({self.d})"
-        core = radical if self.a == 0 else f"{self.a}{'+' if self.b > 0 else ''}{radical}"
-        return core if self.den == 1 else f"({core})/{self.den}"
-
-    __repr__ = __str__
+    if d == 1:
+        a, b = a + b, 0
+    g = math.gcd(a, b, den)
+    a, b, den = a // g, b // g, den // g
+    if b == 0:
+        return str(a) if den == 1 else f"{a}/{den}"
+    coef = "" if b == 1 else "-" if b == -1 else str(b)
+    radical = f"{coef}sqrt({d})"
+    core = radical if a == 0 else f"{a}{'+' if b > 0 else ''}{radical}"
+    return core if den == 1 else f"({core})/{den}"
 
 
 class SrgParams(NamedTuple):
@@ -300,23 +143,27 @@ def complement_params(p: SrgParams) -> SrgParams:
     return q
 
 
-def eigenvalues(p: SrgParams) -> tuple[Surd, Surd, Surd]:
-    """(k, r, s) with r,s = ((lam-mu) +- sqrt((lam-mu)^2 + 4(k-mu)))/2, exact."""
+def _discriminant(p: SrgParams) -> tuple[int, int]:
+    """(c, D) = (lambda - mu, c^2 + 4(k - mu)): the eigenvalues other than k
+    are r, s = (c +- sqrt(D))/2."""
     if not p.is_nontrivial():
         raise ValueError(f"eigenvalues need nontrivial parameters, got {p.as_tuple()}")
-    disc = (p.lam - p.mu) ** 2 + 4 * (p.k - p.mu)
-    r = Surd(p.lam - p.mu, 1, disc, 2)
-    s = Surd(p.lam - p.mu, -1, disc, 2)
-    return Surd(p.k), r, s
+    c = p.lam - p.mu
+    return c, c * c + 4 * (p.k - p.mu)
 
 
-def hoffman_bound(p: SrgParams) -> Surd:
-    """Greatest clique size allowed by the smallest eigenvalue: 1 + k/m."""
-    _, _, s = eigenvalues(p)
-    m = -s
-    if not m.sign() > 0:
-        raise ValueError(f"smallest eigenvalue of {p.as_tuple()} is not negative")
-    return Surd(1) + Surd(p.k) / m
+def eigenvalues(p: SrgParams) -> tuple[str, str, str]:
+    """The exact text of the eigenvalues (k, r, s), r > s."""
+    c, disc = _discriminant(p)
+    return str(p.k), _surd_text(c, 1, disc, 2), _surd_text(c, -1, disc, 2)
+
+
+def hoffman_bound(p: SrgParams) -> str:
+    """The exact text of 1 + k/(-s), the greatest clique size the smallest
+    eigenvalue s allows.  k > mu on a nontrivial set, so D > c^2 and s < 0;
+    rationalized, the bound is (2(k - mu) + kc + k sqrt(D)) / (2(k - mu))."""
+    c, disc = _discriminant(p)
+    return _surd_text(2 * (p.k - p.mu) + p.k * c, p.k, disc, 2 * (p.k - p.mu))
 
 
 def distance_sets(g: Graph, v: int) -> tuple[int, int]:

@@ -6,6 +6,7 @@ import pytest
 
 from isoreg import (
     Graph,
+    SrgParams,
     complement,
     complete_bipartite,
     complete_graph,
@@ -57,6 +58,24 @@ def build_corpus() -> dict[str, Graph]:
 @pytest.fixture(scope="session")
 def corpus() -> dict[str, Graph]:
     return build_corpus()
+
+
+def nontrivial_params(lo, hi):
+    """Every nontrivial parameter set with lo <= n <= hi."""
+    for n in range(lo, hi + 1):
+        for k in range(1, n):
+            for lam in range(k):
+                # mu is fixed by k(k-lambda-1) = mu(n-1-k), except for k = n-1:
+                # the complete graph, which is_nontrivial rejects, as its
+                # complement has no edges.
+                if k == n - 1:
+                    mus = range(1, k) if lam == k - 1 else ()
+                else:
+                    mus = (k * (k - lam - 1) // (n - 1 - k),)
+                for mu in mus:
+                    p = SrgParams(n, k, lam, mu)
+                    if p.is_nontrivial():
+                        yield p
 
 
 def max_clique(g: Graph) -> int:

@@ -580,6 +580,20 @@ def test_search_flag_the_mode_ignores_is_usage_error(capsys, mode, flag):
 
 
 @pytest.mark.parametrize(
+    "what, flags, refused",
+    [("srg", ["--k", "9", "--t", "7", "--vertex", "99"], "--k, --t, --vertex"),
+     ("isoreg", ["--k", "3", "--t", "2"], "--t"),
+     ("local3", ["--vertex", "0", "--k", "3"], "--k"),
+     ("tvertex", ["--t", "2", "--vertex", "0"], "--vertex")],
+)
+def test_check_flag_the_kind_ignores_is_usage_error(capsys, what, flags, refused):
+    # Each check kind reads at most one of --k, --t and --vertex; any other
+    # would be dropped, so the check could not be the one asked for.
+    code, out, err = run_cli(capsys, "check", what, "petersen", *flags)
+    assert (code, out, err) == (2, "", f"error: check {what} does not take {refused}\n")
+
+
+@pytest.mark.parametrize(
     "flag, size, top",
     [("--s-size", "-1", 7), ("--s-size", "8", 7), ("--sp-size", "8", 7),
      ("--t-size", "99", 8), ("--t-size", "-1", 8)],

@@ -17,7 +17,11 @@ certificate bytes, solver oracle included.  The REPORTS and REPLAYS digests
 were recorded from the code that wrote every indented report with
 json.dumps(sort_keys=True, indent=2), before one list-append emitter wrote
 them all, except the two "params solve 16" reports, recorded from the code
-before the value classes became NamedTuples.
+before the value classes became NamedTuples, and the "check srg" reports of
+c5, paley-13 and petersen, recorded from the code that computed eigenvalues
+and the Hoffman bound with a general quadratic-surd class, before one
+closed-form formatter printed them (tests/test_srg.py pins that text over
+4,320 parameter sets the same way).
 """
 
 import hashlib
@@ -96,6 +100,15 @@ REPORTS = {
         0, "840e4b4f913b6efc0a1b6739580235804b10dd6f5bfe8db9f14356f4332d613d"),
     "check srg clebsch": (
         0, "74fedaafa3da6fc210e3c6e375b0e6aa5525356211c85cacfe9d634e610ab332"),
+    # Irrational eigenvalues and Hoffman bound: (-1+-sqrt(5))/2 and sqrt(5).
+    "check srg c5": (
+        0, "d2faf6cfe05a07a120fa27b9ba859c71f8ebb200e530103cc90546ee9e843055"),
+    # (-1+-sqrt(13))/2 and sqrt(13).
+    "check srg paley-13": (
+        0, "2fc4c3e011593133e56eb00d88dba77bbf0434c4a5bef571b179c0df3b9f2d73"),
+    # Integer eigenvalues 1 and -2 with a fractional bound, 5/2.
+    "check srg petersen": (
+        0, "084f4ee5a6e0853b5baeed90e78e5a53385a41748748518d56d76898b2bfe4b7"),
     "check tvertex petersen --t 2": (
         0, "29815a0a39780fcb76f5246b9fea8d5a60c7be958e09816c5a5707baaceed8fc"),
     "check local3 clebsch": (

@@ -31,6 +31,7 @@ from isoreg.paramtheory import MAX_FAMILY_INDEX, Certificate, validate_step
 
 from conftest import (
     build_corpus,
+    nontrivial_params,
     reference_feasible_edge_params,
     reference_feasible_local_params,
 )
@@ -314,30 +315,12 @@ def test_oracle_agreement_for_contradiction_certificates():
         assert all(e["eliminated_by"] for e in inst.oracle["feasible"]), m
 
 
-def _nontrivial_params(lo, hi):
-    """Every nontrivial parameter set with lo <= n <= hi."""
-    for n in range(lo, hi + 1):
-        for k in range(1, n):
-            for lam in range(k):
-                # mu is fixed by k(k-lambda-1) = mu(n-1-k), except for k = n-1:
-                # the complete graph, which is_nontrivial rejects, as its
-                # complement has no edges.
-                if k == n - 1:
-                    mus = range(1, k) if lam == k - 1 else ()
-                else:
-                    mus = (k * (k - lam - 1) // (n - 1 - k),)
-                for mu in mus:
-                    p = SrgParams(n, k, lam, mu)
-                    if p.is_nontrivial():
-                        yield p
-
-
 def test_solver_matches_reference_over_parameter_sweep():
     # Every nontrivial parameter set with 5 <= n <= 89: the solver built on
     # the edge solutions agrees with the standalone reference scan.  The
     # 3,825 complete-graph candidates (k = n - 1) are not among them.
     checked = 0
-    for p in _nontrivial_params(5, 89):
+    for p in nontrivial_params(5, 89):
         got = [(*s.as_tuple(), s.vacuous) for s in feasible_local_params(p)]
         assert got == reference_feasible_local_params(p), p.as_tuple()
         checked += 1
@@ -352,7 +335,7 @@ def test_edge_solver_matches_scan_over_parameter_sweep():
     # local sweep above drops the solutions with R >= mu; this one keeps
     # them, and must meet some.
     solutions = above_mu = 0
-    for p in _nontrivial_params(5, 89):
+    for p in nontrivial_params(5, 89):
         got = feasible_edge_params(p)
         assert got == reference_feasible_edge_params(p), p.as_tuple()
         solutions += len(got)

@@ -1,14 +1,14 @@
 """Strong regularity detection, exact spectra, and the clique bound."""
 
+import hashlib
 import random
-from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
 
 from isoreg import (
     SrgParams,
-    Surd,
     complement,
     complement_params,
     eigenvalues,
@@ -24,7 +24,7 @@ from isoreg import (
 from isoreg.srg import block_srg_params
 from isoreg.symbols import _LAYOUT, Symbol, _mask, negated_mask, row_blocks, symbol_graph
 
-from conftest import build_corpus, max_clique
+from conftest import build_corpus, max_clique, nontrivial_params
 
 
 def test_srg_params_named():
@@ -62,9 +62,7 @@ def test_complement_params_match_measured():
 
 
 def test_eigenvalues_integer_case():
-    k, r, s = eigenvalues(SrgParams(16, 6, 2, 2))
-    assert (k, r, s) == (Surd(6), Surd(2), Surd(-2))
-    assert r.is_integer() and s.is_integer()
+    assert eigenvalues(SrgParams(16, 6, 2, 2)) == ("6", "2", "-2")
 
 
 def test_eigenvalues_family_discriminant():
@@ -74,52 +72,89 @@ def test_eigenvalues_family_discriminant():
         p = SrgParams(2 * (2 * m * m + 2 * m + 1), m * (2 * m + 1), m * m - 1, m * m)
         disc = (p.lam - p.mu) ** 2 + 4 * (p.k - p.mu)
         assert disc == (2 * m + 1) ** 2
-        k, r, s = eigenvalues(p)
-        assert r == m and s == -(m + 1)
+        assert eigenvalues(p) == (str(p.k), str(m), str(-(m + 1)))
     # lam = mu families have s = -sqrt(k - mu) = -m.
     for m in range(2, 40):
         p = SrgParams(4 * m * m, 2 * m * m + m, m * m + m, m * m + m)
-        _, r, s = eigenvalues(p)
-        assert r == m and s == -m
+        assert eigenvalues(p)[1:] == (str(m), str(-m))
 
 
 def test_eigenvalues_conference_case():
-    k, r, s = eigenvalues(SrgParams(5, 2, 0, 1))
-    assert r == Surd(-1, 1, 5, 2)
-    assert s == Surd(-1, -1, 5, 2)
-    assert not r.is_rational()
+    assert eigenvalues(SrgParams(5, 2, 0, 1)) == ("2", "(-1+sqrt(5))/2", "(-1-sqrt(5))/2")
+    # The discriminant 45 = 3^2 * 5 is not squarefree.
+    p = SrgParams(45, 22, 10, 11)
+    assert eigenvalues(p) == ("22", "(-1+3sqrt(5))/2", "(-1-3sqrt(5))/2")
+    assert hoffman_bound(p) == "3sqrt(5)"
 
 
 def test_eigenvalue_relations_on_corpus():
+    # Where the discriminant is a square, r and s print as integers with
+    # r + s = lambda - mu and rs = mu - k; elsewhere both are surds.
+    squares = 0
     for name, g in build_corpus().items():
         p = srg_params(g)
         if p is None or not p.is_nontrivial():
             continue
+        disc = (p.lam - p.mu) ** 2 + 4 * (p.k - p.mu)
         k, r, s = eigenvalues(p)
+        assert k == str(p.k), name
+        if isqrt(disc) ** 2 != disc:
+            assert "sqrt" in r and "sqrt" in s, name
+            continue
+        r, s = int(r), int(s)
         assert r + s == p.lam - p.mu, name
         assert r * s == p.mu - p.k, name
+        squares += 1
+    assert squares
 
 
 def test_hoffman_bound_values():
-    assert hoffman_bound(SrgParams(16, 6, 2, 2)) == 4
-    assert hoffman_bound(SrgParams(10, 3, 0, 1)) == Fraction(5, 2)
+    assert hoffman_bound(SrgParams(16, 6, 2, 2)) == "4"
+    assert hoffman_bound(SrgParams(10, 3, 0, 1)) == "5/2"
     for m in range(2, 30):
         p = SrgParams(4 * m * m, 2 * m * m + m, m * m + m, m * m + m)
-        assert hoffman_bound(p) == 2 + 2 * m
+        assert hoffman_bound(p) == str(2 + 2 * m)
 
 
 def test_hoffman_bound_is_a_theorem_on_corpus():
-    # Every clique found by exhaustive search respects 1 + k/m.
+    # Every clique found by exhaustive search respects 1 + k/(-s), with
+    # -s = (sqrt(D) - c)/2, c = lambda - mu and D = c^2 + 4(k - mu).  For a
+    # clique size w and x = 2k + (w - 1)c, w <= 1 + k/(-s) holds iff
+    # x >= 0 and (w - 1)^2 D <= x^2.
     for name, g in build_corpus().items():
         p = srg_params(g)
         if p is None or not p.is_nontrivial():
             continue
-        bound = hoffman_bound(p)
-        assert Surd(max_clique(g)) <= bound, name
+        c = p.lam - p.mu
+        disc = c * c + 4 * (p.k - p.mu)
+        w = max_clique(g)
+        x = 2 * p.k + (w - 1) * c
+        assert x >= 0 and (w - 1) ** 2 * disc <= x * x, name
 
 
 def test_hoffman_k4xk4_tight():
-    assert max_clique(named_graph("k4xk4")) == 4 == hoffman_bound(SrgParams(16, 6, 2, 2))
+    assert str(max_clique(named_graph("k4xk4"))) == hoffman_bound(SrgParams(16, 6, 2, 2)) == "4"
+
+
+def test_spectral_text_pinned_over_parameter_sweep():
+    # The eigenvalue and Hoffman-bound text of every nontrivial set with
+    # 5 <= n <= 89, one line per set, against the SHA-256 recorded from the
+    # general quadratic-surd class that printed them before the closed forms.
+    # No named graph has a discriminant that is neither a square nor
+    # squarefree; 2,320 sets here do, so this pins the squarefree split.
+    lines = []
+    irrational = folded = 0
+    for p in nontrivial_params(5, 89):
+        k, r, s = eigenvalues(p)
+        bound = hoffman_bound(p)
+        lines.append(f"{p.n},{p.k},{p.lam},{p.mu} {k} {r} {s} {bound}\n")
+        irrational += "sqrt" in f"{bound}"
+        disc = (p.lam - p.mu) ** 2 + 4 * (p.k - p.mu)
+        folded += isqrt(disc) ** 2 != disc and any(
+            disc % (f * f) == 0 for f in range(2, isqrt(disc) + 1))
+    assert (len(lines), irrational, folded) == (4320, 3949, 2320)
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "3128c68d4a4abc17b5ac7ea883481b1e41f8ff2909527c97f8cf233d831d1825"
 
 
 def test_subconstituents():
@@ -148,28 +183,11 @@ def test_is_nontrivial_srg():
     assert is_nontrivial_srg(corpus["petersen"])
 
 
-def test_surd_arithmetic():
-    root5 = Surd(0, 2, 5, 2)
-    assert root5 * root5 == 5
-    assert root5 > 2 and root5 < 3
-    assert root5.floor() == 2
-    assert (-root5).floor() == -3
-    assert Surd(7, 0, 0, 2).floor() == 3
-    assert Surd(0, 1, 8) == Surd(0, 2, 2)  # squarefree normalization
-    assert Surd(3, 5, 1) == Surd(8)  # sqrt(1) folds away
-    assert Surd(1) / Surd(1, 1, 5, 2) == Surd(-2, 2, 5, 4)  # 2/(1+sqrt5) = (sqrt5-1)/2
-    assert 1 + Surd(1, 1, 5, 2) == Surd(3, 1, 5, 2)
-    assert Surd(4, 0, 0, 2) == Surd(2)
-    with pytest.raises(ValueError):
-        (Surd(0, 1, 2) + Surd(0, 1, 3))
-    with pytest.raises(ValueError):
-        Surd(0, 1, 2).as_fraction()
-    assert Surd(5, 0, 0, 3).as_fraction() == Fraction(5, 3)
-
-
 def test_eigenvalues_reject_trivial():
     with pytest.raises(ValueError):
         eigenvalues(SrgParams(6, 5, 4, 0))
+    with pytest.raises(ValueError):
+        hoffman_bound(SrgParams(6, 5, 4, 0))
 
 
 def _symbol_srg_params(sym):
