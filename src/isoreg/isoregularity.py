@@ -7,6 +7,10 @@ j-subset depends only on the isomorphism type of its induced subgraph.
 Everything here enumerates subsets exhaustively; witnesses are the first
 violations in lexicographic scan order so regressions are deterministic.
 
+An induced subgraph on at most four vertices is typed by its sorted degree
+sequence, which fixes its isomorphism type at those sizes: ``_TYPES`` maps
+each of the 18 sequences to its canonical code and name.
+
 Triples have one kernel, ``_triple_scan``: a bit-row scan that returns the
 valency per induced edge count and the first violation.  The search's
 ``triples_isoregular`` and the j = 3 level of ``is_k_isoregular`` and
@@ -15,7 +19,7 @@ valency per induced edge count and the first violation.  The search's
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .graphs import Graph, bits_to_vertices, vertices_to_bits
@@ -27,7 +31,8 @@ class IsoType(tuple):
 
     The code is the minimum packed adjacency bit-vector over all orderings
     of the subset, pairs enumerated lexicographically; equal codes mean
-    isomorphic induced subgraphs for sizes up to 4.
+    isomorphic induced subgraphs.  On at most four vertices the sorted degree
+    sequence fixes the type, so ``_TYPES`` lists the code of each one.
     """
 
     __slots__ = ()
@@ -48,63 +53,46 @@ class IsoType(tuple):
         return _TYPE_NAMES[self]
 
 
-def _canonical_code(bits: list[list[bool]]) -> int:
-    j = len(bits)
-    pairs = list(combinations(range(j), 2))
-    best = None
-    for perm in permutations(range(j)):
-        code = 0
-        for idx, (a, b) in enumerate(pairs):
-            if bits[perm[a]][perm[b]]:
-                code |= 1 << idx
-        if best is None or code < best:
-            best = code
-    return best or 0
-
-
-def iso_type(g: Graph, subset: Sequence[int]) -> IsoType:
-    """Canonical type of the induced subgraph, subset size 1..4."""
-    j = len(subset)
-    if not 1 <= j <= 4:
-        raise ValueError("iso_type handles subsets of size 1..4 only")
-    bits = [[g.adjacent(u, v) for v in subset] for u in subset]
-    return IsoType(j, _canonical_code(bits))
-
+# Sorted degree sequence -> (canonical code, name), every graph on 1..4 vertices.
+_TYPES: dict[tuple[int, ...], tuple[int, str]] = {
+    (0,): (0, "K1"),
+    (0, 0): (0, "2K1"),
+    (1, 1): (1, "K2"),
+    (0, 0, 0): (0, "3K1"),
+    (0, 1, 1): (1, "K2+K1"),
+    (1, 1, 2): (3, "K1,2"),
+    (2, 2, 2): (7, "K3"),
+    (0, 0, 0, 0): (0, "4K1"),
+    (0, 0, 1, 1): (1, "K2+2K1"),
+    (0, 1, 1, 2): (3, "K1,2+K1"),
+    (1, 1, 1, 3): (7, "K1,3"),
+    (0, 2, 2, 2): (11, "K3+K1"),
+    (1, 1, 1, 1): (12, "2K2"),
+    (1, 1, 2, 2): (13, "P4"),
+    (1, 2, 2, 3): (15, "paw"),
+    (2, 2, 2, 2): (30, "C4"),
+    (2, 2, 3, 3): (31, "diamond"),
+    (3, 3, 3, 3): (63, "K4"),
+}
+_TYPE_NAMES = {IsoType(len(deg), code): name for deg, (code, name) in _TYPES.items()}
+TYPES_BY_SIZE: dict[int, list[IsoType]] = {}
+for _t in sorted(_TYPE_NAMES):
+    TYPES_BY_SIZE.setdefault(_t.size, []).append(_t)
 
 # Size-3 canonical codes correspond to induced edge counts 0..3.
 _CODE_BY_EDGES3 = (0, 1, 3, 7)
 
-_SIZE4_REPS = {
-    "4K1": [],
-    "K2+2K1": [(0, 1)],
-    "2K2": [(0, 1), (2, 3)],
-    "K1,2+K1": [(0, 1), (0, 2)],
-    "K1,3": [(0, 1), (0, 2), (0, 3)],
-    "P4": [(0, 1), (1, 2), (2, 3)],
-    "K3+K1": [(0, 1), (0, 2), (1, 2)],
-    "paw": [(0, 1), (0, 2), (1, 2), (2, 3)],
-    "C4": [(0, 1), (1, 2), (2, 3), (0, 3)],
-    "diamond": [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)],
-    "K4": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
-}
 
-
-def _build_type_names() -> dict[IsoType, str]:
-    names = {IsoType(1, 0): "K1", IsoType(2, 0): "2K1", IsoType(2, 1): "K2"}
-    for edges, tag in zip(range(4), ("3K1", "K2+K1", "K1,2", "K3")):
-        names[IsoType(3, _CODE_BY_EDGES3[edges])] = tag
-    for tag, edges in _SIZE4_REPS.items():
-        bits = [[False] * 4 for _ in range(4)]
-        for a, b in edges:
-            bits[a][b] = bits[b][a] = True
-        names[IsoType(4, _canonical_code(bits))] = tag
-    return names
-
-
-_TYPE_NAMES = _build_type_names()
-TYPES_BY_SIZE: dict[int, list[IsoType]] = {}
-for _t in sorted(_TYPE_NAMES):
-    TYPES_BY_SIZE.setdefault(_t[0], []).append(IsoType(*_t))
+def iso_type(g: Graph, subset: Sequence[int]) -> IsoType:
+    """Type of the induced subgraph on 1..4 distinct vertices."""
+    j = len(subset)
+    if not 1 <= j <= 4:
+        raise ValueError("iso_type handles subsets of size 1..4 only")
+    mask = vertices_to_bits(subset)
+    if mask.bit_count() < j:
+        raise ValueError("iso_type needs distinct vertices")
+    degrees = sorted((g.row(v) & mask).bit_count() for v in subset)
+    return IsoType(j, _TYPES[tuple(degrees)][0])
 
 
 def subset_valency(g: Graph, subset: Sequence[int]) -> int:
@@ -116,13 +104,6 @@ def subset_valency(g: Graph, subset: Sequence[int]) -> int:
         mask &= g.row(v)
     mask &= ~vertices_to_bits(subset)
     return mask.bit_count()
-
-
-def _triple_type_code(g: Graph, a: int, b: int, c: int) -> int:
-    edges = (
-        ((g.row(a) >> b) & 1) + ((g.row(a) >> c) & 1) + ((g.row(b) >> c) & 1)
-    )
-    return _CODE_BY_EDGES3[edges]
 
 
 class IsoWitness(NamedTuple):
@@ -202,7 +183,6 @@ def _valencies(g: Graph, k: int) -> tuple[Optional[IsoWitness], dict[IsoType, in
     """
     if k not in (1, 2, 3, 4):
         raise ValueError("k must be between 1 and 4")
-    full = (1 << g.n) - 1
     valencies: dict[IsoType, int] = {}
     for j in range(1, k + 1):
         if j == 3:
@@ -213,18 +193,15 @@ def _valencies(g: Graph, k: int) -> tuple[Optional[IsoWitness], dict[IsoType, in
                 if val is not None:
                     valencies[IsoType(3, _CODE_BY_EDGES3[e])] = val
             continue
-        first: dict[int, tuple[tuple[int, ...], int]] = {}
+        first: dict[IsoType, tuple[tuple[int, ...], int]] = {}
         for subset in combinations(range(g.n), j):
-            code = iso_type(g, subset).code
-            mask = full
-            for v in subset:
-                mask &= g.row(v)
-            valency = mask.bit_count()
-            seen = first.setdefault(code, (subset, valency))
+            typ = iso_type(g, subset)
+            valency = subset_valency(g, subset)
+            seen = first.setdefault(typ, (subset, valency))
             if seen[1] != valency:
-                return IsoWitness(IsoType(j, code), seen[0], seen[1], subset, valency), valencies
-        for code, (_, valency) in first.items():
-            valencies[IsoType(j, code)] = valency
+                return IsoWitness(typ, seen[0], seen[1], subset, valency), valencies
+        for typ, (_, valency) in first.items():
+            valencies[typ] = valency
     return None, valencies
 
 
@@ -460,53 +437,34 @@ class TVertexResult(NamedTuple):
 
 def t_vertex_condition(g: Graph, t: int) -> TVertexResult:
     """Counts of typed j-subsets (j <= t) through a pair must depend only on
-    the pair being equal, adjacent, or non-adjacent.  Brute force."""
+    the pair being equal, adjacent, or non-adjacent.  Brute force; the
+    witness is the first pair, equal pairs (u, u) before u < v in
+    lexicographic order, whose counts differ from the first of its class."""
     if t not in (2, 3, 4):
         raise ValueError("t must be 2, 3 or 4")
     n = g.n
+    pairs = [(u, u) for u in range(n)] + list(combinations(range(n), 2))
     for j in range(2, t + 1):
-        codes = [typ.code for typ in TYPES_BY_SIZE[j]]
-        code_index = {c: i for i, c in enumerate(codes)}
-        eq_counts = [[0] * len(codes) for _ in range(n)]
-        pair_counts = {
-            (u, v): [0] * len(codes) for u in range(n) for v in range(u + 1, n)
-        }
+        types = TYPES_BY_SIZE[j]
+        slot_of = {typ: i for i, typ in enumerate(types)}
+        counts = {pair: [0] * len(types) for pair in pairs}
         for subset in combinations(range(n), j):
-            if j == 3:
-                code = _triple_type_code(g, *subset)
-            else:
-                code = iso_type(g, subset).code
-            slot = code_index[code]
+            slot = slot_of[iso_type(g, subset)]
             for u in subset:
-                eq_counts[u][slot] += 1
-            for u, v in combinations(subset, 2):
-                pair_counts[(u, v)][slot] += 1
-
-        reference = {"equal": None, "adjacent": None, "non-adjacent": None}
-        for u in range(n):
-            vec = tuple(eq_counts[u])
-            if reference["equal"] is None:
-                reference["equal"] = ((u, u), vec)
-            elif reference["equal"][1] != vec:
-                return _tvertex_fail(t, j, "equal", reference["equal"], (u, u), vec, codes)
-        for u in range(n):
-            for v in range(u + 1, n):
-                cls = "adjacent" if g.adjacent(u, v) else "non-adjacent"
-                vec = tuple(pair_counts[(u, v)])
-                if reference[cls] is None:
-                    reference[cls] = ((u, v), vec)
-                elif reference[cls][1] != vec:
-                    return _tvertex_fail(t, j, cls, reference[cls], (u, v), vec, codes)
+                counts[(u, u)][slot] += 1
+            for pair in combinations(subset, 2):
+                counts[pair][slot] += 1
+        first: dict[str, tuple[tuple[int, int], list[int]]] = {}
+        for (u, v), vec in counts.items():
+            cls = "equal" if u == v else "adjacent" if g.adjacent(u, v) else "non-adjacent"
+            ref_pair, ref_vec = first.setdefault(cls, ((u, v), vec))
+            if ref_vec != vec:
+                slot = next(i for i, (a, b) in enumerate(zip(ref_vec, vec)) if a != b)
+                witness = TVertexWitness(
+                    j, cls, types[slot], ref_pair, ref_vec[slot], (u, v), vec[slot]
+                )
+                return TVertexResult(False, t, witness)
     return TVertexResult(True, t)
-
-
-def _tvertex_fail(t, j, cls, ref, pair, vec, codes) -> TVertexResult:
-    ref_pair, ref_vec = ref
-    slot = next(i for i in range(len(codes)) if ref_vec[i] != vec[i])
-    witness = TVertexWitness(
-        j, cls, IsoType(j, codes[slot]), ref_pair, ref_vec[slot], pair, vec[slot]
-    )
-    return TVertexResult(False, t, witness)
 
 
 def subconstituent_characterization(g: Graph) -> bool:

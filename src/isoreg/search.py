@@ -194,12 +194,6 @@ class SearchResult(NamedTuple):
     class_reps: tuple[int, ...]
     stats: SearchStats
 
-    def classes_of(self) -> dict[int, list[Survivor]]:
-        out: dict[int, list[Survivor]] = {}
-        for s in self.survivors:
-            out.setdefault(s.class_id, []).append(s)
-        return out
-
 
 def _judge(rule: tuple, diags, conns, negs, records: list, counts: list[int]) -> None:
     """Judge one candidate, given as masks: diagonal a, connection c of
@@ -356,15 +350,15 @@ def _bicirc_worker(args) -> tuple[list, list[int]]:
     """One shard of the bicirculant join, over the S masks at positions
     shard, shard + stride, ... of s_masks; returns records and counter
     deltas.  The S' masks are bucketed once by their ``_join_keys``, every S
-    looks up its partners under each of its own, and A_T fixes every T."""
+    looks up its partners under each of its own, keeping only S-hat when S'
+    is the complement, and A_T fixes every T."""
     s_masks, sp_masks, t_sizes, sp_is_complement, rule, shard, stride = args
     n, target = rule[0], rule[1]
     full = (1 << n) - 1
-    if not sp_is_complement:
-        buckets: dict[tuple, list[int]] = {}
-        for m in sp_masks:
-            for key in _join_keys(m, n, t_sizes, target):
-                buckets.setdefault(key, []).append(m)
+    buckets: dict[tuple, list[int]] = {}
+    for m in sp_masks:
+        for key in _join_keys(m, n, t_sizes, target):
+            buckets.setdefault(key, []).append(m)
     # Distinct keys of one S differ in (t, A_T), and a vacuous lambda or mu
     # takes one value, so no triple should come twice; seen makes sure.
     seen: set[tuple[int, int, int]] = set()
@@ -372,14 +366,11 @@ def _bicirc_worker(args) -> tuple[list, list[int]]:
     records: list = []
     counts = [0, 0, 0]
     for s_mask in s_masks[shard::stride]:
-        if sp_is_complement:
-            hat = full & ~s_mask & ~1
-            hat_keys = set(_join_keys(hat, n, t_sizes, target))
         for key in _join_keys(s_mask, n, t_sizes, target):
+            partners = buckets.get(key, ())
             if sp_is_complement:
-                partners = [hat] if key in hat_keys else None
-            else:
-                partners = buckets.get(key)
+                hat = full & ~s_mask & ~1
+                partners = [hat] if hat in partners else ()
             if not partners:
                 continue
             for t_mask, neg in solve(key[1], key[4]):

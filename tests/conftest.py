@@ -185,21 +185,57 @@ def backtracking_isomorphism(g: Graph, h: Graph):
     return mapping if extend(0) else None
 
 
+def reference_canonical_code(bits) -> int:
+    """Reference type code of a j x j adjacency matrix: the minimum packed
+    adjacency bit-vector over all j! vertex orderings, pairs enumerated
+    lexicographically.  isoreg's degree-sequence table is checked against it."""
+    from itertools import combinations, permutations
+
+    j = len(bits)
+    pairs = list(combinations(range(j), 2))
+    best = None
+    for perm in permutations(range(j)):
+        code = 0
+        for idx, (a, b) in enumerate(pairs):
+            if bits[perm[a]][perm[b]]:
+                code |= 1 << idx
+        if best is None or code < best:
+            best = code
+    return best or 0
+
+
+def reference_iso_code(g: Graph, subset) -> int:
+    """Reference canonical code of the subgraph induced on subset."""
+    return reference_canonical_code([[g.adjacent(u, v) for v in subset] for u in subset])
+
+
+def labelled_small_graphs():
+    """Every labelled graph on 1..4 vertices: 1 + 2 + 8 + 64 = 75 of them."""
+    from itertools import combinations
+
+    out = []
+    for j in range(1, 5):
+        pairs = list(combinations(range(j), 2))
+        for m in range(1 << len(pairs)):
+            out.append(Graph.from_edges(j, [p for i, p in enumerate(pairs) if m >> i & 1]))
+    return out
+
+
 def reference_valencies(g: Graph, sizes):
-    """Reference subset scan with combinations and the canonical iso_type,
-    every size included (no triple shortcut): the first violation in
+    """Reference subset scan with combinations and the permutation canonical
+    code, every size included (no triple shortcut): the first violation in
     lexicographic order, or None, and the valency of each type seen before
     it.  isoreg's one-pass kernel is compared against it."""
     from itertools import combinations
 
-    from isoreg import IsoType, iso_type, subset_valency
+    from isoreg import IsoType, subset_valency
     from isoreg.isoregularity import IsoWitness
 
     valencies = {}
     for j in sizes:
         first = {}
         for subset in combinations(range(g.n), j):
-            code = iso_type(g, subset).code
+            code = reference_iso_code(g, subset)
             valency = subset_valency(g, subset)
             if code not in first:
                 first[code] = (subset, valency)
@@ -209,6 +245,65 @@ def reference_valencies(g: Graph, sizes):
         for code, (_, valency) in first.items():
             valencies[IsoType(j, code)] = valency
     return None, valencies
+
+
+def reference_t_vertex_condition(g: Graph, t: int):
+    """Reference t-vertex condition: the count-vector scan that typed
+    subsets by the permutation canonical code, with its own size-3 path by
+    induced edge count, one equal-pair loop and one pair loop per size."""
+    from itertools import combinations
+
+    from isoreg import IsoType
+    from isoreg.isoregularity import TVertexResult, TVertexWitness
+
+    def fail(t, j, cls, ref, pair, vec, codes):
+        ref_pair, ref_vec = ref
+        slot = next(i for i in range(len(codes)) if ref_vec[i] != vec[i])
+        witness = TVertexWitness(
+            j, cls, IsoType(j, codes[slot]), ref_pair, ref_vec[slot], pair, vec[slot]
+        )
+        return TVertexResult(False, t, witness)
+
+    if t not in (2, 3, 4):
+        raise ValueError("t must be 2, 3 or 4")
+    n = g.n
+    for j in range(2, t + 1):
+        codes = sorted(
+            {reference_iso_code(h, range(j)) for h in labelled_small_graphs() if h.n == j}
+        )
+        code_index = {c: i for i, c in enumerate(codes)}
+        eq_counts = [[0] * len(codes) for _ in range(n)]
+        pair_counts = {
+            (u, v): [0] * len(codes) for u in range(n) for v in range(u + 1, n)
+        }
+        for subset in combinations(range(n), j):
+            if j == 3:
+                a, b, c = subset
+                code = (0, 1, 3, 7)[g.adjacent(a, b) + g.adjacent(a, c) + g.adjacent(b, c)]
+            else:
+                code = reference_iso_code(g, subset)
+            slot = code_index[code]
+            for u in subset:
+                eq_counts[u][slot] += 1
+            for u, v in combinations(subset, 2):
+                pair_counts[(u, v)][slot] += 1
+
+        reference = {"equal": None, "adjacent": None, "non-adjacent": None}
+        for u in range(n):
+            vec = tuple(eq_counts[u])
+            if reference["equal"] is None:
+                reference["equal"] = ((u, u), vec)
+            elif reference["equal"][1] != vec:
+                return fail(t, j, "equal", reference["equal"], (u, u), vec, codes)
+        for u in range(n):
+            for v in range(u + 1, n):
+                cls = "adjacent" if g.adjacent(u, v) else "non-adjacent"
+                vec = tuple(pair_counts[(u, v)])
+                if reference[cls] is None:
+                    reference[cls] = ((u, v), vec)
+                elif reference[cls][1] != vec:
+                    return fail(t, j, cls, reference[cls], (u, v), vec, codes)
+    return TVertexResult(True, t)
 
 
 def reference_feasible_edge_params(p):

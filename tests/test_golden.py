@@ -21,7 +21,10 @@ before the value classes became NamedTuples, and the "check srg" reports of
 c5, paley-13 and petersen, recorded from the code that computed eigenvalues
 and the Hoffman bound with a general quadratic-surd class, before one
 closed-form formatter printed them (tests/test_srg.py pins that text over
-4,320 parameter sets the same way).
+4,320 parameter sets the same way).  "check isoreg k4xk4 --k 4" and the four
+"check tvertex" reports at t = 3 and 4 were recorded from the code that typed
+induced subgraphs by trying every vertex ordering, with a separate size-3
+path in the t-vertex condition, before one degree-sequence table typed them.
 """
 
 import hashlib
@@ -77,6 +80,9 @@ CHECKS = {
         0, "e957f9912d8ee95a60f56ca8ae362e3885f39d6e3625202b426e398909e678da"),
     "check local3 petersen": (
         1, "11c214e98a4a5dd49a0f69171a7a7613f26b35cfadbb38ec75f021058fdf96f1"),
+    # A 2K2 witness: the first size-4 type whose valency varies.
+    "check isoreg k4xk4 --k 4": (
+        1, "00a76fc0a5df240c57c3e8bcffe8fc6491153493e58ecae4b82bbbabde5ee377"),
 }
 
 CERTIFICATES = {
@@ -111,6 +117,16 @@ REPORTS = {
         0, "084f4ee5a6e0853b5baeed90e78e5a53385a41748748518d56d76898b2bfe4b7"),
     "check tvertex petersen --t 2": (
         0, "29815a0a39780fcb76f5246b9fea8d5a60c7be958e09816c5a5707baaceed8fc"),
+    # Fails at j = 4 on a non-adjacent pair, 4K1 counts 1 and 2.
+    "check tvertex shrikhande-a --t 4": (
+        1, "35318651021724593dc6b670407d0156fa2080d40aedaf59556a73c85e3e084b"),
+    "check tvertex shrikhande-b --t 4": (
+        1, "aaa7242a7c8d332809d280af3defcdc434777a2dfa1d42a6fa2e79980dc1a31b"),
+    # Fails at j = 3: C6 is regular but not strongly regular.
+    "check tvertex circ:n=6;S=1,-1 --t 3": (
+        1, "a928a021e094b0b7db9733b2ac0a4130c783fd3c20ccd31deca99f04ac98ecf6"),
+    "check tvertex clebsch --t 4": (
+        0, "138d66087e8387ba04edd0c1121a04fd2754d1545a0c16e52b2aaf48d255eec1"),
     "check local3 clebsch": (
         0, "a7fdcb2303250d55b7dbffa6fe7ae624308d98d28a5dbde07455f4c1eefce697"),
     # No solution: "solutions" is an empty list.

@@ -28,7 +28,14 @@ from isoreg import (
 )
 from isoreg.search import triples_isoregular
 
-from conftest import brute_valency, build_corpus, reference_valencies
+from conftest import (
+    brute_valency,
+    build_corpus,
+    labelled_small_graphs,
+    reference_iso_code,
+    reference_t_vertex_condition,
+    reference_valencies,
+)
 
 
 # -- subset valency ----------------------------------------------------------
@@ -120,6 +127,42 @@ def test_iso_type_order_invariance():
     assert iso_type(g, [3, 1, 7]) == iso_type(g, [7, 3, 1])
     with pytest.raises(ValueError):
         iso_type(g, [0, 1, 2, 3, 4])
+    # A repeated vertex is a multiset, not an induced subgraph.
+    with pytest.raises(ValueError):
+        iso_type(g, [0, 0, 1])
+    with pytest.raises(ValueError):
+        iso_type(g, [2, 5, 2, 5])
+
+
+# One edge list per type on four vertices, named as in the paper.
+_SIZE4_REPS = {
+    "4K1": [],
+    "K2+2K1": [(0, 1)],
+    "2K2": [(0, 1), (2, 3)],
+    "K1,2+K1": [(0, 1), (0, 2)],
+    "K1,3": [(0, 1), (0, 2), (0, 3)],
+    "P4": [(0, 1), (1, 2), (2, 3)],
+    "K3+K1": [(0, 1), (0, 2), (1, 2)],
+    "paw": [(0, 1), (0, 2), (1, 2), (2, 3)],
+    "C4": [(0, 1), (1, 2), (2, 3), (0, 3)],
+    "diamond": [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)],
+    "K4": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+}
+
+
+def test_degree_table_matches_permutation_code_on_all_small_graphs():
+    # The 18-row degree-sequence table against the minimum over all j!
+    # orderings, on every labelled graph with 1..4 vertices.
+    from isoreg.isoregularity import _TYPES, TYPES_BY_SIZE, IsoType
+
+    graphs = labelled_small_graphs()
+    assert len(graphs) == 75
+    for h in graphs:
+        assert iso_type(h, range(h.n)) == IsoType(h.n, reference_iso_code(h, range(h.n)))
+    assert len(_TYPES) == 18
+    assert [len(TYPES_BY_SIZE[j]) for j in (1, 2, 3, 4)] == [1, 2, 4, 11]
+    for name, edges in _SIZE4_REPS.items():
+        assert iso_type(Graph.from_edges(4, edges), range(4)).name == name
 
 
 # -- k-isoregularity ---------------------------------------------------------
@@ -400,6 +443,54 @@ def test_t3_iff_srg_on_corpus():
 
 def test_petersen_t4():
     assert t_vertex_condition(named_graph("petersen"), 4).holds
+
+
+def _random_tvertex_graphs(seed, count):
+    """count seeded random graphs on 4..10 vertices, count seeded random
+    circulants on 5..14 vertices and count disjoint unions of two random
+    circulants of one valency.  The last two are regular, so their t-vertex
+    checks reach j = 3 and 4, and the unions can fail on equal pairs there."""
+    import random
+
+    from isoreg import disjoint_union
+    from isoreg.symbols import circulant
+
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(4, 10)
+        density = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        graphs.append(Graph.from_edges(n, edges))
+    for _ in range(count):
+        n = rng.randint(5, 14)
+        half = [d for d in range(1, n // 2 + 1) if rng.random() < 0.5]
+        graphs.append(circulant(n, {x for d in half for x in (d, n - d)}))
+    for _ in range(count):
+        half = rng.randint(1, 2)
+        parts = []
+        for _ in range(2):
+            n = rng.randint(2 * half + 1, 9)
+            steps = rng.sample(range(1, (n - 1) // 2 + 1), half)
+            parts.append(circulant(n, {x for d in steps for x in (d, n - d)}))
+        graphs.append(disjoint_union(*parts))
+    return graphs
+
+
+def test_t_vertex_condition_matches_reference():
+    # The one subset path against the count-vector scan it replaced: the
+    # same verdict and witness for t = 2, 3, 4.
+    graphs = list(build_corpus().items())
+    graphs += [(f"random-{i}", g) for i, g in enumerate(_random_tvertex_graphs(20261019, 40))]
+    levels = set()
+    for name, g in graphs:
+        for t in (2, 3, 4):
+            verdict = t_vertex_condition(g, t)
+            assert verdict == reference_t_vertex_condition(g, t), (name, t)
+            if verdict.witness is not None:
+                levels.add((verdict.witness.j, verdict.witness.pair_class))
+    assert {j for j, _ in levels} == {2, 3, 4}
+    assert {(3, "equal"), (3, "adjacent"), (4, "non-adjacent")} <= levels
 
 
 def test_t4_witness_for_shrikhande():
