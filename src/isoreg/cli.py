@@ -208,7 +208,8 @@ def _cmd_params(args) -> int:
     return 0
 
 
-_CLAIMS = {
+# certify's family argument -> (claim, the indices of lo..hi it certifies).
+_FAMILIES = {
     "bicirc-odd": ("bicirc-odd", lambda lo, hi: list(range(lo, hi + 1))),
     "family-b": ("leung-ma-b", lambda lo, hi: [m for m in range(lo, hi + 1) if m % 2]),
     "family-c": ("leung-ma-c", lambda lo, hi: [m for m in range(lo, hi + 1) if m % 2]),
@@ -218,7 +219,7 @@ _CLAIMS = {
 
 
 def _cmd_certify(args) -> int:
-    claim, index_fn = _CLAIMS[args.family]
+    claim, index_fn = _FAMILIES[args.family]
     lo, hi = _parse_range(args.range)
     check_family_index(lo)
     check_family_index(hi)
@@ -319,7 +320,8 @@ def _cmd_families(args) -> int:
             entry = {"m": m, "families": [e.to_json() for e in leung_ma_families(m)]}
             if m % 2 == 0:
                 entry["even_candidates"] = {
-                    fam: even_m_candidates(m, fam).to_json() for fam in ("b", "c")
+                    fam: {**even_m_candidates(m, fam).to_json(), "trace": {"family": fam, "m": m}}
+                    for fam in ("b", "c")
                 }
             rows.append(entry)
     else:
@@ -379,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_params.set_defaults(fn=_cmd_params)
 
     p_cert = sub.add_parser("certify", help="emit a replayable certificate over a range")
-    p_cert.add_argument("family", choices=sorted(_CLAIMS))
+    p_cert.add_argument("family", choices=sorted(_FAMILIES))
     p_cert.add_argument("--range", required=True, help="lo..hi (family-b/c keep odd indices)")
     p_cert.add_argument("-o", "--out")
     p_cert.set_defaults(fn=_cmd_certify)

@@ -26,7 +26,7 @@ from .graphs import Graph, bits_to_vertices, vertices_to_bits
 from .srg import SrgParams, distance_sets, srg_params, subconstituent
 
 
-class IsoType(tuple):
+class IsoType(NamedTuple):
     """Isomorphism type of a small induced subgraph: (size, canonical code).
 
     The code is the minimum packed adjacency bit-vector over all orderings
@@ -35,18 +35,8 @@ class IsoType(tuple):
     sequence fixes the type, so ``_TYPES`` lists the code of each one.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, size: int, code: int):
-        return super().__new__(cls, (size, code))
-
-    @property
-    def size(self) -> int:
-        return self[0]
-
-    @property
-    def code(self) -> int:
-        return self[1]
+    size: int
+    code: int
 
     @property
     def name(self) -> str:

@@ -5,6 +5,11 @@ Everything here is exact integer arithmetic.  Certificates carry their full
 derivation as typed steps, each decided by its kind's rule in `_RULES`;
 replaying a serialized certificate revalidates every step by that rule and
 regenerates the instance.
+
+`_CLAIMS` states each claim once: the certifier that `certify_range` and
+`replay_certificate` run for one index, and what every instance must show
+for `claim_holds`.  Each instance carries the solver's output as an oracle
+(`_oracle`), every tuple marked with the graph-level step that settles it.
 """
 
 from __future__ import annotations
@@ -158,40 +163,15 @@ def nonedge_relations_check(p: SrgParams, rp: int, wp: int, v: int) -> bool:
     )
 
 
-# LocalParamSolution's fields; it gives each solution its own trace dict in
-# __new__, which a NamedTuple class body may not define.
-class _LocalParamFields(NamedTuple):
+class LocalParamSolution(NamedTuple):
+    """Non-negative integer tuple (Q, R, W, V) satisfying all five relations
+    with the edge/non-edge identification R = R', W = W'."""
+
     q: int
     r: int
     w: int
     v: int
-    vacuous: frozenset[str]
-    trace: dict
-
-
-class LocalParamSolution(_LocalParamFields):
-    """Non-negative integer tuple (Q, R, W, V) satisfying all five relations
-    with the edge/non-edge identification R = R', W = W'.  Equality and the
-    hash leave out ``trace``, which records how the tuple was found."""
-
-    __slots__ = ()
-
-    def __new__(cls, q: int, r: int, w: int, v: int, vacuous: frozenset[str] = frozenset(),
-                trace: Optional[dict] = None):
-        return tuple.__new__(cls, (q, r, w, v, vacuous, {} if trace is None else trace))
-
-    def __eq__(self, other):
-        if not isinstance(other, LocalParamSolution):
-            return NotImplemented
-        return self[:5] == other[:5]
-
-    # tuple's own __ne__ would compare trace too.
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self) -> int:
-        return hash(self[:5])
+    vacuous: frozenset[str] = frozenset()
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.q, self.r, self.w, self.v)
@@ -203,7 +183,7 @@ class LocalParamSolution(_LocalParamFields):
             "W": self.w,
             "V": self.v,
             "vacuous": sorted(self.vacuous),
-            "trace": self.trace,
+            "trace": {},
         }
 
 
@@ -302,7 +282,7 @@ def even_m_candidates(m: int, family: str) -> LocalParamSolution:
         r = v = (m * m + 2 * m) // 2
     else:
         raise ValueError("family must be 'b' or 'c'")
-    return LocalParamSolution(q, r, w, v, trace={"family": family, "m": m})
+    return LocalParamSolution(q, r, w, v)
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +508,18 @@ def _relation_ii_step(p: SrgParams, q: int, w: int, description: str) -> Step:
                  lhs=lam * mu * (k - 2 * lam + q), rhs=w * (k - mu) * (k - lam - 1))
 
 
-def _settling_steps(steps: list[Step]) -> dict[tuple[int, int, int], str]:
-    """Edge tuple -> kind of the graph-level step that settles it
-    (confirmation for a SOLUTION, elimination otherwise)."""
-    return {
+def _oracle(steps: list[Step], entries: list[dict], key: str) -> dict:
+    """The solver's entries, each marked under key with the kind of the
+    graph-level step of the certificate that settles its edge tuple
+    (confirmation for a SOLUTION, elimination otherwise), or "" if none does."""
+    settled = {
         tuple(step.data["tuple"][:3]): step.kind
         for step in steps
         if step.kind in ("HOFFMAN_CLIQUE", "GRAPH_CHECK") and "tuple" in step.data
     }
+    for entry in entries:
+        entry[key] = settled.get(tuple(entry["tuple"][:3]), "")
+    return {"feasible": entries, "consistent": all(e[key] for e in entries)}
 
 
 def certify_bicirc_odd(m: int) -> Instance:
@@ -598,18 +582,10 @@ def certify_bicirc_odd(m: int) -> Instance:
 
 
 def _solver_cross_check(p: SrgParams, steps: list[Step]) -> dict:
-    """Record the solver output and, for each tuple, which graph-level step
-    of the certificate eliminates it (empty string if none is needed)."""
-    settled = _settling_steps(steps)
-    entries = [
-        {
-            "tuple": list(sol.as_tuple()),
-            "vacuous": sorted(sol.vacuous),
-            "eliminated_by": settled.get((sol.q, sol.r, sol.w), ""),
-        }
-        for sol in feasible_local_params(p)
-    ]
-    return {"feasible": entries, "consistent": all(e["eliminated_by"] for e in entries)}
+    """The local-parameter solver's tuples, each with the step that eliminates it."""
+    entries = [{"tuple": list(sol.as_tuple()), "vacuous": sorted(sol.vacuous)}
+               for sol in feasible_local_params(p)]
+    return _oracle(steps, entries, "eliminated_by")
 
 
 def certify_family_b(m: int) -> Instance:
@@ -723,14 +699,8 @@ def certify_family_c(m: int) -> Instance:
 
 
 def _tri_oracle(p: SrgParams, steps: list[Step]) -> dict:
-    """Edge-side solver output; each tuple points at the graph-level step
-    that settles it."""
-    settled = _settling_steps(steps)
-    entries = [
-        {"tuple": [q, r, w], "settled_by": settled.get((q, r, w), "")}
-        for q, r, w in feasible_edge_params(p)
-    ]
-    return {"feasible": entries, "consistent": all(e["settled_by"] for e in entries)}
+    """The edge-side solver's tuples, each with the step that settles it."""
+    return _oracle(steps, [{"tuple": list(t)} for t in feasible_edge_params(p)], "settled_by")
 
 
 def certify_tri_family1(s: int) -> Instance:
@@ -892,45 +862,41 @@ def certify_tri_family2(s: int) -> Instance:
 # ---------------------------------------------------------------------------
 # Range certificates, claims, replay
 
-_CERTIFIERS = {
-    "bicirc-odd": certify_bicirc_odd,
-    "leung-ma-b": certify_family_b,
-    "leung-ma-c": certify_family_c,
-    "tri-family-1": certify_tri_family1,
-    "tri-family-2": certify_tri_family2,
+def _shows_contradiction(inst: Instance) -> bool:
+    return inst.verdict == CONTRADICTION
+
+
+# claim -> (certifier, what every instance of a certificate of the claim shows).
+_CLAIMS = {
+    "bicirc-odd": (certify_bicirc_odd, _shows_contradiction),
+    "leung-ma-b": (certify_family_b, _shows_contradiction),
+    "leung-ma-c": (certify_family_c, _shows_contradiction),
+    # The one solution, at s = -1, is the complement of T(6).
+    "tri-family-1": (certify_tri_family1, lambda inst: (
+        inst.verdict == SOLUTION and inst.solution == {"Q": 0, "R": 0, "W": 1}
+        if inst.index == -1 else inst.verdict != SOLUTION)),
+    # s = -1, 0 and 1 give degenerate parameters.
+    "tri-family-2": (certify_tri_family2, lambda inst: inst.verdict == (
+        DEGENERATE if inst.index in (-1, 0, 1) else CONTRADICTION)),
 }
 
 
 def certify_range(claim: str, indices: list[int]) -> Certificate:
-    certifier = _CERTIFIERS.get(claim)
-    if certifier is None:
-        raise ValueError(f"unknown claim {claim!r}; known: {sorted(_CERTIFIERS)}")
+    if claim not in _CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}; known: {sorted(_CLAIMS)}")
+    certifier = _CLAIMS[claim][0]
     instances = tuple(certifier(i) for i in indices)
     return Certificate(claim, tuple(indices), instances)
 
 
 def claim_holds(cert: Certificate) -> bool:
-    """The family-level statement each certificate is meant to establish;
-    a certificate with no instance establishes nothing."""
-    if not cert.instances:
+    """The family-level statement each certificate is meant to establish:
+    its claim is known and every instance shows it.  A certificate with no
+    instance establishes nothing."""
+    if cert.claim not in _CLAIMS or not cert.instances:
         return False
-    for inst in cert.instances:
-        if cert.claim == "tri-family-1":
-            if inst.index == -1:
-                if inst.verdict != SOLUTION or inst.solution != {"Q": 0, "R": 0, "W": 1}:
-                    return False
-            elif inst.verdict == SOLUTION:
-                return False
-        elif cert.claim == "tri-family-2":
-            if inst.index in (-1, 0, 1):
-                if inst.verdict != DEGENERATE:
-                    return False
-            elif inst.verdict != CONTRADICTION:
-                return False
-        else:
-            if inst.verdict != CONTRADICTION:
-                return False
-    return True
+    shows = _CLAIMS[cert.claim][1]
+    return all(shows(inst) for inst in cert.instances)
 
 
 class ReplayResult(NamedTuple):
@@ -946,9 +912,9 @@ def replay_certificate(obj) -> ReplayResult:
     from its data, and every instance is regenerated and compared."""
     cert = obj if isinstance(obj, Certificate) else Certificate.from_json(obj)
     problems = []
-    certifier = _CERTIFIERS.get(cert.claim)
-    if certifier is None:
+    if cert.claim not in _CLAIMS:
         return ReplayResult(False, (f"unknown claim {cert.claim!r}",))
+    certifier = _CLAIMS[cert.claim][0]
     for index in (*cert.indices, *(i.index for i in cert.instances)):
         check_family_index(index)
     if tuple(i.index for i in cert.instances) != cert.indices:

@@ -27,8 +27,9 @@ A_T = lambda*1_S + mu*1_Shat - dS = lambda*1_S' + mu*1_S'hat - dS'.
   gap at least as large ends the loop over the next residue.  It adds the
   translates of every set found and solves t > n/2 through the complement
   (A_{Z_n - T} = n - 2t + A_T); each shard memoises it on (t, A_T).
-- Each (S, S', T) found is judged once (a ``seen`` set guards it); shards
-  take every stride-th allowed S.
+- Each (S, S', T) found is judged once: distinct keys of one S differ in
+  (t, A_T), and a vacuous lambda or mu takes one value, so no T comes under
+  two keys of the same S.  Shards take every stride-th allowed S.
 
 Tricirculant search (``_tricirc_worker``).  The same reduction on three
 orbits: with D_a = lambda*1_{S_a} + mu*1_{S_a-hat} - dS_a, the connection
@@ -359,9 +360,6 @@ def _bicirc_worker(args) -> tuple[list, list[int]]:
     for m in sp_masks:
         for key in _join_keys(m, n, t_sizes, target):
             buckets.setdefault(key, []).append(m)
-    # Distinct keys of one S differ in (t, A_T), and a vacuous lambda or mu
-    # takes one value, so no triple should come twice; seen makes sure.
-    seen: set[tuple[int, int, int]] = set()
     solve = _solver(n)
     records: list = []
     counts = [0, 0, 0]
@@ -375,10 +373,6 @@ def _bicirc_worker(args) -> tuple[list, list[int]]:
                 continue
             for t_mask, neg in solve(key[1], key[4]):
                 for sp_mask in partners:
-                    triple = (s_mask, sp_mask, t_mask)
-                    if triple in seen:
-                        continue
-                    seen.add(triple)
                     _judge(rule, (s_mask, sp_mask), (t_mask,), (neg,), records, counts)
     return records, counts
 

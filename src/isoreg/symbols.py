@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import MAX_VERTICES, Graph
+from .graphs import MAX_VERTICES, Graph, vertices_to_bits
 
 
 # Layout of an r-orbit symbol, r = len(diagonals): the text kind, the field
@@ -125,16 +125,9 @@ def circulant(n: int, s: Iterable[int]) -> Graph:
     return symbol_graph(Symbol(n, (s,)))
 
 
-def _mask(residues: Iterable[int]) -> int:
-    mask = 0
-    for r in residues:
-        mask |= 1 << r
-    return mask
-
-
 def negated_mask(mask: int, n: int) -> int:
     """The mask of -T mod n for the mask of T."""
-    return _mask(-r % n for r in range(n) if mask >> r & 1)
+    return vertices_to_bits(-r % n for r in range(n) if mask >> r & 1)
 
 
 def row_blocks(diagonals: Sequence[int], connections: Sequence[int],
@@ -165,8 +158,8 @@ def symbol_graph(sym: Symbol) -> Graph:
     n = sym.n
     if len(sym.diagonals) * n > MAX_VERTICES:
         raise ValueError(f"vertex count {len(sym.diagonals) * n} outside 1..{MAX_VERTICES}")
-    conns = [_mask(t) for t in sym.connections]
-    blocks = row_blocks([_mask(s) for s in sym.diagonals], conns,
+    conns = [vertices_to_bits(t) for t in sym.connections]
+    blocks = row_blocks([vertices_to_bits(s) for s in sym.diagonals], conns,
                         [negated_mask(t, n) for t in conns])
     full = (1 << n) - 1
     rows = []

@@ -130,6 +130,18 @@ def test_certify_and_replay(capsys, tmp_path):
     assert code == 1 and not json.loads(out)["replay_ok"]
 
 
+def test_replay_of_unknown_claim_does_not_hold(capsys, tmp_path):
+    cert_file = tmp_path / "cert.json"
+    run_cli(capsys, "certify", "bicirc-odd", "--range", "2..5", "-o", str(cert_file))
+    payload = json.loads(cert_file.read_text())
+    payload["claim"] = "nope"
+    cert_file.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "replay", str(cert_file))
+    assert code == 1
+    assert json.loads(out) == {"replay_ok": False, "claim_holds": False,
+                               "mismatches": ["unknown claim 'nope'"]}
+
+
 def test_certify_tri_range_with_negatives(capsys, tmp_path):
     # Leading-dash ranges need the --range=-5..5 spelling under argparse.
     cert_file = tmp_path / "tri1.json"

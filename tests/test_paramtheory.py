@@ -416,6 +416,15 @@ def test_replay_round_trip_and_tamper_detection():
     assert not replay_certificate({"claim": "nope", "indices": [], "instances": []}).ok
 
 
+def test_claim_holds_needs_a_known_claim():
+    # Instances that would show any contradiction claim establish nothing
+    # under a claim that is not in the table.
+    cert = certify_range("bicirc-odd", [2, 3])
+    assert claim_holds(cert)
+    assert not claim_holds(Certificate("nope", cert.indices, cert.instances))
+    assert not claim_holds(Certificate("bicirc-odd", (), ()))
+
+
 def test_certificate_json_round_trip():
     cert = certify_range("tri-family-2", list(range(-5, 6)))
     again = Certificate.from_json(json.loads(json.dumps(cert.to_json())))

@@ -217,3 +217,11 @@ def test_certificate_step_variants_are_the_rule_table():
         assert list(properties) == data["required"]
         variants.append((kind, properties))
     assert variants == expected
+
+
+def test_certificate_claims_are_the_claim_table():
+    from isoreg.cli import _FAMILIES
+    from isoreg.paramtheory import _CLAIMS
+
+    assert _schema("certificate")["properties"]["claim"]["enum"] == sorted(_CLAIMS)
+    assert {claim for claim, _ in _FAMILIES.values()} <= set(_CLAIMS)

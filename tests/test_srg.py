@@ -21,8 +21,9 @@ from isoreg import (
     verify_identity,
 )
 
+from isoreg.graphs import vertices_to_bits
 from isoreg.srg import block_srg_params
-from isoreg.symbols import _LAYOUT, Symbol, _mask, negated_mask, row_blocks, symbol_graph
+from isoreg.symbols import _LAYOUT, Symbol, negated_mask, row_blocks, symbol_graph
 
 from conftest import build_corpus, max_clique, nontrivial_params
 
@@ -192,8 +193,8 @@ def test_eigenvalues_reject_trivial():
 
 def _symbol_srg_params(sym):
     """block_srg_params on the row blocks of sym, made from its sets."""
-    conns = [_mask(t) for t in sym.connections]
-    blocks = row_blocks([_mask(s) for s in sym.diagonals], conns,
+    conns = [vertices_to_bits(t) for t in sym.connections]
+    blocks = row_blocks([vertices_to_bits(s) for s in sym.diagonals], conns,
                         [negated_mask(t, sym.n) for t in conns])
     return block_srg_params(sym.n, blocks)
 
