@@ -19,7 +19,6 @@ from .graphs import Graph
 from .isoregularity import (
     is_k_isoregular,
     is_locally_3isoregular_at,
-    iso_profile,
     t_vertex_condition,
 )
 from .named import named_graph
@@ -163,8 +162,7 @@ def _cmd_check(args) -> int:
         verdict = is_k_isoregular(g, k)
         base["k"] = k
         base["isoregular"] = verdict.holds
-        profile = iso_profile(g, k) if verdict.holds else None
-        base["profile"] = None if profile is None else profile.to_json()
+        base["profile"] = None if verdict.profile is None else verdict.profile.to_json()
         base["witness"] = None if verdict.witness is None else verdict.witness.to_json()
         _emit(base, args.out)
         return 0 if verdict.holds else 1
@@ -236,7 +234,8 @@ def _cmd_replay(args) -> int:
     try:
         with open(args.certificate, "r", encoding="ascii") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # A deeply nested array or object exhausts the decoder's recursion.
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot load certificate: {exc}") from exc
     try:
         cert = Certificate.from_json(payload)

@@ -1,12 +1,16 @@
 """Graph isomorphism by invariant refinement plus an iterative backtracking
 search over bit-row prefix masks.
 
-Exact for every order a ``Graph`` allows.  Strongly regular graphs defeat
-plain color refinement, so the fingerprint adds local structure (triangle
-counts, neighborhood components), and refinement starts from the number of
-4-cliques through each vertex.  Both refinement and search run on the
-sparser of a graph and its complement: a bijection is an isomorphism of the
-graphs exactly when it is one of their complements.
+Exact for every order a ``Graph`` allows.  Both refinement and search run
+on the sparser of a graph and its complement: a bijection is an isomorphism
+of the graphs exactly when it is one of their complements, and the choice
+depends only on (n, edges).  Strongly regular graphs defeat plain color
+refinement, so refinement starts from each vertex's degree and number of
+4-cliques through it.  One cached computation per graph, ``_refined_colors``,
+gives those start signatures and the colors refinement settles on, and the
+fingerprint is (n, edges, sorted start signatures, sorted colors).  Every
+step is equivariant, so isomorphic graphs have equal fingerprints, and an
+isomorphism maps each vertex to one of the same color.
 
 The search fixes one vertex order of g up front, chosen so that each new
 vertex has many neighbors among the vertices already mapped, and records
@@ -21,10 +25,10 @@ neighbors of that neighbor's image.  The search keeps an explicit candidate
 pointer per depth instead of recursing, so no recursion limit bounds the
 order.
 
-Graphs are immutable and hashable, so each graph's invariants (fingerprint
-and refined colors) are computed once and kept in small bounded caches; a
-graph compared against many others pays for them once.  The cached values
-are tuples, so no caller can change what another caller gets.
+Graphs are immutable and hashable, so each graph's refined colors are
+computed once and kept in a small bounded cache; a graph compared against
+many others pays for them once.  The cached values are tuples, so no caller
+can change what another caller gets.
 """
 
 from __future__ import annotations
@@ -37,36 +41,6 @@ from .graphs import Graph, bits_to_vertices
 # Deduplication touches the graph under test plus the class representatives
 # with equal parameters and fingerprint, so a few dozen entries cover it.
 _INVARIANT_CACHE_SIZE = 64
-
-
-def _neighborhood_components(g: Graph, u: int) -> int:
-    rows = g.rows()
-    left = rows[u]
-    components = 0
-    while left:
-        components += 1
-        frontier = left & -left
-        left ^= frontier
-        while frontier:
-            reach = 0
-            for x in bits_to_vertices(frontier):
-                reach |= rows[x]
-            frontier = reach & left
-            left ^= frontier
-    return components
-
-
-@lru_cache(maxsize=_INVARIANT_CACHE_SIZE)
-def invariant_fingerprint(g: Graph) -> tuple:
-    """Cheap isomorphism invariant; unequal fingerprints mean non-isomorphic."""
-    degrees = sorted(g.degrees())
-    rows = g.rows()
-    triangles = []
-    for row in rows:
-        t = sum((row & rows[v]).bit_count() for v in bits_to_vertices(row))
-        triangles.append(t // 2)
-    nbhd_components = sorted(_neighborhood_components(g, u) for u in range(g.n))
-    return (g.n, g.edge_count(), tuple(degrees), tuple(sorted(triangles)), tuple(nbhd_components))
 
 
 def _sparse_rows(g: Graph) -> list[int]:
@@ -105,9 +79,10 @@ def _k4_counts(rows: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=_INVARIANT_CACHE_SIZE)
-def _refined_colors(g: Graph) -> tuple[int, ...]:
-    """Color refinement started from (degree, 4-cliques through the vertex)
-    on the sparser of g and its complement."""
+def _refined_colors(g: Graph) -> tuple[tuple, tuple[int, ...]]:
+    """The sorted start signatures (degree, 4-cliques through the vertex) on
+    the sparser of g and its complement, and the colors that refinement
+    from them settles on."""
     rows = _sparse_rows(g)
     nbrs = [bits_to_vertices(r) for r in rows]
     start = list(zip((r.bit_count() for r in rows), _k4_counts(rows)))
@@ -122,7 +97,16 @@ def _refined_colors(g: Graph) -> tuple[int, ...]:
         if new == colors:
             break
         colors = new
-    return tuple(colors)
+    return tuple(sorted(start)), tuple(colors)
+
+
+def invariant_fingerprint(g: Graph) -> tuple:
+    """(n, edges, sorted start signatures, sorted refined colors); unequal
+    fingerprints mean non-isomorphic.  A color is a palette index, comparable
+    across graphs only with equal start signatures: K4xK4 and the Shrikhande
+    graph both refine to one color."""
+    start, colors = _refined_colors(g)
+    return (g.n, g.edge_count(), start, tuple(sorted(colors)))
 
 
 def _search_order(rows: list[int], colors: tuple[int, ...]) -> list[int]:
@@ -147,15 +131,9 @@ def _search_order(rows: list[int], colors: tuple[int, ...]) -> list[int]:
 
 def is_isomorphic(g: Graph, h: Graph) -> Optional[list[int]]:
     """Return a vertex bijection phi with g(u,v) edge iff h(phi u, phi v), or None."""
-    if g.n != h.n:
+    if g.n != h.n or invariant_fingerprint(g) != invariant_fingerprint(h):
         return None
-    if invariant_fingerprint(g) != invariant_fingerprint(h):
-        return None
-    g_colors = _refined_colors(g)
-    h_colors = _refined_colors(h)
-    if sorted(g_colors) != sorted(h_colors):
-        return None
-    return _match(_sparse_rows(g), g_colors, _sparse_rows(h), h_colors)
+    return _match(_sparse_rows(g), _refined_colors(g)[1], _sparse_rows(h), _refined_colors(h)[1])
 
 
 def _match(

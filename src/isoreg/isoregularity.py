@@ -13,8 +13,8 @@ each of the 18 sequences to its canonical code and name.
 
 Triples have one kernel, ``_triple_scan``: a bit-row scan that returns the
 valency per induced edge count and the first violation.  The search's
-``triples_isoregular`` and the j = 3 level of ``is_k_isoregular`` and
-``iso_profile`` all run it.
+``triples_isoregular`` and the j = 3 level of ``is_k_isoregular`` run it;
+``iso_profile`` reads the profile that ``is_k_isoregular`` returns.
 """
 
 from __future__ import annotations
@@ -115,10 +115,31 @@ class IsoWitness(NamedTuple):
         }
 
 
+class IsoProfile(NamedTuple):
+    """Type-to-valency map of a k-isoregular graph; vacuous types report 0."""
+
+    k: int
+    valencies: dict[str, int]
+    vacuous: frozenset[str]
+
+    def size3(self) -> tuple[int, int, int, int]:
+        """Valencies on (K3, K1,2, K2+K1, 3K1)."""
+        v = self.valencies
+        return (v["K3"], v["K1,2"], v["K2+K1"], v["3K1"])
+
+    def to_json(self) -> dict:
+        return {
+            "k": self.k,
+            "valencies": dict(sorted(self.valencies.items())),
+            "vacuous": sorted(self.vacuous),
+        }
+
+
 class KIsoregularity(NamedTuple):
     holds: bool
     k: int
     witness: Optional[IsoWitness] = None
+    profile: Optional[IsoProfile] = None
 
     def __bool__(self) -> bool:
         return self.holds
@@ -196,40 +217,15 @@ def _valencies(g: Graph, k: int) -> tuple[Optional[IsoWitness], dict[IsoType, in
 
 
 def is_k_isoregular(g: Graph, k: int) -> KIsoregularity:
-    """Exhaustive check over all subsets of size <= k, k in 1..4.
+    """Exhaustive check over all subsets of size <= k, k in 1..4, with the
+    profile when it holds.
 
     On failure the witness pairs the first subset of the violating type
     (in lexicographic order) with the first subset disagreeing with it.
     """
-    witness, _ = _valencies(g, k)
-    return KIsoregularity(witness is None, k, witness)
-
-
-class IsoProfile(NamedTuple):
-    """Type-to-valency map of a k-isoregular graph; vacuous types report 0."""
-
-    k: int
-    valencies: dict[str, int]
-    vacuous: frozenset[str]
-
-    def size3(self) -> tuple[int, int, int, int]:
-        """Valencies on (K3, K1,2, K2+K1, 3K1)."""
-        v = self.valencies
-        return (v["K3"], v["K1,2"], v["K2+K1"], v["3K1"])
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "valencies": dict(sorted(self.valencies.items())),
-            "vacuous": sorted(self.vacuous),
-        }
-
-
-def iso_profile(g: Graph, k: int) -> Optional[IsoProfile]:
-    """The profile when g is k-isoregular; None otherwise."""
     witness, seen = _valencies(g, k)
     if witness is not None:
-        return None
+        return KIsoregularity(False, k, witness)
     valencies: dict[str, int] = {}
     vacuous: set[str] = set()
     for j in range(1, k + 1):
@@ -237,7 +233,12 @@ def iso_profile(g: Graph, k: int) -> Optional[IsoProfile]:
             valencies[t.name] = seen.get(t, 0)
             if t not in seen:
                 vacuous.add(t.name)
-    return IsoProfile(k, valencies, frozenset(vacuous))
+    return KIsoregularity(True, k, None, IsoProfile(k, valencies, frozenset(vacuous)))
+
+
+def iso_profile(g: Graph, k: int) -> Optional[IsoProfile]:
+    """The profile when g is k-isoregular; None otherwise."""
+    return is_k_isoregular(g, k).profile
 
 
 class EdgeLocalParams(NamedTuple):

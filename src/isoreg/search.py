@@ -38,9 +38,10 @@ of orbits a, b (c the third) has A_T = (D_a + D_b - D_c)/2 and |T| = (k -
 size and autocorrelation, and ``_t_solutions`` (memoised per shard on (t,
 A_T)) gives the connections.  Shards take every stride-th S0.
 
-The candidate counts are taken in closed form from the allowed sizes
-(C((n-1)//2, s//2) symmetric sets of size s, none when n and s are both odd)
-and checked against ``CANDIDATE_CAP`` before any mask list is built; then
+An order above ``MAX_VERTICES`` is refused before any count.  The candidate
+counts are taken in closed form from the allowed sizes (C((n-1)//2, s//2)
+symmetric sets of size s, none when n and s are both odd) and checked
+against ``CANDIDATE_CAP`` before any mask list is built; then
 the bicirculant search builds only masks of the allowed sizes, S' of sizes
 n-1-s under ``--sp-complement``.
 
@@ -49,10 +50,11 @@ it on its row blocks (``block_srg_params`` on ``row_blocks``, one vertex per
 orbit), builds only the candidates that pass as a ``Symbol`` and a graph,
 tests them with ``srg_params``, which decides the counters and records, and
 applies the shared tail (nontriviality from the parameters, the triple
-test, the profile) to the target matches.  ``_run_shards``, told r, runs
-the shards serially or on a process pool, merges them and rebuilds the
-survivors' symbols from the record keys, and ``_finish`` deduplicates.
-Workers are stateless and survivors are sorted by symbol encoding before
+test, the profile) to the target matches.  ``_run_shards`` runs the
+shards serially or on a process pool and merges them, and ``_finish``
+builds each survivor once and deduplicates: a survivor is tested only
+against the class representatives with its parameters and fingerprint.
+Workers are stateless and records are sorted by symbol encoding before
 deduplication, so output is independent of worker count and scheduling.
 """
 
@@ -64,7 +66,7 @@ from itertools import combinations, product
 from math import comb, isqrt
 from typing import Iterable, NamedTuple, Optional
 
-from .graphs import Graph, complement
+from .graphs import MAX_VERTICES, Graph, complement
 from .isomorphism import invariant_fingerprint, is_isomorphic
 from .isoregularity import triples_isoregular
 from .formats import encode_graph6
@@ -146,7 +148,6 @@ class SearchSpec(NamedTuple):
     t_size: Optional[int] = None
     sp_is_complement: bool = False
     require_iso3: bool = False
-    dedup: bool = True
     nontrivial_only: bool = True
 
 
@@ -156,7 +157,7 @@ class Survivor(NamedTuple):
     profile: Optional[tuple[int, int, int, int]]
     graph6: str
     iso3: bool
-    class_id: int = -1
+    class_id: int
 
     def to_json(self) -> dict:
         return {
@@ -175,8 +176,8 @@ class SearchStats(NamedTuple):
     nontrivial_srg: int
     iso3: int
     survivors: int
-    classes: Optional[int]
-    complement_classes: Optional[int]
+    classes: int
+    complement_classes: int
 
     def to_json(self) -> dict:
         return {
@@ -384,6 +385,8 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     n = spec.n
     if n < 2:
         raise ValueError("modulus must be at least 2")
+    if 2 * n > MAX_VERTICES:
+        raise SearchCapError(f"2n = {2 * n} above the vertex cap {MAX_VERTICES}")
     if spec.require_iso3 and 2 * n > ISO3_ORDER_CAP:
         raise SearchCapError(f"2n = {2 * n} above the 3-isoregularity cap {ISO3_ORDER_CAP}")
     if spec.target is not None and spec.target.n != 2 * n:
@@ -414,15 +417,15 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     rule = (n, spec.target.as_tuple() if spec.target else None, bicirculant, True,
             spec.require_iso3, spec.nontrivial_only)
     args = (s_masks, sp_masks, t_sizes, spec.sp_is_complement, rule)
-    survivors, counts = _run_shards(_bicirc_worker, args, jobs, 2)
-    return _finish(survivors, candidates, counts, spec.dedup)
+    records, counts = _run_shards(_bicirc_worker, args, jobs)
+    return _finish(records, 2, candidates, counts)
 
 
-def _run_shards(worker, args: tuple, jobs: int, r: int) -> tuple[list[Survivor], list[int]]:
+def _run_shards(worker, args: tuple, jobs: int) -> tuple[list, list[int]]:
     """Run worker on args + (shard, stride) for every shard, serially or on a
-    process pool; return the survivors, with their r-orbit symbols rebuilt from
-    the record keys, sorted by symbol key and the summed counters.  The shard
-    count is jobs clamped to the CPU count; output does not depend on it."""
+    process pool; return the records, sorted by symbol key, and the summed
+    counters.  The shard count is jobs clamped to the CPU count; output does
+    not depend on it."""
     stride = max(1, min(jobs, os.cpu_count() or 1))
     shards = [args + (shard, stride) for shard in range(stride)]
     if stride > 1:
@@ -434,41 +437,31 @@ def _run_shards(worker, args: tuple, jobs: int, r: int) -> tuple[list[Survivor],
         outputs = [worker(a) for a in shards]
     records = sorted(rec for recs, _ in outputs for rec in recs)
     counts = [sum(c[i] for _, c in outputs) for i in range(3)]
-    survivors = [
-        Survivor(Symbol(key[0], key[1:r + 1], key[r + 1:]), SrgParams(*params), profile, "", iso3)
-        for key, params, profile, iso3 in records
-    ]
-    return survivors, counts
+    return records, counts
 
 
-def _finish(
-    survivors: list[Survivor], candidates: int, counts: list[int], dedup: bool
-) -> SearchResult:
-    graphs = [symbol_graph(s.symbol) for s in survivors]
-    filled = []
+def _finish(records: list, r: int, candidates: int, counts: list[int]) -> SearchResult:
+    """Build each record's r-orbit survivor once; it joins the class of the
+    first representative in its (parameters, fingerprint) bucket that it
+    matches, or founds one."""
+    survivors = []
     class_reps: list[int] = []
-    if dedup:
-        reps: list[tuple[tuple, tuple, Graph, int]] = []
-        for i, (s, g) in enumerate(zip(survivors, graphs)):
-            fp = invariant_fingerprint(g)
-            assigned = None
-            for params, rep_fp, rep_g, cid in reps:
-                if params == s.params.as_tuple() and rep_fp == fp and is_isomorphic(g, rep_g):
-                    assigned = cid
-                    break
-            if assigned is None:
-                assigned = len(reps)
-                reps.append((s.params.as_tuple(), fp, g, assigned))
-                class_reps.append(i)
-            filled.append(s._replace(graph6=encode_graph6(g), class_id=assigned))
-        complement_classes = _complement_class_count([r[2] for r in reps])
-        classes = len(reps)
-    else:
-        filled = [s._replace(graph6=encode_graph6(g)) for s, g in zip(survivors, graphs)]
-        classes = None
-        complement_classes = None
-    stats = SearchStats(candidates, *counts, len(filled), classes, complement_classes)
-    return SearchResult(tuple(filled), tuple(class_reps), stats)
+    rep_graphs: list[Graph] = []
+    buckets: dict[tuple, list[tuple[Graph, int]]] = {}
+    for i, (key, params, profile, iso3) in enumerate(records):
+        sym = Symbol(key[0], key[1:r + 1], key[r + 1:])
+        g = symbol_graph(sym)
+        bucket = buckets.setdefault((params, invariant_fingerprint(g)), [])
+        class_id = next((cid for rep, cid in bucket if is_isomorphic(g, rep)), None)
+        if class_id is None:
+            class_id = len(rep_graphs)
+            bucket.append((g, class_id))
+            rep_graphs.append(g)
+            class_reps.append(i)
+        survivors.append(Survivor(sym, SrgParams(*params), profile, encode_graph6(g), iso3, class_id))
+    stats = SearchStats(candidates, *counts, len(survivors), len(rep_graphs),
+                        _complement_class_count(rep_graphs))
+    return SearchResult(tuple(survivors), tuple(class_reps), stats)
 
 
 def _complement_class_count(rep_graphs: list[Graph]) -> int:
@@ -546,8 +539,8 @@ def search_tricirculant_srg(n: int, target: SrgParams, jobs: int = 1) -> SearchR
         raise SearchCapError("tricirculant space too large", candidates)
     sym_masks = _symmetric_masks(n)
     rule = (n, target.as_tuple(), tricirculant, False, False, True)
-    survivors, counts = _run_shards(_tricirc_worker, (sym_masks, rule), jobs, 3)
-    return _finish(survivors, candidates, counts, True)
+    records, counts = _run_shards(_tricirc_worker, (sym_masks, rule), jobs)
+    return _finish(records, 3, candidates, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +580,7 @@ def confirm_nonexistence_bicirc_odd(n: int, jobs: int = 1) -> OddRunResult:
         raise ValueError("this run is for odd moduli")
     if not 5 <= n <= 13:
         raise ValueError("odd confirmation runs cover 5 <= n <= 13")
-    spec = SearchSpec(n=n, require_iso3=False, dedup=True, nontrivial_only=True)
+    spec = SearchSpec(n=n)
     result = search_bicirculant(spec, jobs=jobs)
     m = _family_index_for(n)
     failures = []

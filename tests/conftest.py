@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from isoreg import (
@@ -110,16 +112,39 @@ def brute_valency(g: Graph, subset) -> int:
     return count
 
 
+def _neighborhood_components(g: Graph, u: int) -> int:
+    """Connected components of the subgraph induced on u's neighbors."""
+    left = set(g.neighbors(u))
+    components = 0
+    while left:
+        components += 1
+        frontier = [left.pop()]
+        while frontier:
+            x = frontier.pop()
+            reach = [y for y in left if g.adjacent(x, y)]
+            left.difference_update(reach)
+            frontier.extend(reach)
+    return components
+
+
+def reference_fingerprint(g: Graph) -> tuple:
+    """Isomorphism invariant of the reference test, independent of isoreg's:
+    order, edge count, and the sorted degrees, triangles through each vertex
+    and components of each neighborhood."""
+    triangles = [
+        sum(g.adjacent(v, w) for v, w in combinations(g.neighbors(u), 2)) for u in range(g.n)
+    ]
+    components = [_neighborhood_components(g, u) for u in range(g.n)]
+    return (g.n, g.edge_count(), sorted(g.degrees()), sorted(triangles), sorted(components))
+
+
 def backtracking_isomorphism(g: Graph, h: Graph):
     """Reference isomorphism test: recursive backtracking that checks each
-    candidate pair by pair with ``adjacent``, after degree-based color
-    refinement.  Slow and limited by the recursion depth, but simple enough
-    to trust; the iterative search in isoreg is compared against it."""
-    from isoreg import invariant_fingerprint
-
-    if g.n != h.n:
-        return None
-    if invariant_fingerprint(g) != invariant_fingerprint(h):
+    candidate pair by pair with ``adjacent``, after ``reference_fingerprint``
+    and degree-based color refinement.  Slow and limited by the recursion
+    depth, but simple enough to trust; the iterative search in isoreg is
+    compared against it."""
+    if reference_fingerprint(g) != reference_fingerprint(h):
         return None
 
     def refined_colors(x: Graph) -> list[int]:

@@ -90,6 +90,18 @@ def test_check_isoreg(capsys):
     assert payload["witness"]["valency_a"] != payload["witness"]["valency_b"]
 
 
+@pytest.mark.parametrize("graph, code", [("clebsch", 0), ("shrikhande-a", 1)])
+def test_check_isoreg_scans_once(capsys, monkeypatch, graph, code):
+    # The verdict carries the profile, so the subsets are scanned once.
+    from isoreg import isoregularity
+
+    calls = []
+    scan = isoregularity._valencies
+    monkeypatch.setattr(isoregularity, "_valencies", lambda g, k: calls.append(k) or scan(g, k))
+    assert run_cli(capsys, "check", "isoreg", graph)[0] == code
+    assert calls == [3]
+
+
 def test_check_local3_and_tvertex(capsys):
     code, out, _ = run_cli(capsys, "check", "local3", "clebsch")
     assert code == 0 and json.loads(out)["locally_3isoregular"]
@@ -224,6 +236,19 @@ def test_search_cap_is_usage_error(capsys):
     assert code == 2 and "candidates" in err
 
 
+@pytest.mark.parametrize("argv", ["--n 20000", "--n 200000 --s-size 0 --sp-size 0 --t-size 0"])
+def test_search_above_vertex_cap_is_refused_at_once(capsys, argv):
+    # 2n above MAX_VERTICES is refused before the closed-form candidate
+    # count, which alone ran for seconds at these moduli.
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "search", "bicirc", *argv.split())
+    assert time.perf_counter() - start < 0.5
+    n = int(argv.split()[1])
+    assert (code, out, err) == (2, "", f"error: 2n = {2 * n} above the vertex cap 4096\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -347,6 +372,17 @@ def test_replay_hostile_certificate_is_input_error(capsys, tmp_path, name):
     code, out, err = run_cli(capsys, "replay", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+def test_replay_deeply_nested_certificate_is_input_error(capsys, tmp_path):
+    # Nesting deeper than the decoder's recursion limit is an input error,
+    # not a traceback that exits 1 as if the claim had failed.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run_cli(capsys, "replay", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot load certificate: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 # argv -> the vertex count its error names.

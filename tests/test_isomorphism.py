@@ -60,8 +60,9 @@ def test_order_mismatch_and_small_negatives():
 
 
 def test_fingerprint_separates_shrikhande_family():
-    # Neighborhoods are C6 in Shrikhande but 2K3 in K4xK4; the component
-    # count invariant sees it without any backtracking.
+    # Neighborhoods are C6 in Shrikhande but 2K3 in K4xK4, so two 4-cliques
+    # pass through each vertex of K4xK4 and none through a Shrikhande
+    # vertex; the start signatures see it without any backtracking.
     fa = invariant_fingerprint(named_graph("shrikhande-a"))
     fk = invariant_fingerprint(named_graph("k4xk4"))
     assert fa != fk
@@ -92,13 +93,14 @@ def test_matches_backtracking_on_same_size_named_pairs():
                     check_mapping(g, h, found)
             verdicts[a, b] = mapping is not None
     # Same parameters: (16,6,2,2) and (16,9,4,6) split into two classes
-    # each; the complements share a fingerprint, so only the search
-    # tells them apart.
+    # each.  Refinement runs on the sparser side, so the complements get
+    # the start signatures of K4xK4 and Shrikhande, and their fingerprints
+    # differ too: no search is needed to tell them apart.
     assert verdicts["shrikhande-a", "shrikhande-b"]
     assert not verdicts["k4xk4", "shrikhande-a"]
     assert verdicts["co-shrikhande-a", "co-shrikhande-b"]
     assert not verdicts["co-k4xk4", "co-shrikhande-a"]
-    assert invariant_fingerprint(graphs["co-k4xk4"]) == invariant_fingerprint(graphs["co-shrikhande-a"])
+    assert invariant_fingerprint(graphs["co-k4xk4"]) != invariant_fingerprint(graphs["co-shrikhande-a"])
     assert verdicts["gq22", "t6-complement"]
     assert verdicts["co-petersen", "triangular-5"]
     for tag in build_corpus():
@@ -106,14 +108,14 @@ def test_matches_backtracking_on_same_size_named_pairs():
 
 
 def test_matches_backtracking_on_full_n8_space():
-    result = search_bicirculant(SearchSpec(n=8, nontrivial_only=False, dedup=False))
+    result = search_bicirculant(SearchSpec(n=8, nontrivial_only=False))
     graphs = [symbol_graph(s.symbol) for s in result.survivors]
     assert len(graphs) == 164
     # Isomorphism is an equivalence, so the reference's verdicts against one
     # representative per class fix its verdict on every pair.  Running it on
     # all 13,366 pairs directly takes tens of seconds, nearly all of it in
-    # exhaustive refutations between the two (16,9,4,6) classes, which share
-    # a fingerprint.
+    # exhaustive refutations between the two (16,9,4,6) classes, which the
+    # reference's fingerprint does not tell apart.
     reps: list = []
     classes = []
     for g in graphs:
@@ -127,6 +129,9 @@ def test_matches_backtracking_on_full_n8_space():
             classes.append(len(reps))
             reps.append(g)
     assert len(reps) == 14
+    # The search's own deduplication numbers the classes the same way.
+    assert [s.class_id for s in result.survivors] == classes
+    assert result.stats.classes == 14
     for i, g in enumerate(graphs):
         for j in range(i + 1, len(graphs)):
             mapping = is_isomorphic(g, graphs[j])

@@ -251,7 +251,7 @@ def _reference_graphs():
     from isoreg import SearchSpec, search_bicirculant, symbol_graph
 
     graphs = dict(build_corpus())
-    space = search_bicirculant(SearchSpec(n=8, nontrivial_only=False, dedup=False))
+    space = search_bicirculant(SearchSpec(n=8, nontrivial_only=False))
     assert len(space.survivors) == 164
     for i, survivor in enumerate(space.survivors):
         graphs[f"n8-{i}"] = symbol_graph(survivor.symbol)

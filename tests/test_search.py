@@ -98,16 +98,6 @@ def test_symmetric_masks_by_size_match_brute_force():
     assert len(symmetric_subsets(60, 2)) == 29
 
 
-def test_search_without_dedup():
-    result = search_bicirculant(
-        SearchSpec(n=5, target=SrgParams(10, 3, 0, 1), dedup=False)
-    )
-    assert result.stats.classes is None
-    assert result.class_reps == ()
-    assert all(s.class_id == -1 for s in result.survivors)
-    assert result.stats.survivors == 10
-
-
 def test_search_caps():
     with pytest.raises(SearchCapError):
         search_bicirculant(SearchSpec(n=15))
@@ -115,6 +105,14 @@ def test_search_caps():
         search_bicirculant(SearchSpec(n=33, require_iso3=True, t_size=0, s_size=2, sp_size=2))
     with pytest.raises(SearchCapError):
         search_tricirculant_srg(14, SrgParams(42, 10, 3, 2))
+    # 2n above MAX_VERTICES is refused before any candidate count, even for
+    # a one-symbol space.
+    for n in (2049, 200000):
+        with pytest.raises(SearchCapError, match=f"2n = {2 * n} above the vertex cap 4096"):
+            search_bicirculant(SearchSpec(n=n, s_size=0, sp_size=0, t_size=0))
+    with pytest.raises(SearchCapError) as info:
+        search_bicirculant(SearchSpec(n=20000))
+    assert info.value.estimate is None
 
 
 def test_search_jobs_deterministic():
@@ -261,7 +259,7 @@ def test_parameter_nontriviality_matches_connectivity(monkeypatch):
 
     monkeypatch.setattr(search_mod, "_judge", recording_judge)
     for m in range(2, 9):
-        search_bicirculant(SearchSpec(n=m, dedup=False))
+        search_bicirculant(SearchSpec(n=m))
     assert len(seen) == 282
     for n in (3, 5):
         for target in _tricirc_targets(n):
@@ -352,7 +350,6 @@ def test_bicirc_worker_matches_reference(n):
     from conftest import reference_bicirc_run
 
     for i, spec in enumerate(_bicirc_specs(n)):
-        spec = spec._replace(dedup=False)
         result = search_bicirculant(spec)
         got = [(s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3) for s in result.survivors]
         stats = list(result.stats[:4])
@@ -453,8 +450,7 @@ _EDGE_SPACES = [
 ]
 _EDGE_CASES = [
     (f"n{n}-{label}" + ("-" + ",".join(map(str, target)) if target else ""),
-     SearchSpec(n=n, target=target and SrgParams(*target), nontrivial_only=False, dedup=False,
-                **filters))
+     SearchSpec(n=n, target=target and SrgParams(*target), nontrivial_only=False, **filters))
     for n, label, filters, targets in _EDGE_SPACES
     for target in [None, *targets]
 ]
@@ -462,11 +458,11 @@ _EDGE_CASES = [
 
 @pytest.mark.parametrize(
     "spec",
-    [SearchSpec(n=n, nontrivial_only=False, dedup=False) for n in range(9, 14)]
+    [SearchSpec(n=n, nontrivial_only=False) for n in range(9, 14)]
     + [
-        SearchSpec(n=13, target=_DEDUP13, nontrivial_only=False, dedup=False),
+        SearchSpec(n=13, target=_DEDUP13, nontrivial_only=False),
         SearchSpec(n=13, target=_DEDUP13, sp_is_complement=True, s_size=6, t_size=4,
-                   nontrivial_only=False, dedup=False),
+                   nontrivial_only=False),
     ]
     + [spec for _, spec in _EDGE_CASES],
     ids=["n9", "n10", "n11", "n12", "n13", "n13-target", "n13-target-shat"]

@@ -57,7 +57,7 @@ VALUES = [
     (ReplayResult(True, ()), True),
     (IsoType(3, 1), True),
     (IsoWitness(IsoType(3, 0), (0, 1, 2), 1, (0, 1, 3), 2), True),
-    (KIsoregularity(True, 3), True),
+    (KIsoregularity(True, 1, None, IsoProfile(1, {"K1": 3}, frozenset())), False),
     (IsoProfile(1, {"K1": 3}, frozenset()), False),
     (EdgeLocalParams(0, 0, 1), True),
     (NonEdgeLocalParams(0, 1, 0, frozenset({"3K1"})), True),
