@@ -12,27 +12,27 @@ class Graph6Error(ValueError):
     pass
 
 
+# Six body bits, as binary text, to their graph6 character.
+_SIXBITS = {format(v, "06b"): chr(63 + v) for v in range(64)}
+
+
 def encode_graph6(g: Graph) -> str:
-    """Standard graph6: size header, then upper triangle packed column-wise."""
+    """Standard graph6: size header, then upper triangle packed column-wise.
+
+    Column j is bits 0..j-1 of row j, low bit first: the tail of the row's
+    binary text read backwards.  The columns are padded to a multiple of 6
+    bits, and each 6 bits become one character.
+    """
     n = g.n
     if n <= 62:
-        out = [chr(n + 63)]
+        head = chr(n + 63)
     else:
         # 18-bit size form covers everything up to the package vertex cap.
-        out = [chr(126), chr(63 + ((n >> 12) & 63)), chr(63 + ((n >> 6) & 63)), chr(63 + (n & 63))]
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (1 if g.adjacent(i, j) else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+        head = chr(126) + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
+    top = 1 << n
+    bits = "".join([bin(r | top)[-1:-1 - j:-1] for j, r in enumerate(g.rows())])
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join([_SIXBITS[bits[p:p + 6]] for p in range(0, len(bits), 6)])
 
 
 def decode_graph6(text: str) -> Graph:

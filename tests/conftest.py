@@ -112,6 +112,40 @@ def brute_valency(g: Graph, subset) -> int:
     return count
 
 
+def reference_encode_graph6(g: Graph) -> str:
+    """Reference graph6 encoder: the size header, then one ``adjacent``
+    lookup per bit of the upper triangle, column by column, packed six bits
+    to a character."""
+    n = g.n
+    if n <= 62:
+        out = [chr(n + 63)]
+    else:
+        out = [chr(126), chr(63 + ((n >> 12) & 63)), chr(63 + ((n >> 6) & 63)), chr(63 + (n & 63))]
+    acc = 0
+    nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            acc = (acc << 1) | (1 if g.adjacent(i, j) else 0)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(63 + acc))
+                acc = 0
+                nbits = 0
+    if nbits:
+        out.append(chr(63 + (acc << (6 - nbits))))
+    return "".join(out)
+
+
+def reference_k4_counts(g: Graph) -> list[int]:
+    """4-cliques through each vertex, by a plain loop over all 4-subsets."""
+    counts = [0] * g.n
+    for quad in combinations(range(g.n), 4):
+        if all(g.adjacent(u, v) for u, v in combinations(quad, 2)):
+            for u in quad:
+                counts[u] += 1
+    return counts
+
+
 def _neighborhood_components(g: Graph, u: int) -> int:
     """Connected components of the subgraph induced on u's neighbors."""
     left = set(g.neighbors(u))

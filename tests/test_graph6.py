@@ -1,10 +1,12 @@
 """graph6 codec fidelity and DOT export."""
 
+import random
+
 import pytest
 
 from isoreg import Graph, Graph6Error, complete_graph, cycle_graph, decode_graph6, encode_graph6, to_dot
 
-from conftest import build_corpus
+from conftest import build_corpus, reference_encode_graph6
 
 
 def reference_encode(g: Graph) -> str:
@@ -35,6 +37,18 @@ def test_round_trip_whole_corpus():
         text = encode_graph6(g)
         assert text == reference_encode(g), name
         assert decode_graph6(text) == g, name
+
+
+def test_encoder_matches_bit_loop_reference():
+    # n <= 62 takes the one-character size header; 63..80 and 200 the
+    # four-character one.  Densities cycle from empty to complete.
+    rng = random.Random(6)
+    for n in [*range(1, 81), 200]:
+        p = (0.0, 0.1, 0.5, 0.9, 1.0)[n % 5]
+        g = Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+        text = encode_graph6(g)
+        assert text == reference_encode_graph6(g), n
+        assert decode_graph6(text) == g, n
 
 
 def test_header_variants():

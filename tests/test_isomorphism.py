@@ -4,7 +4,7 @@ backtracking reference."""
 import random
 import sys
 
-from conftest import backtracking_isomorphism, build_corpus
+from conftest import backtracking_isomorphism, build_corpus, reference_k4_counts
 
 from isoreg import (
     Graph,
@@ -19,6 +19,8 @@ from isoreg import (
     search_bicirculant,
     symbol_graph,
 )
+from isoreg import isomorphism
+from isoreg.graphs import bits_to_vertices
 
 
 def check_mapping(g, h, mapping):
@@ -67,6 +69,26 @@ def test_fingerprint_separates_shrikhande_family():
     fk = invariant_fingerprint(named_graph("k4xk4"))
     assert fa != fk
     assert fa == invariant_fingerprint(named_graph("shrikhande-b"))
+
+
+def test_k4_counts_match_brute_force():
+    def k4_counts(g):
+        return isomorphism._k4_counts(g.rows(), tuple(tuple(bits_to_vertices(r)) for r in g.rows()))
+
+    rng = random.Random(4)
+    for n in range(1, 13):
+        for p in (0.2, 0.5, 0.8, 1.0):
+            g = Graph.from_edges(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+            assert k4_counts(g) == reference_k4_counts(g), (n, p)
+    # The counts the fingerprint starts from are those of the sparser side.
+    for tag, g in build_corpus().items():
+        rows, _, start, _ = isomorphism._prepared(g)
+        sparse = Graph(g.n, rows)
+        assert min(sparse.edge_count(), complement(g).edge_count()) == sparse.edge_count(), tag
+        assert k4_counts(sparse) == reference_k4_counts(sparse), tag
+        assert start == tuple(sorted(zip(sparse.degrees(), reference_k4_counts(sparse)))), tag
+    assert k4_counts(named_graph("shrikhande-a")) == [0] * 16
+    assert k4_counts(named_graph("k4xk4")) == [2] * 16
 
 
 def test_matches_backtracking_on_same_size_named_pairs():
@@ -138,6 +160,13 @@ def test_matches_backtracking_on_full_n8_space():
             assert (mapping is not None) == (classes[i] == classes[j]), (i, j)
             if mapping is not None:
                 check_mapping(g, graphs[j], mapping)
+            # The search plan is cached on the second argument, so the reverse
+            # call maps the other way and tests the inverted map; 164 graphs
+            # also run both caches past their bound.
+            mapping = is_isomorphic(graphs[j], g)
+            assert (mapping is not None) == (classes[i] == classes[j]), (j, i)
+            if mapping is not None:
+                check_mapping(graphs[j], g, mapping)
 
 
 def test_large_graphs_at_default_recursion_limit():
@@ -159,3 +188,25 @@ def test_large_graphs_at_default_recursion_limit():
         check_mapping(g, h, mapping)
     finally:
         sys.setrecursionlimit(saved)
+
+
+def test_caches_stay_bounded():
+    # 1,000 distinct graphs on 8 vertices, each the path 0..7 plus a random
+    # set of other pairs.  Each is compared with its predecessor and, so that
+    # the search runs and plans on it, with its reversal.
+    pairs = [(i, j) for j in range(8) for i in range(j - 1)]
+    rng = random.Random(1000)
+    extras = set()
+    while len(extras) < 1000:
+        extras.add(frozenset(p for p in pairs if rng.random() < 0.4))
+    graphs = [Graph.from_edges(8, [(i, i + 1) for i in range(7)] + sorted(e)) for e in extras]
+    for prev, g in zip(graphs, graphs[1:]):
+        invariant_fingerprint(g)
+        is_isomorphic(g, prev)
+        assert is_isomorphic(relabel(g, list(range(7, -1, -1))), g) is not None
+    caches = [f for f in vars(isomorphism).values() if hasattr(f, "cache_info")]
+    assert caches
+    for f in caches:
+        info = f.cache_info()
+        assert info.misses > isomorphism._INVARIANT_CACHE_SIZE, f
+        assert info.currsize <= isomorphism._INVARIANT_CACHE_SIZE, f
