@@ -290,10 +290,10 @@ def _cmd_search(args) -> int:
     elif args.mode == "bicirc-odd":
         run = confirm_nonexistence_bicirc_odd(args.n, jobs=jobs)
         result = run.result
-        claim_ok = run.iso3_count == 0 and run.locally_iso3_classes == 0 and run.structure_ok
+        claim_ok = result.stats.iso3 == 0 and run.locally_iso3_classes == 0 and run.structure_ok
         extra = {
             "family_index": run.family_index,
-            "iso3_survivors": run.iso3_count,
+            "iso3_survivors": result.stats.iso3,
             "locally_iso3_classes": run.locally_iso3_classes,
             "structure_ok": run.structure_ok,
             "structure_failures": list(run.structure_failures),

@@ -47,24 +47,31 @@ _INVARIANT_CACHE_SIZE = 64
 
 
 def _k4_counts(rows: tuple[int, ...], nbrs: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Number of 4-cliques through each vertex: triangles a < b < c in its
-    neighborhood.
+    """Number of 4-cliques through each vertex.  Each clique v < a < b < c is
+    found once, from v, and credited to all four of its vertices.
 
     On the strongly regular bicirculants the searches find at order 26 it
     separates the two rotation orbits, which color refinement cannot: every
     vertex there has the same degree and the same neighbor colors.
     """
-    counts = []
-    for rv, nv in zip(rows, nbrs):
-        total = 0
+    counts = [0] * len(rows)
+    for v, (rv, nv) in enumerate(zip(rows, nbrs)):
         for a in nv:
-            # b walks the common neighbors above a; then x holds those c > b.
-            x = (rv & rows[a]) >> (a + 1) << (a + 1)
+            # For a > v, b walks the common neighbors above a; then y holds the c > b.
+            x = (rv & rows[a]) >> (a + 1) << (a + 1) if a > v else 0
             while x:
                 low = x & -x
                 x ^= low
-                total += (x & rows[low.bit_length() - 1]).bit_count()
-        counts.append(total)
+                b = low.bit_length() - 1
+                y = x & rows[b]
+                found = y.bit_count()
+                counts[v] += found
+                counts[a] += found
+                counts[b] += found
+                while y:
+                    c = y & -y
+                    y ^= c
+                    counts[c.bit_length() - 1] += 1
     return counts
 
 

@@ -48,12 +48,13 @@ n-1-s under ``--sp-complement``.
 Every worker ends in ``_judge``, which takes a candidate as masks: it tests
 it on its row blocks (``block_srg_params`` on ``row_blocks``, one vertex per
 orbit), builds only the candidates that pass as a ``Symbol`` and a graph,
-tests them with ``srg_params``, which decides the counters and records, and
-applies the shared tail (nontriviality from the parameters, the triple
-test, the profile) to the target matches.  ``_run_shards`` runs the
-shards serially or on a process pool and merges them, and ``_finish``
-builds each survivor once and deduplicates: a survivor is tested only
-against the class representatives with its parameters and fingerprint.
+and tests them with ``srg_params``.  Both searches count every strongly
+regular graph they build, whatever its parameters, and keep only the
+nontrivial target matches, which take the triple test and the profile and
+become records.  ``_run_shards`` runs the shards serially or on a process
+pool and merges them, and ``_finish`` builds each survivor once and
+deduplicates: a survivor is tested only against the class representatives
+with its parameters and fingerprint.
 Workers are stateless and records are sorted by symbol encoding before
 deduplication, so output is independent of worker count and scheduling.
 """
@@ -148,7 +149,6 @@ class SearchSpec(NamedTuple):
     t_size: Optional[int] = None
     sp_is_complement: bool = False
     require_iso3: bool = False
-    nontrivial_only: bool = True
 
 
 class Survivor(NamedTuple):
@@ -200,12 +200,13 @@ class SearchResult(NamedTuple):
 def _judge(rule: tuple, diags, conns, negs, records: list, counts: list[int]) -> None:
     """Judge one candidate, given as masks: diagonal a, connection c of
     ``_LAYOUT[r]`` and negs[c], the mask of -conns[c]; rule is the run's
-    (n, target, build, count_all_srg, require_iso3, nontrivial_only).
-    counts holds the srg hits (every strongly regular graph with
-    count_all_srg, else the target matches), the nontrivial ones (0 < mu <
-    k, which for a strongly regular graph means it and its complement are
-    connected) and the iso3 ones."""
-    n, target, build, count_all_srg, require_iso3, nontrivial_only = rule
+    (n, target, build, require_iso3).  counts holds the srg hits (every
+    strongly regular graph built, whatever its parameters), the nontrivial
+    target matches (0 < mu < k, which for a strongly regular graph means it
+    and its complement are connected) and the 3-isoregular ones among them.
+    Only a nontrivial target match is recorded, and with require_iso3 only
+    a 3-isoregular one."""
+    n, target, build, require_iso3 = rule
     if block_srg_params(n, row_blocks(diags, conns, negs)) is None:
         return
     sym = Symbol(n, [_mask_to_set(m, n) for m in diags], [_mask_to_set(m, n) for m in conns])
@@ -213,21 +214,14 @@ def _judge(rule: tuple, diags, conns, negs, records: list, counts: list[int]) ->
     p = srg_params(g)
     if p is None:
         return
-    hit = target is None or p.as_tuple() == target
-    if hit or count_all_srg:
-        counts[0] += 1
-    if not hit:
+    counts[0] += 1
+    if (target is not None and p.as_tuple() != target) or not p.is_nontrivial():
         return
-    nontrivial = p.is_nontrivial()
-    if nontrivial:
-        counts[1] += 1
-    elif nontrivial_only:
-        return
-    ok3, vals = triples_isoregular(g)
-    iso3 = ok3 and nontrivial
+    counts[1] += 1
+    iso3, vals = triples_isoregular(g)
     if iso3:
         counts[2] += 1
-    if require_iso3 and not iso3:
+    elif require_iso3:
         return
     # (K3, K1,2, K2+K1, 3K1) with vacuous types reported as 0.
     profile = (vals[3] or 0, vals[2] or 0, vals[1] or 0, vals[0] or 0) if iso3 else None
@@ -414,8 +408,7 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     s_masks = _symmetric_masks(n, s_sizes)
     sp_masks = _symmetric_masks(n, sp_sizes)
 
-    rule = (n, spec.target.as_tuple() if spec.target else None, bicirculant, True,
-            spec.require_iso3, spec.nontrivial_only)
+    rule = (n, spec.target.as_tuple() if spec.target else None, bicirculant, spec.require_iso3)
     args = (s_masks, sp_masks, t_sizes, spec.sp_is_complement, rule)
     records, counts = _run_shards(_bicirc_worker, args, jobs)
     return _finish(records, 2, candidates, counts)
@@ -538,7 +531,7 @@ def search_tricirculant_srg(n: int, target: SrgParams, jobs: int = 1) -> SearchR
     if candidates > CANDIDATE_CAP:
         raise SearchCapError("tricirculant space too large", candidates)
     sym_masks = _symmetric_masks(n)
-    rule = (n, target.as_tuple(), tricirculant, False, False, True)
+    rule = (n, target.as_tuple(), tricirculant, False)
     records, counts = _run_shards(_tricirc_worker, (sym_masks, rule), jobs)
     return _finish(records, 3, candidates, counts)
 
@@ -553,7 +546,6 @@ class OddRunResult(NamedTuple):
 
     n: int
     result: SearchResult
-    iso3_count: int
     locally_iso3_classes: int
     family_index: Optional[int]
     structure_ok: bool
@@ -603,7 +595,6 @@ def confirm_nonexistence_bicirc_odd(n: int, jobs: int = 1) -> OddRunResult:
             failures.append(f"{sym.text()}: parameters outside the family pair")
         elif len(sym.t) != want_t:
             failures.append(f"{sym.text()}: |T| = {len(sym.t)}, family predicts {want_t}")
-    iso3_count = sum(1 for s in result.survivors if s.iso3)
 
     from .isoregularity import is_locally_3isoregular
 
@@ -612,4 +603,4 @@ def confirm_nonexistence_bicirc_odd(n: int, jobs: int = 1) -> OddRunResult:
         for i in result.class_reps
         if is_locally_3isoregular(symbol_graph(result.survivors[i].symbol)) is not None
     )
-    return OddRunResult(n, result, iso3_count, locally, m, not failures, tuple(failures))
+    return OddRunResult(n, result, locally, m, not failures, tuple(failures))

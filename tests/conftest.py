@@ -592,9 +592,8 @@ def reference_multicirc_worker(args):
     replaced its pruning: it walks the tuples of connection masks grouped by
     their bit counts, prunes each orbit's diagonal masks against that
     orbit's incident difference sum, and tests every member of the product
-    of the survivors on its row blocks, then on its graph.  count_all_srg
-    counts every strongly regular graph built, not only the target
-    matches."""
+    of the survivors on its row blocks, then on its graph.  It counts every
+    strongly regular graph it builds, not only the target matches."""
     from itertools import product
     from operator import add
 
@@ -603,7 +602,7 @@ def reference_multicirc_worker(args):
     from isoreg.symbols import _LAYOUT, Symbol, negated_mask, row_blocks
 
     (n, target, diag_masks, conn_masks, build, sp_is_complement,
-     count_all_srg, require_iso3, nontrivial_only, shard, stride) = args
+     require_iso3, nontrivial_only, shard, stride) = args
     lam = target[2] if target else None
     mu = target[3] if target else None
     r = len(diag_masks)
@@ -663,10 +662,8 @@ def reference_multicirc_worker(args):
                         p = srg_params(g)
                         if p is None:
                             continue
-                        hit = target is None or p.as_tuple() == target
-                        if hit or count_all_srg:
-                            counts[0] += 1
-                        if hit:
+                        counts[0] += 1
+                        if target is None or p.as_tuple() == target:
                             reference_judge(sym, g, p, nontrivial_only, require_iso3, records,
                                             counts)
     return records, counts
@@ -825,10 +822,11 @@ def reference_t_solutions(n: int, t: int, a: tuple[int, ...]) -> tuple[int, ...]
     return tuple(sorted(found))
 
 
-def reference_bicirc_run(spec, use_pruning=True):
+def reference_bicirc_run(spec, use_pruning=True, nontrivial_only=True):
     """The bicirculant search's candidate count, sorted records and counters
     as the reference worker computes them for a SearchSpec, with its diagonal
-    pruning or, with use_pruning off, as the plain product."""
+    pruning or, with use_pruning off, as the plain product; with
+    nontrivial_only off the records include the trivial target matches."""
     from isoreg.search import _symmetric_masks
 
     n = spec.n
@@ -843,19 +841,21 @@ def reference_bicirc_run(spec, use_pruning=True):
     target = spec.target.as_tuple() if spec.target else None
     records, counts = reference_bicirc_worker(
         (n, target, s_masks, sp_masks, t_masks, spec.sp_is_complement, spec.require_iso3,
-         spec.nontrivial_only, use_pruning, 0, 1)
+         nontrivial_only, use_pruning, 0, 1)
     )
     return len(s_masks) * sp_count * len(t_masks), sorted(records), counts
 
 
 def reference_tricirc_worker(args):
     """Reference tricirculant shard worker: six nested loops over T01, T12,
-    T20, S0, S1 and S2, each diagonal pruned inside the loop above it."""
+    T20, S0, S1 and S2, each diagonal pruned inside the loop above it.  It
+    counts every strongly regular graph it builds; with nontrivial_only off
+    the records include the trivial target matches."""
     from isoreg.search import _diff_vector, _mask_to_set, _symmetric_masks
     from isoreg.srg import srg_params
     from isoreg.symbols import TricirculantSymbol, tricirculant
 
-    (n, target, use_pruning, shard, stride) = args
+    (n, target, use_pruning, nontrivial_only, shard, stride) = args
     k = target[1]
     lam = target[2]
     mu = target[3]
@@ -920,8 +920,41 @@ def reference_tricirc_worker(args):
                             )
                             g = tricirculant(sym)
                             p = srg_params(g)
-                            if p is None or p.as_tuple() != target:
+                            if p is None:
                                 continue
                             counts[0] += 1
-                            reference_judge(sym, g, p, True, False, records, counts)
+                            if p.as_tuple() == target:
+                                reference_judge(sym, g, p, nontrivial_only, False, records,
+                                                counts)
     return records, counts
+
+
+def srg_symbols_built(search, *args):
+    """Run search(*args, jobs=1) with ``isoreg.search.bicirculant`` and
+    ``tricirculant`` wrapped, the way perfbench's tracer hooks them; return
+    the result and the sorted (key, params) of every strongly regular symbol
+    the search built, trivial ones and those off its target included."""
+    import isoreg.search as search_mod
+    from isoreg.srg import srg_params
+
+    built = []
+
+    def hooked(build):
+        def run(sym):
+            g = build(sym)
+            p = srg_params(g)
+            if p is not None:
+                built.append((sym.key(), p.as_tuple()))
+            return g
+
+        return run
+
+    saved = {name: getattr(search_mod, name) for name in ("bicirculant", "tricirculant")}
+    for name, build in saved.items():
+        setattr(search_mod, name, hooked(build))
+    try:
+        result = search(*args, jobs=1)
+    finally:
+        for name, build in saved.items():
+            setattr(search_mod, name, build)
+    return result, sorted(built)

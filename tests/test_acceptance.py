@@ -235,7 +235,7 @@ def test_criterion_6_exhaustive_searches():
     # 3-isoregular.
     for n, expect_index in ((5, 1), (7, None), (13, 2)):
         run = confirm_nonexistence_bicirc_odd(n)
-        assert run.iso3_count == 0, n
+        assert run.result.stats.iso3 == 0, n
         assert run.locally_iso3_classes == 0, n
         assert run.structure_ok, run.structure_failures
         assert run.family_index == expect_index, n

@@ -190,6 +190,17 @@ def test_search_tricirc_cli(capsys):
     assert code == 2 and "--params" in err
 
 
+def test_both_searches_count_every_srg_they_build(capsys):
+    # Each join builds the complete graph, whose vacuous mu is reported as 0,
+    # so it misses the target; both searches count it under srg.
+    for argv in (("bicirc", "--n", "3", "--params", "6,5,4,3"),
+                 ("tricirc", "--n", "3", "--params", "9,8,7,3")):
+        code, out, _ = run_cli(capsys, "search", *argv)
+        assert code == 0
+        stats = json.loads(out)["summary"]["stats"]
+        assert (stats["srg"], stats["nontrivial_srg"], stats["survivors"]) == (1, 0, 0), argv
+
+
 def test_jobs_env_default(capsys, monkeypatch):
     # The worker count a search runs with: ISOREG_JOBS without --jobs, the
     # flag over the variable (which is then not read), else 1.

@@ -4,7 +4,8 @@ backtracking reference."""
 import random
 import sys
 
-from conftest import backtracking_isomorphism, build_corpus, reference_k4_counts
+from conftest import (backtracking_isomorphism, build_corpus, reference_k4_counts,
+                      srg_symbols_built)
 
 from isoreg import (
     Graph,
@@ -130,7 +131,12 @@ def test_matches_backtracking_on_same_size_named_pairs():
 
 
 def test_matches_backtracking_on_full_n8_space():
-    result = search_bicirculant(SearchSpec(n=8, nontrivial_only=False))
+    # Every strongly regular symbol the full n = 8 search builds, trivial
+    # ones included, deduplicated as the search deduplicates its survivors.
+    from isoreg.search import _finish
+
+    _, built = srg_symbols_built(search_bicirculant, SearchSpec(n=8))
+    result = _finish([(key, params, None, False) for key, params in built], 2, 0, [0, 0, 0])
     graphs = [symbol_graph(s.symbol) for s in result.survivors]
     assert len(graphs) == 164
     # Isomorphism is an equivalence, so the reference's verdicts against one

@@ -35,6 +35,7 @@ from conftest import (
     reference_iso_code,
     reference_t_vertex_condition,
     reference_valencies,
+    srg_symbols_built,
 )
 
 
@@ -248,13 +249,15 @@ def test_fast_triples_check_agrees_with_full_enumeration():
 
 
 def _reference_graphs():
-    from isoreg import SearchSpec, search_bicirculant, symbol_graph
+    """The corpus and every strongly regular symbol the full n = 8 search
+    builds, trivial ones included."""
+    from isoreg import SearchSpec, Symbol, search_bicirculant, symbol_graph
 
     graphs = dict(build_corpus())
-    space = search_bicirculant(SearchSpec(n=8, nontrivial_only=False))
-    assert len(space.survivors) == 164
-    for i, survivor in enumerate(space.survivors):
-        graphs[f"n8-{i}"] = symbol_graph(survivor.symbol)
+    _, built = srg_symbols_built(search_bicirculant, SearchSpec(n=8))
+    assert len(built) == 164
+    for i, (key, _) in enumerate(built):
+        graphs[f"n8-{i}"] = symbol_graph(Symbol(key[0], key[1:3], key[3:]))
     return graphs
 
 

@@ -158,7 +158,7 @@ def test_tricirculant_t6_target():
 def test_confirm_odd_n5():
     run = confirm_nonexistence_bicirc_odd(5)
     assert run.family_index == 1
-    assert run.iso3_count == 0
+    assert run.result.stats.iso3 == 0
     assert run.locally_iso3_classes == 0  # not even locally 3-isoregular
     assert run.structure_ok
     # Petersen-side symbols have |T| = 1, complement-side |T| = 4.
@@ -190,7 +190,7 @@ def test_tricirculant_pruning_soundness_n3():
     from conftest import reference_tricirc_worker
 
     target = SrgParams(9, 4, 1, 2)
-    records, counts = reference_tricirc_worker((3, target.as_tuple(), False, 0, 1))
+    records, counts = reference_tricirc_worker((3, target.as_tuple(), False, True, 0, 1))
     result = search_tricirculant_srg(3, target)
     got = [(s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3) for s in result.survivors]
     assert got == sorted(records)
@@ -237,10 +237,9 @@ def _tricirc_targets(n):
 def test_parameter_nontriviality_matches_connectivity(monkeypatch):
     # Every strongly regular graph the searches count, trivial ones included:
     # 0 < mu < k holds exactly when the graph and its complement are
-    # connected, so the searches need no connectivity test.  The bicirculant
-    # runs have no target and the tricirculant search counts only target
-    # matches, so a judged candidate that raised the srg counter reached the
-    # shared tail.
+    # connected, so the searches need no connectivity test.  Both searches
+    # count every strongly regular graph they build, so a judged candidate
+    # that raised the srg counter is one.
     import isoreg.search as search_mod
     from isoreg import Symbol, complement, srg_params
     from isoreg.search import _mask_to_set
@@ -321,8 +320,8 @@ def _bicirc_specs(n):
     from conftest import reference_bicirc_run
 
     sizes = sorted({len(s) for s in symmetric_subsets(n)})
-    base = SearchSpec(n=n, nontrivial_only=False)
-    specs = [base, base._replace(sp_is_complement=True), SearchSpec(n=n, require_iso3=True)]
+    base = SearchSpec(n=n)
+    specs = [base, base._replace(sp_is_complement=True), base._replace(require_iso3=True)]
     specs += [base._replace(s_size=a) for a in sizes]
     specs += [base._replace(sp_size=a) for a in sizes]
     specs += [base._replace(t_size=b) for b in range(n + 1)]
@@ -331,34 +330,54 @@ def _bicirc_specs(n):
         for a in sizes
         for b in range(n + 1)
     ]
-    targets = sorted({params for _, params, _, _ in reference_bicirc_run(base)[1]})
+    targets = sorted({params for _, params, _, _ in
+                      reference_bicirc_run(base, nontrivial_only=False)[1]})
     targets += [(v, k, lam + 1, mu) for v, k, lam, mu in targets]
     specs += [base._replace(target=SrgParams(*t)) for t in targets]
     specs += [base._replace(target=SrgParams(*t), sp_is_complement=True) for t in targets]
     return specs
 
 
+def _assert_same_symbols(result, built, target, records, iso3_only=False):
+    """A search's result and the strongly regular symbols it built
+    (``conftest.srg_symbols_built``) against a reference's sorted records,
+    trivial target matches included: the nontrivial records are the
+    survivors, and the (key, params) of all of them are the built symbols
+    that meet the target, symbol by symbol.  With iso3_only the reference
+    kept only the 3-isoregular matches, so they are among those symbols."""
+    got = [(s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3) for s in result.survivors]
+    assert got == [rec for rec in records if SrgParams(*rec[1]).is_nontrivial()]
+    hits = [rec for rec in built if target is None or rec[1] == target.as_tuple()]
+    matched = [rec[:2] for rec in records]
+    if iso3_only:
+        assert set(matched) <= set(hits)
+    else:
+        assert matched == hits
+    assert result.stats.srg == len(built)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_bicirc_worker_matches_reference(n):
     # The join against the nested-loop worker, pruned: same candidate count,
     # records and counters on every space; and against its plain product,
-    # which judges every symbol: same records.  With a target the plain
-    # product also counts the strongly regular graphs of the target's
-    # valency that miss it, so only the target-hit counters match it.  At
-    # n = 8 only the full space, which contains all the others, is compared
-    # with the plain product.
-    from conftest import reference_bicirc_run
+    # which judges every symbol: same records.  Both references keep the
+    # trivial target matches, which are compared symbol by symbol with the
+    # symbols the search built.  With a target the plain product also counts
+    # the strongly regular graphs of the target's valency that miss it, so
+    # only the target-hit counters match it.  At n = 8 only the full space,
+    # which contains all the others, is compared with the plain product.
+    from conftest import reference_bicirc_run, srg_symbols_built
 
     for i, spec in enumerate(_bicirc_specs(n)):
-        result = search_bicirculant(spec)
-        got = [(s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3) for s in result.survivors]
+        result, built = srg_symbols_built(search_bicirculant, spec)
         stats = list(result.stats[:4])
-        candidates, records, counts = reference_bicirc_run(spec)
-        assert got == records, spec
+        candidates, records, counts = reference_bicirc_run(spec, nontrivial_only=False)
+        _assert_same_symbols(result, built, spec.target, records, spec.require_iso3)
         assert stats == [candidates, *counts], spec
         if n < 8 or i == 0:
-            candidates, records, counts = reference_bicirc_run(spec, use_pruning=False)
-            assert got == records, spec
+            candidates, records, counts = reference_bicirc_run(spec, use_pruning=False,
+                                                               nontrivial_only=False)
+            _assert_same_symbols(result, built, spec.target, records, spec.require_iso3)
             assert stats[0] == candidates and stats[2:] == counts[1:], spec
             if spec.target is None:
                 assert stats[1] == counts[0], spec
@@ -366,31 +385,40 @@ def test_bicirc_worker_matches_reference(n):
 
 @pytest.mark.parametrize(
     "n,target,pruned_reference",
-    [(3, t, prune) for t in _tricirc_targets(3) for prune in (True, False)]
+    [(3, t, prune) for t in [*_tricirc_targets(3), SrgParams(9, 8, 7, 3)]
+     for prune in (True, False)]
     + [(5, t, True) for t in _tricirc_targets(5)]
     + [(7, SrgParams(21, 10, 5, 4), True)],
     ids=str,
 )
 def test_tricirc_worker_matches_reference(monkeypatch, n, target, pruned_reference):
     # The join against the six-loop worker it replaced, pruned, on every
-    # parameter set at n = 3 and 5 and on (21,10,5,4) at n = 7, and against
-    # that worker's plain product, which judges every symbol, at n = 3: the
-    # same records and counters (both count only the target matches); the
-    # same records at --jobs 2, run as two shards inline; and the candidate
-    # count against a count over every T01, T12, T20 bit count of the
-    # diagonal triples of the sizes the valency leaves.
+    # parameter set at n = 3 and 5, on (9,8,7,3) at n = 3, whose join builds
+    # only K9, which misses it, and on (21,10,5,4) at n = 7, and against that
+    # worker's plain product, which judges every symbol, at n = 3: the same
+    # records, trivial target matches included and compared symbol by symbol
+    # with the symbols the search built, and the same counters (with the
+    # pruned worker every one: both count every strongly regular graph they
+    # build; the plain product also counts those of the target's valency
+    # that miss it, so there only the target-hit counters); the same records
+    # at --jobs 2, run as two shards inline; and the candidate count against
+    # a count over every T01, T12, T20 bit count of the diagonal triples of
+    # the sizes the valency leaves.
     import os
     from collections import Counter
     from itertools import product
 
-    from conftest import reference_tricirc_worker
+    from conftest import reference_tricirc_worker, srg_symbols_built
 
-    records, counts = reference_tricirc_worker((n, target.as_tuple(), pruned_reference, 0, 1))
-    result = search_tricirculant_srg(n, target)
-    got = [(s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3) for s in result.survivors]
+    records, counts = reference_tricirc_worker(
+        (n, target.as_tuple(), pruned_reference, False, 0, 1))
+    result, built = srg_symbols_built(search_tricirculant_srg, n, target)
+    _assert_same_symbols(result, built, target, sorted(records))
     stats = result.stats
-    assert got == sorted(records)
-    assert [stats.srg, stats.nontrivial_srg, stats.iso3] == counts
+    if pruned_reference:
+        assert [stats.srg, stats.nontrivial_srg, stats.iso3] == counts
+    else:
+        assert [stats.nontrivial_srg, stats.iso3] == counts[1:]
     sizes = _inline_pool(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert search_tricirculant_srg(n, target, jobs=2) == result
@@ -407,9 +435,9 @@ def test_tricirc_worker_matches_reference(monkeypatch, n, target, pruned_referen
 
 
 def _multicirc_bicirc_run(spec):
-    """Candidate count, sorted records and counters of a bicirculant space
-    under the pruned r-orbit reference worker, the default path before T was
-    solved from its autocorrelation."""
+    """Candidate count, sorted records (trivial target matches included) and
+    counters of a bicirculant space under the pruned r-orbit reference
+    worker, the default path before T was solved from its autocorrelation."""
     from conftest import reference_multicirc_worker
     from isoreg.search import _symmetric_masks
     from isoreg.symbols import bicirculant
@@ -422,7 +450,7 @@ def _multicirc_bicirc_run(spec):
     target = spec.target.as_tuple() if spec.target else None
     records, counts = reference_multicirc_worker(
         (n, target, (s_masks, sp_masks), (t_masks,), bicirculant, spec.sp_is_complement,
-         True, spec.require_iso3, spec.nontrivial_only, 0, 1)
+         spec.require_iso3, False, 0, 1)
     )
     candidates = len(s_masks) * (1 if spec.sp_is_complement else len(sp_masks)) * len(t_masks)
     return candidates, sorted(records), counts
@@ -450,7 +478,7 @@ _EDGE_SPACES = [
 ]
 _EDGE_CASES = [
     (f"n{n}-{label}" + ("-" + ",".join(map(str, target)) if target else ""),
-     SearchSpec(n=n, target=target and SrgParams(*target), nontrivial_only=False, **filters))
+     SearchSpec(n=n, target=target and SrgParams(*target), **filters))
     for n, label, filters, targets in _EDGE_SPACES
     for target in [None, *targets]
 ]
@@ -458,11 +486,10 @@ _EDGE_CASES = [
 
 @pytest.mark.parametrize(
     "spec",
-    [SearchSpec(n=n, nontrivial_only=False) for n in range(9, 14)]
+    [SearchSpec(n=n) for n in range(9, 14)]
     + [
-        SearchSpec(n=13, target=_DEDUP13, nontrivial_only=False),
-        SearchSpec(n=13, target=_DEDUP13, sp_is_complement=True, s_size=6, t_size=4,
-                   nontrivial_only=False),
+        SearchSpec(n=13, target=_DEDUP13),
+        SearchSpec(n=13, target=_DEDUP13, sp_is_complement=True, s_size=6, t_size=4),
     ]
     + [spec for _, spec in _EDGE_CASES],
     ids=["n9", "n10", "n11", "n12", "n13", "n13-target", "n13-target-shat"]
@@ -470,14 +497,17 @@ _EDGE_CASES = [
 )
 def test_difference_function_search_matches_multicirc_worker(spec):
     # The default bicirculant path solves T from (S, S') against the pruned
-    # r-orbit reference worker, which walks every T, on the full spaces n = 9..13 (trivial graphs
-    # included), the dedup13 target with and without its filters, and the
-    # edge spaces above without a target and with each of theirs.
+    # r-orbit reference worker, which walks every T, on the full spaces
+    # n = 9..13, the dedup13 target with and without its filters, and the
+    # edge spaces above without a target and with each of theirs; trivial
+    # target matches are compared symbol by symbol with the symbols the
+    # search built.
+    from conftest import srg_symbols_built
+
     candidates, records, counts = _multicirc_bicirc_run(spec)
-    result = search_bicirculant(spec, jobs=1)
-    got = [(s.symbol.key(), s.params.as_tuple(), s.profile, s.iso3) for s in result.survivors]
+    result, built = srg_symbols_built(search_bicirculant, spec)
+    _assert_same_symbols(result, built, spec.target, records)
     stats = result.stats
-    assert got == records
     assert (stats.candidates, [stats.srg, stats.nontrivial_srg, stats.iso3]) == (
         candidates, counts)
 

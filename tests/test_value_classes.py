@@ -47,7 +47,7 @@ VALUES = [
     (Survivor(_SYMBOL, _P, (0, 1, 0, 1), "IheA@GUAo", False, 0), True),
     (_STATS, True),
     (_RESULT, True),
-    (OddRunResult(5, _RESULT, 0, 0, None, True), True),
+    (OddRunResult(5, _RESULT, 0, None, True), True),
     (LeungMaEntry("a", 5, 1, 2, 0, 1), True),
     (TricircEntry(1, 0, SrgParams(6, 1, 0, 0), True, 1, 1, True), True),
     (LocalParamSolution(0, 0, 1, 0, frozenset({"Q"})), True),
