@@ -40,7 +40,7 @@ from .search import (
     search_bicirculant,
     search_tricirculant_srg,
 )
-from .srg import SrgParams, eigenvalues, hoffman_bound, is_nontrivial_srg, srg_params
+from .srg import SrgParams, eigenvalues, hoffman_bound, srg_params
 from .symbols import parse_symbol, symbol_graph
 
 
@@ -151,8 +151,8 @@ def _cmd_check(args) -> int:
     if args.what == "srg":
         p = srg_params(g)
         base["srg"] = None if p is None else p.to_json()
-        base["nontrivial"] = is_nontrivial_srg(g)
-        if p is not None and p.is_nontrivial():
+        base["nontrivial"] = nontrivial = p is not None and p.is_nontrivial()
+        if nontrivial:
             base["eigenvalues"] = list(eigenvalues(p))
             base["hoffman_bound"] = hoffman_bound(p)
         _emit(base, args.out)
@@ -243,9 +243,9 @@ def _cmd_replay(args) -> int:
         if not cert.instances:
             raise InputError("certificate holds no instance")
         outcome = replay_certificate(cert)
+        verdict_ok = claim_holds(cert)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed certificate: {exc!r}") from exc
-    verdict_ok = claim_holds(cert)
     _emit(
         {
             "replay_ok": outcome.ok,

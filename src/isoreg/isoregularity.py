@@ -178,12 +178,12 @@ def _triple_scan(g: Graph) -> tuple[Optional[IsoWitness], list[Optional[int]]]:
     return None, vals
 
 
-def triples_isoregular(g: Graph) -> tuple[bool, Optional[list[Optional[int]]]]:
-    """Constancy of triple valencies by induced edge count; together with
-    strong regularity this is exactly 3-isoregularity.  On success the
-    valencies are indexed by induced edge count, None for absent counts."""
+def triples_isoregular(g: Graph) -> Optional[tuple[int, int, int, int]]:
+    """The valencies on (K3, K1,2, K2+K1, 3K1), as ``IsoProfile.size3``
+    orders them, absent types as 0, when each type's triples share one
+    valency; else None.  With strong regularity this is 3-isoregularity."""
     witness, vals = _triple_scan(g)
-    return (True, vals) if witness is None else (False, None)
+    return None if witness is not None else tuple(v or 0 for v in reversed(vals))
 
 
 def _valencies(g: Graph, k: int) -> tuple[Optional[IsoWitness], dict[IsoType, int]]:

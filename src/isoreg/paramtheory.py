@@ -328,10 +328,12 @@ _GRAPH_ASSERTIONS = {
 }
 
 # The type of each step field, as an input error names it; a field not
-# listed is an integer.  A JSON boolean is not an integer.
+# listed is an integer.  A JSON boolean is not an integer.  `tuple`, the edge
+# tuple a step settles, is read by the oracle and not by a rule.
 _FIELD_TYPES = {
     "values": "a list of two integers",
     "multiples": "a list of integers",
+    "tuple": "a list of integers",
     "divides": "a boolean",
     "relation": "a relation",
     "graph": "a checked graph",
@@ -409,7 +411,7 @@ def _verdict(kind: str, data: dict) -> bool:
     for fields, rule in forms:
         if fields[0] in data:
             break
-    for name in fields:
+    for name in (*fields, "tuple") if "tuple" in data else fields:
         value = data[name]
         # An integer in an integer field, the common case, passes at once.
         if type(value) is not int or name in _FIELD_TYPES:
@@ -437,6 +439,14 @@ SOLUTION = "SOLUTION"
 DEGENERATE = "DEGENERATE"
 
 
+def _require_integers(what: str, values) -> None:
+    """An input error unless every value is an integer.  A JSON boolean is
+    not one, although Python compares True equal to 1."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} holds a {type(v).__name__}, not an integer")
+
+
 class Instance(NamedTuple):
     """Verdict and derivation trace for one family index."""
 
@@ -459,14 +469,23 @@ class Instance(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Instance":
-        return cls(
-            obj["index"],
-            None if obj["params"] is None else SrgParams.from_json(obj["params"]),
-            obj["verdict"],
-            tuple(Step.from_json(s) for s in obj["steps"]),
-            obj["solution"],
-            obj["oracle"],
-        )
+        """The instance of a JSON object.  Its index, parameters, solution
+        values and oracle tuples must be integers; the step rules type the
+        step fields."""
+        params, solution, oracle = obj["params"], obj["solution"], obj["oracle"]
+        _require_integers("instance index", [obj["index"]])
+        if params is not None:
+            params = SrgParams.from_json(params)
+            _require_integers("instance params", params)
+        if solution is not None:
+            if type(solution) is not dict:
+                raise ValueError("instance solution is not an object")
+            _require_integers("instance solution", solution.values())
+        if oracle is not None:
+            for entry in oracle["feasible"]:
+                _require_integers("oracle tuple", entry["tuple"])
+        return cls(obj["index"], params, obj["verdict"],
+                   tuple(Step.from_json(s) for s in obj["steps"]), solution, oracle)
 
 
 class Certificate(NamedTuple):
@@ -483,6 +502,7 @@ class Certificate(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
+        _require_integers("certificate indices", obj["indices"])
         return cls(
             obj["claim"],
             tuple(obj["indices"]),
@@ -891,12 +911,15 @@ def certify_range(claim: str, indices: list[int]) -> Certificate:
 
 def claim_holds(cert: Certificate) -> bool:
     """The family-level statement each certificate is meant to establish:
-    its claim is known and every instance shows it.  A certificate with no
+    its claim is known, every instance shows it, and every solver
+    cross-check is consistent (a step settles each tuple the solver finds;
+    degenerate instances have no cross-check).  A certificate with no
     instance establishes nothing."""
     if cert.claim not in _CLAIMS or not cert.instances:
         return False
     shows = _CLAIMS[cert.claim][1]
-    return all(shows(inst) for inst in cert.instances)
+    return all(shows(inst) and (inst.oracle is None or inst.oracle["consistent"] is True)
+               for inst in cert.instances)
 
 
 class ReplayResult(NamedTuple):

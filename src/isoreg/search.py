@@ -51,12 +51,12 @@ orbit), builds only the candidates that pass as a ``Symbol`` and a graph,
 and tests them with ``srg_params``.  Both searches count every strongly
 regular graph they build, whatever its parameters, and keep only the
 nontrivial target matches, which take the triple test and the profile and
-become records.  ``_run_shards`` runs the shards serially or on a process
-pool and merges them, and ``_finish`` builds each survivor once and
-deduplicates: a survivor is tested only against the class representatives
-with its parameters and fingerprint.
-Workers are stateless and records are sorted by symbol encoding before
-deduplication, so output is independent of worker count and scheduling.
+become records: the ``Symbol``, graph, parameters and profile it built, so
+no survivor is built twice.  ``_run_shards`` runs the stateless shards
+serially or on a process pool and sorts the records by symbol key, so output
+does not depend on worker count or scheduling; ``_finish`` deduplicates,
+testing a survivor only against the class representatives with its
+parameters and fingerprint.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ from .isomorphism import invariant_fingerprint, is_isomorphic
 from .isoregularity import triples_isoregular
 from .formats import encode_graph6
 from .srg import SrgParams, block_srg_params, complement_params, srg_params
-from .symbols import (_LAYOUT, Symbol, bicirculant, negated_mask, row_blocks, symbol_graph,
-                      tricirculant)
+from .symbols import _LAYOUT, Symbol, bicirculant, negated_mask, row_blocks, tricirculant
 
 CANDIDATE_CAP = 1 << 26
 ISO3_ORDER_CAP = 64
@@ -152,12 +151,16 @@ class SearchSpec(NamedTuple):
 
 
 class Survivor(NamedTuple):
+    """A search record and its class; profile is None unless 3-isoregular."""
+
     symbol: Symbol
     params: SrgParams
     profile: Optional[tuple[int, int, int, int]]
-    graph6: str
-    iso3: bool
+    graph: Graph
     class_id: int
+
+    iso3 = property(lambda self: self.profile is not None)
+    graph6 = property(lambda self: encode_graph6(self.graph))
 
     def to_json(self) -> dict:
         return {
@@ -204,8 +207,8 @@ def _judge(rule: tuple, diags, conns, negs, records: list, counts: list[int]) ->
     strongly regular graph built, whatever its parameters), the nontrivial
     target matches (0 < mu < k, which for a strongly regular graph means it
     and its complement are connected) and the 3-isoregular ones among them.
-    Only a nontrivial target match is recorded, and with require_iso3 only
-    a 3-isoregular one."""
+    Only a nontrivial target match is recorded, as (symbol, graph,
+    parameters, profile), and with require_iso3 only a 3-isoregular one."""
     n, target, build, require_iso3 = rule
     if block_srg_params(n, row_blocks(diags, conns, negs)) is None:
         return
@@ -218,14 +221,12 @@ def _judge(rule: tuple, diags, conns, negs, records: list, counts: list[int]) ->
     if (target is not None and p.as_tuple() != target) or not p.is_nontrivial():
         return
     counts[1] += 1
-    iso3, vals = triples_isoregular(g)
-    if iso3:
+    profile = triples_isoregular(g)
+    if profile is not None:
         counts[2] += 1
     elif require_iso3:
         return
-    # (K3, K1,2, K2+K1, 3K1) with vacuous types reported as 0.
-    profile = (vals[3] or 0, vals[2] or 0, vals[1] or 0, vals[0] or 0) if iso3 else None
-    records.append((sym.key(), p.as_tuple(), profile, iso3))
+    records.append((sym, g, p, profile))
 
 
 def _t_solutions(n: int, t: int, a: tuple[int, ...]) -> tuple[int, ...]:
@@ -411,7 +412,7 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     rule = (n, spec.target.as_tuple() if spec.target else None, bicirculant, spec.require_iso3)
     args = (s_masks, sp_masks, t_sizes, spec.sp_is_complement, rule)
     records, counts = _run_shards(_bicirc_worker, args, jobs)
-    return _finish(records, 2, candidates, counts)
+    return _finish(records, candidates, counts)
 
 
 def _run_shards(worker, args: tuple, jobs: int) -> tuple[list, list[int]]:
@@ -428,22 +429,20 @@ def _run_shards(worker, args: tuple, jobs: int) -> tuple[list, list[int]]:
             outputs = list(pool.map(worker, shards))
     else:
         outputs = [worker(a) for a in shards]
-    records = sorted(rec for recs, _ in outputs for rec in recs)
+    records = sorted((rec for recs, _ in outputs for rec in recs), key=lambda rec: rec[0].key())
     counts = [sum(c[i] for _, c in outputs) for i in range(3)]
     return records, counts
 
 
-def _finish(records: list, r: int, candidates: int, counts: list[int]) -> SearchResult:
-    """Build each record's r-orbit survivor once; it joins the class of the
-    first representative in its (parameters, fingerprint) bucket that it
-    matches, or founds one."""
+def _finish(records: list, candidates: int, counts: list[int]) -> SearchResult:
+    """Make each (symbol, graph, parameters, profile) record a survivor; it
+    joins the class of the first representative in its (parameters,
+    fingerprint) bucket that it matches, or founds one."""
     survivors = []
     class_reps: list[int] = []
     rep_graphs: list[Graph] = []
     buckets: dict[tuple, list[tuple[Graph, int]]] = {}
-    for i, (key, params, profile, iso3) in enumerate(records):
-        sym = Symbol(key[0], key[1:r + 1], key[r + 1:])
-        g = symbol_graph(sym)
+    for i, (sym, g, params, profile) in enumerate(records):
         bucket = buckets.setdefault((params, invariant_fingerprint(g)), [])
         class_id = next((cid for rep, cid in bucket if is_isomorphic(g, rep)), None)
         if class_id is None:
@@ -451,7 +450,7 @@ def _finish(records: list, r: int, candidates: int, counts: list[int]) -> Search
             bucket.append((g, class_id))
             rep_graphs.append(g)
             class_reps.append(i)
-        survivors.append(Survivor(sym, SrgParams(*params), profile, encode_graph6(g), iso3, class_id))
+        survivors.append(Survivor(sym, params, profile, g, class_id))
     stats = SearchStats(candidates, *counts, len(survivors), len(rep_graphs),
                         _complement_class_count(rep_graphs))
     return SearchResult(tuple(survivors), tuple(class_reps), stats)
@@ -533,7 +532,7 @@ def search_tricirculant_srg(n: int, target: SrgParams, jobs: int = 1) -> SearchR
     sym_masks = _symmetric_masks(n)
     rule = (n, target.as_tuple(), tricirculant, False)
     records, counts = _run_shards(_tricirc_worker, (sym_masks, rule), jobs)
-    return _finish(records, 3, candidates, counts)
+    return _finish(records, candidates, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -598,9 +597,6 @@ def confirm_nonexistence_bicirc_odd(n: int, jobs: int = 1) -> OddRunResult:
 
     from .isoregularity import is_locally_3isoregular
 
-    locally = sum(
-        1
-        for i in result.class_reps
-        if is_locally_3isoregular(symbol_graph(result.survivors[i].symbol)) is not None
-    )
+    locally = sum(is_locally_3isoregular(result.survivors[i].graph) is not None
+                  for i in result.class_reps)
     return OddRunResult(n, result, locally, m, not failures, tuple(failures))

@@ -577,13 +577,12 @@ def reference_judge(sym, g, p, nontrivial_only, require_iso3, records, counts) -
         counts[1] += 1
     elif nontrivial_only:
         return
-    ok3, vals = triples_isoregular(g)
-    iso3 = ok3 and nontrivial
+    profile = triples_isoregular(g) if nontrivial else None
+    iso3 = profile is not None
     if iso3:
         counts[2] += 1
     if require_iso3 and not iso3:
         return
-    profile = (vals[3] or 0, vals[2] or 0, vals[1] or 0, vals[0] or 0) if iso3 else None
     records.append((sym.key(), p.as_tuple(), profile, iso3))
 
 
@@ -958,3 +957,34 @@ def srg_symbols_built(search, *args):
         for name, build in saved.items():
             setattr(search_mod, name, build)
     return result, sorted(built)
+
+
+def deduplicate_built(built):
+    """``search._finish`` over the (key, params) of ``srg_symbols_built``:
+    each bicirculant symbol is rebuilt with its graph and recorded with no
+    profile."""
+    from isoreg.search import _finish
+    from isoreg.srg import SrgParams
+    from isoreg.symbols import Symbol, symbol_graph
+
+    records = []
+    for key, params in built:
+        sym = Symbol(key[0], key[1:3], key[3:])
+        records.append((sym, symbol_graph(sym), SrgParams(*params), None))
+    return _finish(records, 0, [0, 0, 0])
+
+
+def reference_complement_class_count(reps) -> int:
+    """Orbits of complementation on pairwise non-isomorphic class
+    representatives, by ``backtracking_isomorphism``: class i is paired with
+    the class j its complement matches, if any, and each orbit is counted at
+    its lowest member."""
+    from isoreg.graphs import complement
+
+    count = 0
+    for i, g in enumerate(reps):
+        cg = complement(g)
+        partners = [j for j, h in enumerate(reps) if backtracking_isomorphism(cg, h) is not None]
+        assert len(partners) <= 1
+        count += not partners or partners[0] >= i
+    return count

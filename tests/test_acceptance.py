@@ -38,7 +38,6 @@ from isoreg import (
     srg_params,
     subconstituent_characterization,
     subset_valency,
-    symbol_graph,
     t_vertex_condition,
     triangular,
 )
@@ -202,7 +201,7 @@ def test_criterion_6_exhaustive_searches():
     assert full8.stats.candidates == 65536
     assert full8.stats.classes == 4
     assert full8.stats.complement_classes == 2
-    reps = [symbol_graph(full8.survivors[i].symbol) for i in full8.class_reps]
+    reps = [full8.survivors[i].graph for i in full8.class_reps]
     markers = {
         "clebsch": named_graph("clebsch"),
         "k4xk4": named_graph("k4xk4"),
@@ -249,7 +248,7 @@ def test_criterion_6_exhaustive_searches():
 
     # Tricirculant run at n = 5 includes the GQ(2,2) class.
     tri = search_tricirculant_srg(5, SrgParams(15, 6, 1, 3))
-    tri_reps = [symbol_graph(tri.survivors[i].symbol) for i in tri.class_reps]
+    tri_reps = [tri.survivors[i].graph for i in tri.class_reps]
     assert any(is_isomorphic(g, named_graph("gq22")) is not None for g in tri_reps)
     _report(6, started, "n=8 full space, odd runs n=5/7/13, tricirculant n=5")
 

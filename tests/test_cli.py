@@ -102,6 +102,22 @@ def test_check_isoreg_scans_once(capsys, monkeypatch, graph, code):
     assert calls == [3]
 
 
+@pytest.mark.parametrize(
+    "graph, code, nontrivial",
+    [("petersen", 0, True), ("circ:n=5;S=1,2,3,4", 0, False), ("circ:n=7;S=1,-1", 1, False)],
+)
+def test_check_srg_scans_once(capsys, monkeypatch, graph, code, nontrivial):
+    # Nontriviality is read off the parameters, so the pairs are scanned once.
+    from isoreg import srg
+
+    calls = []
+    scan = srg._srg_from_pairs
+    monkeypatch.setattr(srg, "_srg_from_pairs", lambda *args: calls.append(1) or scan(*args))
+    got, out, _ = run_cli(capsys, "check", "srg", graph)
+    assert (got, json.loads(out)["nontrivial"]) == (code, nontrivial)
+    assert len(calls) == 1
+
+
 def test_check_local3_and_tvertex(capsys):
     code, out, _ = run_cli(capsys, "check", "local3", "clebsch")
     assert code == 0 and json.loads(out)["locally_3isoregular"]
@@ -317,6 +333,14 @@ def _one_step_certificate(kind, data, holds=True):
     return {"claim": "bicirc-odd", "indices": [2], "instances": [instance]}
 
 
+def _one_instance_certificate(**fields):
+    """``_one_step_certificate`` on a step that holds, with the given fields
+    of its instance replaced."""
+    cert = _one_step_certificate("SUBSTITUTION", {"lhs": 1, "rhs": 1})
+    cert["instances"][0].update(fields)
+    return cert
+
+
 _HOSTILE_CERTIFICATES = {
     "array": ([], "malformed certificate"),
     "missing-key": ({"claim": "bicirc-odd"}, "malformed certificate: KeyError('indices')"),
@@ -370,6 +394,40 @@ _HOSTILE_CERTIFICATES = {
         _one_step_certificate("SUBSTITUTION", {"lhs": 1, "rhs": 2}, holds=0),
         "step holds 0 is not a boolean",
     ),
+    # Python compares True equal to 1, so a JSON boolean in an integer slot
+    # would regenerate as if it were that integer.
+    "indices-boolean": (
+        {**_one_instance_certificate(), "indices": [True]},
+        "certificate indices holds a bool, not an integer",
+    ),
+    "index-boolean": (_one_instance_certificate(index=True),
+                      "instance index holds a bool, not an integer"),
+    "params-boolean": (
+        _one_instance_certificate(params={"n": 10, "k": 3, "lambda": False, "mu": True}),
+        "instance params holds a bool, not an integer",
+    ),
+    "solution-boolean": (
+        _one_instance_certificate(solution={"Q": False, "R": False, "W": True}),
+        "instance solution holds a bool, not an integer",
+    ),
+    "solution-list": (_one_instance_certificate(solution=[0]),
+                      "instance solution is not an object"),
+    "oracle-tuple-boolean": (
+        _one_instance_certificate(oracle={"feasible": [{"tuple": [True, 0, 0]}], "consistent": True}),
+        "oracle tuple holds a bool, not an integer",
+    ),
+    "step-tuple-boolean": (
+        _one_step_certificate("HOFFMAN_CLIQUE", {"clique": 5, "valency": 6, "eig": 3,
+                                                 "tuple": [2, False, 2]}),
+        "HOFFMAN_CLIQUE step field 'tuple' is not a list of integers",
+    ),
+    # claim_holds reads the oracle's consistency, so a malformed oracle is
+    # refused, not a traceback.
+    "oracle-empty": (_one_instance_certificate(oracle={}),
+                     "malformed certificate: KeyError('feasible')"),
+    "oracle-list": (_one_instance_certificate(oracle=[]), "malformed certificate: TypeError("),
+    "oracle-without-consistent": (_one_instance_certificate(oracle={"feasible": []}),
+                                  "malformed certificate: KeyError('consistent')"),
 }
 
 
@@ -383,6 +441,51 @@ def test_replay_hostile_certificate_is_input_error(capsys, tmp_path, name):
     code, out, err = run_cli(capsys, "replay", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "family, index, forge",
+    [
+        ("tri1", -1, lambda cert: cert["instances"][0].update(
+            solution={"Q": False, "R": False, "W": True})),
+        ("tri2", 1, lambda cert: (cert.update(indices=[True]),
+                                  cert["instances"][0].update(index=True))),
+    ],
+    ids=["solution", "index"],
+)
+def test_replay_refuses_booleans_for_integers(capsys, tmp_path, family, index, forge):
+    # A forged certificate whose integers are JSON booleans equal to them:
+    # the solution (0, 0, 1) and the index 1.  Replay refuses it as input.
+    cert_file = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "certify", family, f"--range={index}..{index}", "-o", str(cert_file))
+    assert code == 0
+    payload = json.loads(cert_file.read_text())
+    forge(payload)
+    cert_file.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "replay", str(cert_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "holds a bool, not an integer" in err
+
+
+def test_claim_needs_a_consistent_solver_cross_check(capsys, monkeypatch, tmp_path):
+    # A local-parameter tuple that no step of the certificate settles: the
+    # proof misses a case the solver finds, so the claim does not hold, in
+    # certify and in replay alike.
+    from isoreg import paramtheory
+
+    solve = paramtheory.feasible_local_params
+    extra = paramtheory.LocalParamSolution(0, 0, 0, 0)
+    monkeypatch.setattr(paramtheory, "feasible_local_params", lambda p: [*solve(p), extra])
+    cert_file = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "certify", "bicirc-odd", "--range", "2..3", "-o", str(cert_file))
+    assert code == 1
+    oracles = [inst["oracle"] for inst in json.loads(cert_file.read_text())["instances"]]
+    assert [o["consistent"] for o in oracles] == [False, False]
+    assert all(o["feasible"][-1] == {"tuple": [0, 0, 0, 0], "vacuous": [], "eliminated_by": ""}
+               for o in oracles)
+    code, out, _ = run_cli(capsys, "replay", str(cert_file))
+    assert code == 1
+    assert json.loads(out) == {"replay_ok": True, "claim_holds": False, "mismatches": []}
 
 
 def test_replay_deeply_nested_certificate_is_input_error(capsys, tmp_path):

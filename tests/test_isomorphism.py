@@ -4,8 +4,8 @@ backtracking reference."""
 import random
 import sys
 
-from conftest import (backtracking_isomorphism, build_corpus, reference_k4_counts,
-                      srg_symbols_built)
+from conftest import (backtracking_isomorphism, build_corpus, deduplicate_built,
+                      reference_k4_counts, srg_symbols_built)
 
 from isoreg import (
     Graph,
@@ -18,7 +18,6 @@ from isoreg import (
     named_graph,
     path_graph,
     search_bicirculant,
-    symbol_graph,
 )
 from isoreg import isomorphism
 from isoreg.graphs import bits_to_vertices
@@ -133,11 +132,9 @@ def test_matches_backtracking_on_same_size_named_pairs():
 def test_matches_backtracking_on_full_n8_space():
     # Every strongly regular symbol the full n = 8 search builds, trivial
     # ones included, deduplicated as the search deduplicates its survivors.
-    from isoreg.search import _finish
-
     _, built = srg_symbols_built(search_bicirculant, SearchSpec(n=8))
-    result = _finish([(key, params, None, False) for key, params in built], 2, 0, [0, 0, 0])
-    graphs = [symbol_graph(s.symbol) for s in result.survivors]
+    result = deduplicate_built(built)
+    graphs = [s.graph for s in result.survivors]
     assert len(graphs) == 164
     # Isomorphism is an equivalence, so the reference's verdicts against one
     # representative per class fix its verdict on every pair.  Running it on

@@ -31,17 +31,17 @@ def test_search_petersen_target():
     result = search_bicirculant(SearchSpec(n=5, target=SrgParams(10, 3, 0, 1)))
     assert result.stats.candidates == 512
     assert result.stats.classes == 1
-    rep = symbol_graph(result.survivors[result.class_reps[0]].symbol)
+    rep = result.survivors[result.class_reps[0]].graph
     assert is_isomorphic(rep, named_graph("petersen")) is not None
     # Survivor records replay: symbol reconstructs to the recorded data.
     for survivor in result.survivors:
         g = symbol_graph(survivor.symbol)
+        assert g == survivor.graph
         assert decode_graph6(survivor.graph6) == g
         from isoreg import srg_params
 
         assert srg_params(g) == survivor.params
-        ok3, vals = triples_isoregular(g)
-        assert ok3 == survivor.iso3
+        assert triples_isoregular(g) == survivor.profile
 
 
 def _assert_matches_plain_product(spec):
@@ -151,7 +151,7 @@ def test_tricirculant_t6_target():
     result = search_tricirculant_srg(5, SrgParams(15, 8, 4, 4))
     from isoreg import triangular
 
-    reps = [symbol_graph(result.survivors[i].symbol) for i in result.class_reps]
+    reps = [result.survivors[i].graph for i in result.class_reps]
     assert any(is_isomorphic(g, triangular(6)) is not None for g in reps)
 
 
@@ -216,8 +216,7 @@ def test_iso3_survivor_profiles_replay():
 
     result = search_bicirculant(SearchSpec(n=8, require_iso3=True))
     for survivor in result.survivors:
-        g = symbol_graph(survivor.symbol)
-        assert iso_profile(g, 3).size3() == survivor.profile
+        assert iso_profile(survivor.graph, 3).size3() == survivor.profile
 
 
 def _tricirc_targets(n):
@@ -659,3 +658,61 @@ def test_search_builds_only_strongly_regular_symbols(capsys, monkeypatch, argv, 
     stats = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]["stats"]
     assert len(builds) == len(hits) == stats["srg"] == built
     assert None not in hits
+
+
+@pytest.mark.parametrize(
+    "search, args",
+    [
+        (search_bicirculant, (SearchSpec(n=8),)),
+        (search_tricirculant_srg, (5, SrgParams(15, 6, 1, 3))),
+    ],
+    ids=["bicirc-n8", "tricirc-n5"],
+)
+def test_process_pool_matches_serial(monkeypatch, search, args):
+    # The shard count is jobs clamped to the CPU count, so the host is made
+    # to report two CPUs: the shards run on a real process pool and their
+    # records come back as pickled Symbol and Graph objects.
+    import concurrent.futures
+    import os
+
+    pools = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def counted_pool(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+    serial = search(*args, jobs=1)
+    pooled = search(*args, jobs=2)
+    assert pools == [2]
+    assert serial.stats.survivors > 0
+    # Survivors compare field by field: symbol, params, profile, graph, class.
+    assert pooled == serial
+
+
+@pytest.mark.parametrize(
+    "run",
+    ["full8", "full8-built", "odd5", "odd7", "tri-15-6-1-3", "tri-15-8-4-4"],
+)
+def test_complement_class_count_matches_reference(run):
+    # The complement pairing against the orbits of complementation on the
+    # class representatives, found by the backtracking reference.
+    from conftest import deduplicate_built, reference_complement_class_count, srg_symbols_built
+
+    from isoreg.search import _complement_class_count
+
+    if run == "full8":
+        result = search_bicirculant(SearchSpec(n=8))
+    elif run == "full8-built":
+        result = deduplicate_built(srg_symbols_built(search_bicirculant, SearchSpec(n=8))[1])
+    elif run.startswith("odd"):
+        result = confirm_nonexistence_bicirc_odd(int(run[3:])).result
+    else:
+        result = search_tricirculant_srg(5, SrgParams(*map(int, run.split("-")[1:])))
+    reps = [result.survivors[i].graph for i in result.class_reps]
+    count = _complement_class_count(reps)
+    assert count == reference_complement_class_count(reps)
+    if run != "full8-built":
+        assert count == result.stats.complement_classes

@@ -30,10 +30,11 @@ from isoreg.paramtheory import (
 )
 from isoreg.search import OddRunResult, SearchResult, SearchSpec, SearchStats, Survivor
 from isoreg.srg import SrgParams
-from isoreg.symbols import Symbol
+from isoreg.symbols import Symbol, symbol_graph
 
 _P = SrgParams(10, 3, 0, 1)
 _SYMBOL = Symbol(5, [{1, 4}, {2, 3}], [{0}])
+_GRAPH = symbol_graph(_SYMBOL)
 _STATS = SearchStats(10, 2, 2, 0, 2, 1, 1)
 _RESULT = SearchResult((), (), _STATS)
 _STEP = Step("SUBSTITUTION", "1 = 1", {"lhs": 1, "rhs": 1}, True)
@@ -44,7 +45,7 @@ VALUES = [
     (_SYMBOL, True),
     (_P, True),
     (SearchSpec(n=5, target=_P), True),
-    (Survivor(_SYMBOL, _P, (0, 1, 0, 1), "IheA@GUAo", False, 0), True),
+    (Survivor(_SYMBOL, _P, (0, 1, 0, 1), _GRAPH, 0), True),
     (_STATS, True),
     (_RESULT, True),
     (OddRunResult(5, _RESULT, 0, None, True), True),
