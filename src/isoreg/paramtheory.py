@@ -192,6 +192,48 @@ def _require_nontrivial(p: SrgParams) -> None:
         raise ValueError(f"parameters {p.as_tuple()} are not a nontrivial SRG")
 
 
+def _crt_range(congruences: list[tuple[int, int]], lo: int, hi: int) -> range:
+    """The x in [lo, hi] with x = c (mod m) for every (c, m), m >= 1: by the
+    Chinese remainder theorem one arithmetic progression, or none."""
+    x, step = 0, 1
+    for c, m in congruences:
+        g = math.gcd(step, m)
+        if (c - x) % g:
+            return range(0)
+        x += step * ((c - x) // g * pow(step // g, -1, m // g) % (m // g))
+        step = step // g * m
+    return range(lo + (x - lo) % step, hi + 1, step)
+
+
+def _walk(p: SrgParams, local: bool) -> list[tuple[int, int, int, int]]:
+    """(Q, R, W, V) for each R of the progression `_crt_range` gives that
+    passes every check, in ascending order of R; V is checked only if local."""
+    _require_nontrivial(p)
+    n, k, lam, mu = p.as_tuple()
+    a, d22, c = k - lam - 1, n - 2 * k + mu - 2, 2 * lam + 2 - k
+    # Q and W integral; R >= 0 and W <= lambda; W >= 0 and Q >= 0.
+    congruences = [(0, lam // math.gcd(lam, a) if lam else 1),
+                   (lam, (k - mu) // math.gcd(mu, k - mu))]
+    lo, hi = max(0, lam - lam * (k - mu) // mu), min(lam, lam * (lam - 1) // a)
+    if local:
+        # V integral; W <= mu and V >= 0; R <= mu - 1 and V <= mu.
+        congruences.append((c, d22 // math.gcd(mu, d22) if d22 > 0 else 1))
+        lo, hi = max(lo, lam - k + mu, c), min(hi, mu - 1, c + d22)
+    out = []
+    for r in _crt_range(congruences, lo, hi):
+        num, wnum, vnum = lam * (lam - 1) - r * a, mu * (lam - r), mu * (r - c)
+        if num < 0 or (num % lam if lam else num) or wnum < 0 or wnum % (k - mu):
+            continue  # Q or W is no non-negative integer
+        q, w, v = num // lam if lam else 0, wnum // (k - mu), vnum // d22 if d22 > 0 else 0
+        if lam and q > lam - 1 or w > lam or lam * mu * (k - 2 * lam + q) != w * (k - mu) * a:
+            continue  # a bound or relation (ii) fails
+        if local and (d22 < 0 or r > mu - 1 or w > mu or vnum < 0
+                      or (vnum % d22 if d22 else vnum) or v > mu):
+            continue  # the non-edge identification or V fails
+        out.append((q, r, w, v))
+    return out
+
+
 def feasible_edge_params(p: SrgParams) -> list[tuple[int, int, int]]:
     """Edge-side feasibility only: (Q, R, W) tuples satisfying the edge
     relations within their bounds, no non-edge identification, in ascending
@@ -201,71 +243,30 @@ def feasible_edge_params(p: SrgParams) -> list[tuple[int, int, int]]:
     - a*R and the W relation reads (k-mu)*W = mu*(lambda - R).  Q is integral
     exactly when R = 0 (mod lambda/gcd(lambda, a)), W exactly when R = lambda
     (mod (k-mu)/gcd(mu, k-mu)); by the Chinese remainder theorem the R that
-    satisfy both form one progression r0, r0 + L, ... (or none), so the cost
-    is lambda/L steps, not lambda.  When lambda = 0 the only R is 0.  Once Q
-    and W are integral, relation (ii) reduces to an identity, so it never
-    rejects a visited R; it is kept as a cheap guard.
+    satisfy both form one progression.  The bounds are linear in R, so they
+    make its ends: Q >= 0 gives R <= lambda(lambda-1)/a, W >= 0 gives
+    R <= lambda, W <= lambda gives R >= lambda - lambda(k-mu)/mu, and
+    Q <= lambda-1 gives R >= 0.  When lambda = 0 the only R is 0.  Once Q and
+    W are integral, relation (ii) reduces to an identity, so every R the walk
+    visits is a solution and the work is proportional to the output, not to
+    lambda; every check stays as a guard.
     """
-    _require_nontrivial(p)
-    n, k, lam, mu = p.as_tuple()
-    m_q = lam // math.gcd(lam, k - lam - 1) if lam else 1
-    m_w = (k - mu) // math.gcd(mu, k - mu)
-    g = math.gcd(m_q, m_w)
-    if lam % g:
-        return []
-    r0 = m_q * (lam // g * pow(m_q // g, -1, m_w // g) % (m_w // g))
-    out = []
-    for r in range(r0, lam + 1, m_q // g * m_w):
-        if lam > 0:
-            num = lam * (lam - 1) - r * (k - lam - 1)
-            if num < 0 or num % lam:
-                continue
-            q = num // lam
-            if q > lam - 1:
-                continue
-        else:
-            if r * (k - lam - 1) != 0:
-                continue
-            q = 0
-        wnum = mu * (lam - r)
-        if wnum < 0 or wnum % (k - mu):
-            continue
-        w = wnum // (k - mu)
-        if w > lam:
-            continue
-        if lam * mu * (k - 2 * lam + q) != w * (k - mu) * (k - lam - 1):
-            continue
-        out.append((q, r, w))
-    return out
+    return [(q, r, w) for q, r, w, _ in _walk(p, local=False)]
 
 
 def feasible_local_params(p: SrgParams) -> list[LocalParamSolution]:
     """The edge solutions with R <= mu-1 and W <= mu (the non-edge
-    identification R' = R, W' = W), extended by an integer V in [0, mu]
-    from the non-edge relation.  Q is vacuous when lambda = 0; when the
-    non-edge D22 cell is empty (complement has lambda = 0) V is vacuous and
+    identification R' = R, W' = W), extended by an integer V in [0, mu] from
+    D22*V = mu(R - c), where D22 = n-2k+mu-2 and c = 2lambda+2-k.  The walk of
+    `feasible_edge_params` takes a third congruence, R = c (mod
+    D22/gcd(mu, D22)), and the ends R >= lambda-k+mu (W <= mu), R >= c
+    (V >= 0), R <= mu-1 and R <= c + D22 (V <= mu), so again every R visited
+    is a solution.  Q is vacuous when lambda = 0; when the D22 cell is empty
+    (the complement has lambda = 0) the only R is c, and V is vacuous and
     reported as 0."""
     n, k, lam, mu = p.as_tuple()
-    d22 = n - 2 * k + mu - 2
-    solutions = []
-    for q, r, w in feasible_edge_params(p):
-        if d22 < 0 or r > mu - 1 or w > mu:
-            continue
-        vacuous = {"Q"} if lam == 0 else set()
-        vnum = mu * (k - 2 - 2 * lam + r)
-        if d22 > 0:
-            if vnum < 0 or vnum % d22:
-                continue
-            v = vnum // d22
-            if v > mu:
-                continue
-        else:
-            if vnum != 0:
-                continue
-            v = 0
-            vacuous.add("V")
-        solutions.append(LocalParamSolution(q, r, w, v, frozenset(vacuous)))
-    return solutions
+    vacuous = frozenset(["Q"] * (lam == 0) + ["V"] * (n - 2 * k + mu - 2 == 0))
+    return [LocalParamSolution(q, r, w, v, vacuous) for q, r, w, v in _walk(p, local=True)]
 
 
 def even_m_candidates(m: int, family: str) -> LocalParamSolution:
@@ -948,7 +949,6 @@ def replay_certificate(obj) -> ReplayResult:
                 problems.append(f"index {inst.index}: step {pos} does not revalidate")
             elif not step.holds:
                 problems.append(f"index {inst.index}: step {pos} recorded as failing")
-        regenerated = certifier(inst.index)
-        if regenerated.to_json() != inst.to_json():
+        if certifier(inst.index) != inst:
             problems.append(f"index {inst.index}: regeneration differs from record")
     return ReplayResult(not problems, tuple(problems))

@@ -603,6 +603,82 @@ def test_replay_rejects_every_shifted_step_integer(capsys, tmp_path, family):
     assert mutations >= 20
 
 
+def _set_description(inst):
+    inst["steps"][1]["description"] += " "
+
+
+def _shift_oracle_tuple(inst):
+    inst["oracle"]["feasible"][0]["tuple"][1] += 1
+
+
+def _rename_oracle_step(inst):
+    inst["oracle"]["feasible"][1]["eliminated_by"] = "GRAPH_CHECK"
+
+
+def _shift_solution(inst):
+    inst["solution"]["W"] += 1
+
+
+# mutant -> (family, one-index range, the change to its instance).  No
+# change touches a step's data, so every step still revalidates.
+_RECORD_MUTANTS = {
+    "description": ("bicirc-odd", "3..3", _set_description),
+    "oracle-tuple": ("family-c", "3..3", _shift_oracle_tuple),
+    "oracle-step": ("family-c", "3..3", _rename_oracle_step),
+    "solution": ("tri1", "-1..-1", _shift_solution),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_RECORD_MUTANTS))
+def test_replay_rejects_a_changed_record(capsys, tmp_path, mutant):
+    # A record that differs from its regeneration in one description, one
+    # oracle entry or one solution value fails the replay (exit 1).
+    family, index_range, change = _RECORD_MUTANTS[mutant]
+    cert_file = tmp_path / "cert.json"
+    assert run_cli(capsys, "certify", family, f"--range={index_range}", "-o", str(cert_file))[0] == 0
+    payload = json.loads(cert_file.read_text())
+    change(payload["instances"][0])
+    cert_file.write_text(json.dumps(payload))
+    code, out, _ = run_cli(capsys, "replay", str(cert_file))
+    index = payload["instances"][0]["index"]
+    assert code == 1
+    assert json.loads(out)["mismatches"] == [f"index {index}: regeneration differs from record"]
+
+
+def _unit_integer_places(node, path=()):
+    """The path of every integer 0 or 1 in a JSON tree: the integers that a
+    JSON boolean compares equal to."""
+    if type(node) is int and node in (0, 1):
+        yield path
+    elif isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _unit_integer_places(child, (*path, key))
+
+
+@pytest.mark.parametrize("family", sorted(_MUTATION_RANGES))
+def test_replay_refuses_every_boolean_for_an_integer(capsys, tmp_path, family):
+    # Each 0 or 1 of a certificate, in its indices, an instance's index,
+    # params, step data, solution or oracle tuples, replaced by the boolean
+    # equal to it: replay refuses the certificate as input (exit 2).
+    cert_file = tmp_path / "cert.json"
+    code, _, _ = run_cli(capsys, "certify", family, f"--range={_MUTATION_RANGES[family]}",
+                         "-o", str(cert_file))
+    assert code == 0
+    payload = json.loads(cert_file.read_text())
+    places = list(_unit_integer_places(payload))
+    assert places
+    for path in places:
+        mutant = json.loads(json.dumps(payload))
+        node = mutant
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bool(node[path[-1]])
+        cert_file.write_text(json.dumps(mutant))
+        code, out, err = run_cli(capsys, "replay", str(cert_file))
+        assert (code, out) == (2, ""), path
+        assert "integer" in err, path
+
+
 def test_certify_range_outside_index_bound(capsys):
     code, out, err = run_cli(capsys, "certify", "bicirc-odd", "--range", "100000..100000")
     assert (code, out) == (2, "") and "|index| <= 1000" in err
@@ -651,24 +727,50 @@ def test_search_sp_size_with_sp_complement_is_usage_error(capsys):
     assert code == 0 and out
 
 
+def _child(code, *argv):
+    """Run code in a child with isoreg on its path; a solver that walks
+    every R in [0, lambda] fails on the timeout instead of hanging."""
+    src = os.path.dirname(os.path.dirname(isoreg.__file__))
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+
+
+_CLI_CHILD = "import sys; from isoreg.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
 def test_params_solve_cost_does_not_grow_with_lambda():
     # The bicirc-odd parameters at m = 10^5 have lambda = 10^10 - 1; the
-    # solver walks one progression in R, so this finishes at once.  Run in a
-    # child so that a regression fails on the timeout instead of hanging.
-    src = os.path.dirname(os.path.dirname(isoreg.__file__))
+    # solver walks one progression in R, so this finishes at once.
     argv = ["params", "solve", "40000400002", "20000100000", "9999999999", "10000000000"]
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys; from isoreg.cli import main; sys.exit(main(sys.argv[1:]))",
-         *argv],
-        capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = _child(_CLI_CHILD, *argv)
     assert proc.returncode == 0, proc.stderr
     # `params solve` prints the local solutions: the one edge tuple has no
     # integral V (mu * 10^5 is not a multiple of D22 = 10000200000).
     assert json.loads(proc.stdout)["count"] == 0
     p = SrgParams(*map(int, argv[2:]))
     assert feasible_edge_params(p) == [(9999999998, 0, 9999900000)]
+
+
+def test_params_solve_cost_follows_the_solutions():
+    # (n, k, lambda, mu) = (7x+2, 3x+1, x, (3x+1)/2) with x odd: Q = x-1-2R
+    # and W = x-R are integral for every R, so the edge progression has step
+    # 1 and (x+1)/2 solutions.  V needs R = c (mod D22/gcd(mu, D22)); here
+    # x = 10^15 + 37, that gcd is 1 and D22 = (5x-3)/2 > lambda, so the local
+    # walk visits at most one R.
+    x = 10**15 + 37
+    proc = _child(_CLI_CHILD, "params", "solve", *map(str, (7 * x + 2, 3 * x + 1, x, (3 * x + 1) // 2)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["count"] == 0
+    # The edge side: (k + 1 + 8lambda/3, 3lambda+1, lambda, 3k/4) with
+    # lambda = 9 (mod 12).  Both moduli are 1 again, but Q = lambda-1-2R >= 0
+    # needs R <= (lambda-1)/2 and W = 3(lambda-R) <= lambda needs
+    # R >= 2lambda/3, so the walk is empty.  Here lambda = 10^15 + 5.
+    lam = 10**15 + 5
+    k = 3 * lam + 1
+    proc = _child("import sys; from isoreg import SrgParams, feasible_edge_params; "
+                  "print(feasible_edge_params(SrgParams(*map(int, sys.argv[1:]))))",
+                  *map(str, (k + 1 + 8 * lam // 3, k, lam, 3 * k // 4)))
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,10 @@ certificate bytes, solver oracle included.  The REPORTS and REPLAYS digests
 were recorded from the code that wrote every indented report with
 json.dumps(sort_keys=True, indent=2), before one list-append emitter wrote
 them all, except the two "params solve 16" reports, recorded from the code
-before the value classes became NamedTuples, and the "check srg" reports of
+before the value classes became NamedTuples, the "params solve 16 10 6 6"
+and "params solve 37 21 10 14" reports, recorded from the code whose local
+solver filtered the edge solver's tuples, before both solvers walked only
+the R that solve their congruences and bounds, and the "check srg" reports of
 c5, paley-13 and petersen, recorded from the code that computed eigenvalues
 and the Hoffman bound with a general quadratic-surd class, before one
 closed-form formatter printed them (tests/test_srg.py pins that text over
@@ -138,6 +141,12 @@ REPORTS = {
     # lambda = 0, so Q is vacuous.
     "params solve 16 5 0 2": (
         0, "b5d7f25314fd1201a2c29dd49da30a291d6bfbd2f9a5eabd1ef69d0041a2824d"),
+    # The complement of the Clebsch graph: D22 = 0, so V is vacuous.
+    "params solve 16 10 6 6": (
+        0, "b935ceb4ccfb61c037ad03b7d71727c7e66978934ba87353e86da0a8b431c068"),
+    # Four solutions, R = 5..8.
+    "params solve 37 21 10 14": (
+        0, "afe6dfeb95d394358c6522245dd7bf58f8f4ebcd3d260843c0a80f80e54fe03c"),
     "families thm22 --max 10": (
         0, "e8a1bff43db503c3f8b1775d2b6a8e182007821abc78096f864e55e9ee4b795e"),
     "families lm93 --max 10": (

@@ -316,9 +316,9 @@ def test_oracle_agreement_for_contradiction_certificates():
 
 
 def test_solver_matches_reference_over_parameter_sweep():
-    # Every nontrivial parameter set with 5 <= n <= 89: the solver built on
-    # the edge solutions agrees with the standalone reference scan.  The
-    # 3,825 complete-graph candidates (k = n - 1) are not among them.
+    # Every nontrivial parameter set with 5 <= n <= 89: the local solver's
+    # walk agrees with the standalone reference scan.  The 3,825
+    # complete-graph candidates (k = n - 1) are not among them.
     checked = 0
     for p in nontrivial_params(5, 89):
         got = [(*s.as_tuple(), s.vacuous) for s in feasible_local_params(p)]
@@ -343,24 +343,63 @@ def test_edge_solver_matches_scan_over_parameter_sweep():
     assert solutions > above_mu > 0
 
 
-def test_edge_solver_matches_scan_on_family_ranges():
-    # The parameters of every instance the five certify families cover over
-    # their full benchmark ranges, plus the largest bicirc-odd indices.
-    ranges = {
-        "bicirc-odd": list(range(2, 201)) + list(range(990, 1001)),
-        "leung-ma-b": list(range(3, 200, 2)),
-        "leung-ma-c": list(range(3, 200, 2)),
-        "tri-family-1": list(range(-50, 51)),
-        "tri-family-2": list(range(-50, 51)),
-    }
-    checked = 0
-    for claim, indices in ranges.items():
+def test_walk_visits_only_solutions(monkeypatch):
+    # Every R that either solver's progression holds is a solution: the
+    # congruences and the interval leave no R for a per-R check to reject,
+    # on every nontrivial set with 5 <= n <= 89.
+    from isoreg import paramtheory
+
+    crt_range = paramtheory._crt_range
+    walked = []
+
+    def recording(*args):
+        walked.append(crt_range(*args))
+        return walked[-1]
+
+    monkeypatch.setattr(paramtheory, "_crt_range", recording)
+    visited = 0
+    for p in nontrivial_params(5, 89):
+        edge = [r for _, r, _ in feasible_edge_params(p)]
+        local = [s.r for s in feasible_local_params(p)]
+        assert [list(r) for r in walked] == [edge, local], p.as_tuple()
+        visited += len(edge) + len(local)
+        walked.clear()
+    assert visited > 0
+
+
+# The parameters of every instance the five certify families cover over
+# their full benchmark ranges, plus the largest bicirc-odd indices.
+_FAMILY_RANGES = {
+    "bicirc-odd": list(range(2, 201)) + list(range(990, 1001)),
+    "leung-ma-b": list(range(3, 200, 2)),
+    "leung-ma-c": list(range(3, 200, 2)),
+    "tri-family-1": list(range(-50, 51)),
+    "tri-family-2": list(range(-50, 51)),
+}
+
+
+def _family_range_params():
+    for claim, indices in _FAMILY_RANGES.items():
         for inst in certify_range(claim, indices).instances:
             p = inst.params
-            if p is None or not p.is_nontrivial():
-                continue
-            assert feasible_edge_params(p) == reference_feasible_edge_params(p), (claim, inst.index)
-            checked += 1
+            if p is not None and p.is_nontrivial():
+                yield claim, inst.index, p
+
+
+def test_edge_solver_matches_scan_on_family_ranges():
+    checked = 0
+    for claim, index, p in _family_range_params():
+        assert feasible_edge_params(p) == reference_feasible_edge_params(p), (claim, index)
+        checked += 1
+    assert checked == 606
+
+
+def test_local_solver_matches_scan_on_family_ranges():
+    checked = 0
+    for claim, index, p in _family_range_params():
+        got = [(*s.as_tuple(), s.vacuous) for s in feasible_local_params(p)]
+        assert got == reference_feasible_local_params(p), (claim, index)
+        checked += 1
     assert checked == 606
 
 

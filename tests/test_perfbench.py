@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_traced_sample_passes_its_self_checks(tmp_path):
-    cert = str(tmp_path / "cert.json")
+    cert, cert_c = str(tmp_path / "cert.json"), str(tmp_path / "cert-c.json")
     spec = {
         "commands": [
             ["dedup13", ["search", "bicirc", "--n", "13", "--params", "26,10,3,4",
@@ -20,6 +20,8 @@ def test_traced_sample_passes_its_self_checks(tmp_path):
             ["odd5", ["search", "bicirc-odd", "--n", "5", "--jobs", "1"]],
             ["certify", ["certify", "tri2", "--range=-5..5", "-o", cert]],
             ["replay", ["replay", cert]],
+            ["certify-c", ["certify", "family-c", "--range", "3..21", "-o", cert_c]],
+            ["replay-c", ["replay", cert_c]],
         ],
         "trace": True,
         "expect": ["enumerate", "build", "srg", "triple", "local3", "dedup.fingerprint",
@@ -36,4 +38,13 @@ def test_traced_sample_passes_its_self_checks(tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert {label: record["rc"] for label, record in payload["commands"].items()} == {
-        "dedup13": 0, "odd5": 0, "certify": 0, "replay": 0}
+        "dedup13": 0, "odd5": 0, "certify": 0, "replay": 0, "certify-c": 0, "replay-c": 0}
+    # One solver span per instance with a solver cross-check: a solver that
+    # called the other would open a nested span and count its work twice.
+    layers = payload["layers"]
+    cross_checked = sum(inst["oracle"] is not None
+                        for path in (cert, cert_c)
+                        for inst in json.loads(Path(path).read_text())["instances"])
+    assert cross_checked == 8 + 10
+    assert layers["cert.solver.generate.calls"] == cross_checked
+    assert layers["cert.solver.generate.s"] <= layers["cert.generate.s"]
