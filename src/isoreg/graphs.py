@@ -24,6 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+# Bounds the order of every graph built, and so the modulus of every search.
 MAX_VERTICES = 4096
 
 

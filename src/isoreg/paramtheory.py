@@ -613,7 +613,7 @@ def certify_family_b(m: int) -> Instance:
     """Even-order family (b), odd index: the parameter system is infeasible."""
     if m % 2 == 0 or m < 3:
         raise ValueError("family (b) certificate covers odd m >= 3")
-    p = SrgParams(4 * m * m, 2 * m * m - m, m * m - m, m * m - m)
+    p = next(e for e in leung_ma_families(m) if e.label == "b").graph_params()
     steps = [
         _eq2_step(p),
         _step(
@@ -651,7 +651,7 @@ def certify_family_c(m: int) -> Instance:
     (on the complement and on the graph respectively)."""
     if m % 2 == 0 or m < 3:
         raise ValueError("family (c) certificate covers odd m >= 3")
-    p = SrgParams(4 * m * m, 2 * m * m + m, m * m + m, m * m + m)
+    p = next(e for e in leung_ma_families(m) if e.label == "c").graph_params()
     n, k, lam, mu = p.as_tuple()
     # Branch alpha = m: the tuple (2m-1, m^2, m+1, m(m+1)).  Branch alpha = 2:
     # the tuple (m^2-m+1, 2m, m^2-1, m); its complement edge parameters force

@@ -34,16 +34,17 @@ A_T = lambda*1_S + mu*1_Shat - dS = lambda*1_S' + mu*1_S'hat - dS'.
 Tricirculant search (``_tricirc_worker``).  The same reduction on three
 orbits: with D_a = lambda*1_{S_a} + mu*1_{S_a-hat} - dS_a, the connection
 of orbits a, b (c the third) has A_T = (D_a + D_b - D_c)/2 and |T| = (k -
-|S_a| - |S_b| + |S_c|)/2, so each diagonal triple fixes every connection's
-size and autocorrelation, and ``_t_solutions`` (memoised per shard on (t,
-A_T)) gives the connections.  Shards take every stride-th S0.
+|S_a| - |S_b| + |S_c|)/2.  So the space is its shapes, the connection sizes
+(c01, c12, c20) with the diagonal sizes they leave; the worker walks the
+diagonal triples of the shapes of nonzero count, every stride-th per shard,
+and ``_t_solutions`` (memoised per shard on (t, A_T)) gives the connections.
 
 An order above ``MAX_VERTICES`` is refused before any count.  The candidate
 counts are taken in closed form from the allowed sizes (C((n-1)//2, s//2)
 symmetric sets of size s, none when n and s are both odd) and checked
-against ``CANDIDATE_CAP`` before any mask list is built; then
-the bicirculant search builds only masks of the allowed sizes, S' of sizes
-n-1-s under ``--sp-complement``.
+against ``CANDIDATE_CAP`` before any mask list is built; then each search
+builds only masks of the sizes it walks, S' of sizes n-1-s under
+``--sp-complement``.
 
 Every worker ends in ``_judge``, which takes a candidate as masks: it tests
 it on its row blocks (``block_srg_params`` on ``row_blocks``, one vertex per
@@ -63,19 +64,21 @@ from __future__ import annotations
 
 import os
 from functools import cache
-from itertools import combinations, product
-from math import comb, isqrt
+from itertools import combinations, islice, product
+from math import comb, isqrt, prod
 from typing import Iterable, NamedTuple, Optional
 
 from .graphs import MAX_VERTICES, Graph, complement
 from .isomorphism import invariant_fingerprint, is_isomorphic
 from .isoregularity import triples_isoregular
 from .formats import encode_graph6
+from .paramtheory import bicirc_odd_family
 from .srg import SrgParams, block_srg_params, complement_params, srg_params
 from .symbols import _LAYOUT, Symbol, bicirculant, negated_mask, row_blocks, tricirculant
 
+# Bounds the symbols a search walks, counted in closed form before any mask.
 CANDIDATE_CAP = 1 << 26
-ISO3_ORDER_CAP = 64
+# Bounds 3n, since the candidate count does not see the work per candidate.
 TRICIRC_ORDER_CAP = 40
 
 
@@ -297,10 +300,8 @@ def _join_keys(mask: int, n: int, t_sizes, target) -> list[tuple]:
     one for each allowed t (s + t = k with a target) and each lambda, mu of
     the target or, without one, of the windows that keep A_T = lambda*1_X +
     mu*1_Xhat - dX within 0..t, tied by lambda*s + mu*(n-1-s) = t(t-1) +
-    s(s-1), the sum of A_T + dX over d = 1..n-1.  Through that relation the
-    mu window bounds lambda too, so only the lambda of both windows are
-    walked.  When X is {} or Z_n - {0}, lambda or mu is vacuous and takes
-    the value 0."""
+    s(s-1), the sum of A_T + dX over d = 1..n-1.  When X is {} or Z_n - {0},
+    lambda or mu is vacuous and takes the value 0."""
     vec = _diff_vector(mask, n)
     s = mask.bit_count()
     inside = [x for d, x in enumerate(vec, 1) if mask >> d & 1]
@@ -314,11 +315,6 @@ def _join_keys(mask: int, n: int, t_sizes, target) -> list[tuple]:
             lams = [0]
         elif target:
             lams = [target[2]] if max(inside) <= target[2] <= min(inside) + t else []
-        elif outside:
-            # max(outside) <= mu <= min(outside) + t for mu*rest = total - lambda*s.
-            rest = n - 1 - s
-            lo = max(max(inside), -(((min(outside) + t) * rest - total) // s))
-            lams = range(lo, min(min(inside) + t, (total - max(outside) * rest) // s) + 1)
         else:
             lams = range(max(inside), min(inside) + t + 1)
         for lam in lams:
@@ -382,8 +378,6 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
         raise ValueError("modulus must be at least 2")
     if 2 * n > MAX_VERTICES:
         raise SearchCapError(f"2n = {2 * n} above the vertex cap {MAX_VERTICES}")
-    if spec.require_iso3 and 2 * n > ISO3_ORDER_CAP:
-        raise SearchCapError(f"2n = {2 * n} above the 3-isoregularity cap {ISO3_ORDER_CAP}")
     if spec.target is not None and spec.target.n != 2 * n:
         raise ValueError(f"target order {spec.target.n} is not 2n = {2 * n}")
     if spec.sp_is_complement and spec.sp_size is not None:
@@ -477,36 +471,41 @@ def _complement_class_count(rep_graphs: list[Graph]) -> int:
 # Tricirculant search
 
 
+def _diagonal_triples(n: int, shapes):
+    """Every (connection sizes, diagonal triple) of the shapes, each a pair
+    (connection sizes, diagonal sizes), lazily; only masks of the diagonal
+    sizes the shapes use are built."""
+    by_size = cache(lambda b: _symmetric_masks(n, [b]))
+    return ((conn, diags) for conn, sizes in shapes for diags in product(*map(by_size, sizes)))
+
+
 def _tricirc_worker(args) -> tuple[list, list[int]]:
-    """One shard of the tricirculant join, over the S0 masks at positions
-    shard, shard + stride, ... of sym_masks; returns records and counter
-    deltas.  Orbit a's pairs (a_0, a_d) have dS_a plus the autocorrelations
-    of its two connections as common neighbors, so each diagonal triple
-    fixes the size and autocorrelation of every connection (see the module
-    docstring); a half that is odd or outside 0..n rejects the triple."""
-    sym_masks, rule, shard, stride = args
-    n, (_, k, lam, mu) = rule[0], rule[1]
-    # D_a = lambda*1_{S_a} + mu*1_{S_a-hat} - dS_a of each diagonal mask.
-    excess = {m: [(lam if m >> d & 1 else mu) - x for d, x in enumerate(_diff_vector(m, n), 1)]
-              for m in sym_masks}
+    """One shard of the tricirculant join, over the triples at positions
+    shard, shard + stride, ... of the walk over the shapes' diagonal
+    triples; returns records and counter deltas.  Orbit a's pairs (a_0, a_d)
+    have dS_a plus the autocorrelations of its two connections as common
+    neighbors, so with the sizes of its shape each diagonal triple fixes
+    every connection (see the module docstring)."""
+    shapes, rule, shard, stride = args
+    n, (_, _, lam, mu) = rule[0], rule[1]
+    # D_a = lambda*1_{S_a} + mu*1_{S_a-hat} - dS_a of a diagonal mask.
+    excess = cache(lambda m: [(lam if m >> d & 1 else mu) - x
+                              for d, x in enumerate(_diff_vector(m, n), 1)])
     solve = _solver(n)
     records: list = []
     counts = [0, 0, 0]
-    for s0 in sym_masks[shard::stride]:
-        for s1, s2 in product(sym_masks, repeat=2):
-            diags = (s0, s1, s2)
-            options = []
-            for a, b in _LAYOUT[3][2]:
-                x, y, z = diags[a], diags[b], diags[3 - a - b]
-                t, odd = divmod(k - x.bit_count() - y.bit_count() + z.bit_count(), 2)
-                twice = [p + q - r for p, q, r in zip(excess[x], excess[y], excess[z])]
-                if odd or not 0 <= t <= n or any(v % 2 for v in twice):
-                    break
-                options.append(solve(t, tuple(v // 2 for v in twice)))
-            else:
-                for picked in product(*options):
-                    conns, negs = zip(*picked)
-                    _judge(rule, diags, conns, negs, records, counts)
+    for conn, diags in islice(_diagonal_triples(n, shapes), shard, None, stride):
+        e = [excess(m) for m in diags]
+        options = []
+        for (a, b), t in zip(_LAYOUT[3][2], conn):
+            twice = [p + q - r for p, q, r in zip(e[a], e[b], e[3 - a - b])]
+            if any(v % 2 for v in twice):
+                break
+            options.append(solve(t, tuple(v // 2 for v in twice)))
+        else:
+            for picked in product(*options):
+                conns, negs = zip(*picked)
+                _judge(rule, diags, conns, negs, records, counts)
     return records, counts
 
 
@@ -519,19 +518,17 @@ def search_tricirculant_srg(n: int, target: SrgParams, jobs: int = 1) -> SearchR
         raise SearchCapError(f"3n = {3 * n} above the tricirculant cap {TRICIRC_ORDER_CAP}")
     if target.n != 3 * n:
         raise ValueError(f"target order {target.n} is not 3n = {3 * n}")
-    # Connections of sizes c01, c12, c20 leave the diagonals k - c01 - c20,
-    # k - c01 - c12 and k - c12 - c20.
-    k = target.k
-    candidates = sum(
-        comb(n, c01) * comb(n, c12) * comb(n, c20) * _symmetric_count(n, k - c01 - c20)
-        * _symmetric_count(n, k - c01 - c12) * _symmetric_count(n, k - c12 - c20)
-        for c01, c12, c20 in product(range(n + 1), repeat=3)
-    )
+    shapes, candidates, k = [], 0, target.k
+    for c01, c12, c20 in product(range(n + 1), repeat=3):
+        sizes = (k - c01 - c20, k - c01 - c12, k - c12 - c20)
+        count = prod(comb(n, c) * _symmetric_count(n, b) for c, b in zip((c01, c12, c20), sizes))
+        if count:
+            shapes.append(((c01, c12, c20), sizes))
+            candidates += count
     if candidates > CANDIDATE_CAP:
         raise SearchCapError("tricirculant space too large", candidates)
-    sym_masks = _symmetric_masks(n)
     rule = (n, target.as_tuple(), tricirculant, False)
-    records, counts = _run_shards(_tricirc_worker, (sym_masks, rule), jobs)
+    records, counts = _run_shards(_tricirc_worker, (shapes, rule), jobs)
     return _finish(records, candidates, counts)
 
 
@@ -559,7 +556,7 @@ def _family_index_for(n: int) -> Optional[int]:
 
 
 def confirm_nonexistence_bicirc_odd(n: int, jobs: int = 1) -> OddRunResult:
-    """Full unconstrained (S, S', T) enumeration for odd n in 5..13.
+    """Full unconstrained (S, S', T) enumeration for odd n <= 13, the reach of ``CANDIDATE_CAP``.
 
     Survivors are the nontrivial strongly regular symbols; the run verifies
     that none is 3-isoregular, that no survivor class is even locally
@@ -569,14 +566,10 @@ def confirm_nonexistence_bicirc_odd(n: int, jobs: int = 1) -> OddRunResult:
     complement side of the parameter family)."""
     if n % 2 == 0:
         raise ValueError("this run is for odd moduli")
-    if not 5 <= n <= 13:
-        raise ValueError("odd confirmation runs cover 5 <= n <= 13")
     spec = SearchSpec(n=n)
     result = search_bicirculant(spec, jobs=jobs)
     m = _family_index_for(n)
     failures = []
-    from .paramtheory import bicirc_odd_family
-
     expected = None
     if m is not None:
         family_params, _, t_size = bicirc_odd_family(m)
@@ -595,6 +588,8 @@ def confirm_nonexistence_bicirc_odd(n: int, jobs: int = 1) -> OddRunResult:
         elif len(sym.t) != want_t:
             failures.append(f"{sym.text()}: |T| = {len(sym.t)}, family predicts {want_t}")
 
+    # Looked up at call time, so a hook on isoregularity.is_locally_3isoregular
+    # (perfbench/tracer.py times the local3 layer so) sees this call.
     from .isoregularity import is_locally_3isoregular
 
     locally = sum(is_locally_3isoregular(result.survivors[i].graph) is not None

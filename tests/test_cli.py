@@ -280,12 +280,39 @@ def test_search_above_vertex_cap_is_refused_at_once(capsys, argv):
     "argv, message",
     [
         ("search tricirc --n 14 --params 42,10,3,2", "3n = 42 above the tricirculant cap 40"),
-        ("search bicirc --n 33 --iso3", "2n = 66 above the 3-isoregularity cap 64"),
     ],
 )
 def test_order_cap_error_claims_no_estimate(capsys, argv, message):
     # The order caps are checked before any candidate count is taken.
     assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
+def test_iso3_runs_above_order_64(capsys):
+    # Every nontrivial target match takes the triple test with or without
+    # --iso3, so the flag sets no order limit of its own: at 2n = 66 it runs
+    # with the stats of the plain run.
+    argv = "search bicirc --n 33 --s-size 2 --sp-size 2 --t-size 0".split()
+    code, out, err = run_cli(capsys, *argv, "--iso3")
+    assert (code, err) == (0, "")
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    assert json.loads(out)["summary"]["stats"] == json.loads(plain[1])["summary"]["stats"]
+
+
+def test_bicirc_odd_reach_is_the_candidate_cap(capsys):
+    # The odd run refuses even n and is otherwise bounded by the candidate
+    # cap alone: n = 3 runs the full space of search bicirc --n 3, and n = 15
+    # is refused with its count.
+    code, out, _ = run_cli(capsys, "search", "bicirc-odd", "--n", "3")
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["family_index"] is None and summary["structure_ok"]
+    plain = run_cli(capsys, "search", "bicirc", "--n", "3")
+    assert plain[0] == 0
+    assert summary["stats"] == json.loads(plain[1])["summary"]["stats"]
+    assert summary["stats"]["candidates"] == 32 and summary["stats"]["survivors"] == 0
+    assert run_cli(capsys, "search", "bicirc-odd", "--n", "15") == (
+        2, "", "error: bicirculant space too large (estimated 536870912 candidates)\n")
 
 
 def test_output_deterministic_across_runs_and_jobs(capsys):

@@ -7,7 +7,9 @@ runs, and "bicirc --n 6" and "tricirc --n 3" with --no-prune, before the two
 search workers became one; the bicirc n = 11, 12 and 13 runs before the
 default bicirculant path solved T from its autocorrelation; the tricirc n = 7
 run before the tricirculant search solved its connections from their
-autocorrelations).  --no-prune ran the plain product of every symbol; that
+autocorrelations; the tricirc n = 11 and 13 runs before that search walked
+only the diagonal triples of the connection-size shapes its candidate count
+admits).  --no-prune ran the plain product of every symbol; that
 path and the flag are gone, and the join prints the same bytes for those two
 runs.  Any change to the bytes these commands print fails here.
 Each search runs at --jobs 1 and --jobs 2.  The certificate digests were
@@ -46,6 +48,12 @@ SEARCHES = {
         0, "0c5de22041d464f7bab1157de1aecb1509dedbbf44069013440af96567f5732a"),
     "search tricirc --n 3 --params 9,4,1,2": (
         0, "889e260485b62ffaa3610b21a2ec5d7c3f75065bd2e6804ffafb1742fa08d4f4"),
+    "search tricirc --n 13 --params 39,2,1,0": (
+        0, "da2eef7358804a2f6242bd4385d489e0f22ec98c6a6d35fc6e9440fc527988af"),
+    "search tricirc --n 13 --params 39,4,3,0": (
+        0, "d70c1259e80bc4668b321f71c5f13954ede2e1336267b30a8aeeaf4129a9bc84"),
+    "search tricirc --n 11 --params 33,2,1,0": (
+        0, "4f377db29377f0e8e533097914cd922981367b64ab61cab5f7aeee5e25ba47e1"),
     "search bicirc --n 8": (
         0, "2c46ca6affd41b8b611ef645c3e3c83213dd1c0cfa7b02294659904766496f1f"),
     "search bicirc --n 8 --iso3": (

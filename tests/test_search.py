@@ -102,8 +102,6 @@ def test_search_caps():
     with pytest.raises(SearchCapError):
         search_bicirculant(SearchSpec(n=15))
     with pytest.raises(SearchCapError):
-        search_bicirculant(SearchSpec(n=33, require_iso3=True, t_size=0, s_size=2, sp_size=2))
-    with pytest.raises(SearchCapError):
         search_tricirculant_srg(14, SrgParams(42, 10, 3, 2))
     # 2n above MAX_VERTICES is refused before any candidate count, even for
     # a one-symbol space.
@@ -113,6 +111,10 @@ def test_search_caps():
     with pytest.raises(SearchCapError) as info:
         search_bicirculant(SearchSpec(n=20000))
     assert info.value.estimate is None
+    # The odd run reaches as far as the candidate cap.
+    with pytest.raises(SearchCapError) as info:
+        confirm_nonexistence_bicirc_odd(15)
+    assert info.value.estimate == 536870912
 
 
 def test_search_jobs_deterministic():
@@ -431,6 +433,42 @@ def test_tricirc_worker_matches_reference(monkeypatch, n, target, pruned_referen
         for c01, c12, c20 in product(per_count, repeat=3)
     )
     assert stats.candidates == candidates
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_tricirc_worker_walks_only_sized_triples(monkeypatch, n):
+    # For every parameter set on 3n vertices, the worker walks each diagonal
+    # triple whose three connection sizes (k - |S_a| - |S_b| + |S_c|)/2 are
+    # integers in 0..n exactly once, under the shape of those sizes, and no
+    # other; so it walks no more triples than the candidate count.  Judging
+    # is stubbed out: only the walk is compared.
+    from itertools import product
+
+    import isoreg.search as search
+    from isoreg.symbols import _LAYOUT
+
+    walk = search._diagonal_triples
+    walked = []
+
+    def recording_walk(*args):
+        for shape, diags in walk(*args):
+            walked.append((shape, diags))
+            yield shape, diags
+
+    monkeypatch.setattr(search, "_diagonal_triples", recording_walk)
+    monkeypatch.setattr(search, "_judge", lambda *args: None)
+    masks = search._symmetric_masks(n)
+    for target in _tricirc_targets(n):
+        walked.clear()
+        candidates = search_tricirculant_srg(n, target).stats.candidates
+        want = []
+        for diags in product(masks, repeat=3):
+            sizes = [divmod(target.k - diags[a].bit_count() - diags[b].bit_count()
+                            + diags[3 - a - b].bit_count(), 2) for a, b in _LAYOUT[3][2]]
+            if all(not odd and 0 <= t <= n for t, odd in sizes):
+                want.append((tuple(t for t, _ in sizes), diags))
+        assert sorted(walked) == sorted(want), target
+        assert len(walked) <= candidates, target
 
 
 def _multicirc_bicirc_run(spec):
