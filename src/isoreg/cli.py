@@ -14,7 +14,14 @@ import json
 import os
 import sys
 
-from .formats import Graph6Error, decode_graph6, encode_graph6, indented_json, to_dot
+from .formats import (
+    MAX_GRAPH6_FILE,
+    Graph6Error,
+    decode_graph6,
+    encode_graph6,
+    indented_json,
+    to_dot,
+)
 from .graphs import Graph
 from .isoregularity import (
     is_k_isoregular,
@@ -23,6 +30,7 @@ from .isoregularity import (
 )
 from .named import named_graph
 from .paramtheory import (
+    MAX_CERTIFICATE_BYTES,
     Certificate,
     bicirc_odd_family,
     certify_range,
@@ -48,12 +56,20 @@ class InputError(Exception):
     pass
 
 
+def _read_ascii(path: str, limit: int, what: str) -> str:
+    """The ASCII text of a file of at most limit bytes; a longer one is an input error."""
+    with open(path, "rb") as fh:
+        data = fh.read(limit + 1)
+    if len(data) > limit:
+        raise InputError(f"{what} is longer than {limit} bytes")
+    return data.decode("ascii")
+
+
 def _resolve_graph(text: str) -> tuple[str, Graph]:
     """Named tag, circ:/bi:/tri: symbol text, g6:STRING, or @FILE of graph6."""
     if text.startswith("@"):
         try:
-            with open(text[1:], "r", encoding="ascii") as fh:
-                payload = fh.read().strip()
+            payload = _read_ascii(text[1:], MAX_GRAPH6_FILE, "graph file").strip()
         except OSError as exc:
             raise InputError(f"cannot read graph file: {exc}") from exc
         return _resolve_graph("g6:" + payload)
@@ -232,8 +248,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_replay(args) -> int:
     try:
-        with open(args.certificate, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
+        payload = json.loads(_read_ascii(args.certificate, MAX_CERTIFICATE_BYTES, "certificate"))
     # A deeply nested array or object exhausts the decoder's recursion.
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot load certificate: {exc}") from exc

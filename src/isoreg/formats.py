@@ -1,11 +1,12 @@
 """graph6 text format (bit-exact), DOT export and the indented JSON of the
-CLI reports."""
+CLI reports.  Both graph6 directions read one bit table, `_SIXBITS`, or its
+inverse `_BITS`, and take column j as bits 0..j-1 of row j."""
 
 from __future__ import annotations
 
 import json
 
-from .graphs import Graph, MAX_VERTICES
+from .graphs import Graph, MAX_VERTICES, bits_to_vertices
 
 
 class Graph6Error(ValueError):
@@ -14,6 +15,12 @@ class Graph6Error(ValueError):
 
 # Six body bits, as binary text, to their graph6 character.
 _SIXBITS = {format(v, "06b"): chr(63 + v) for v in range(64)}
+_BITS = {ch: bits for bits, ch in _SIXBITS.items()}
+_HEADER = ">>graph6<<"
+
+# The longest graph6 file: the header, the 4 size and ceil(N(N-1)/12) body
+# characters of a MAX_VERTICES graph (1,397,764 together) and a CRLF line end.
+MAX_GRAPH6_FILE = len(_HEADER) + 4 + (MAX_VERTICES * (MAX_VERTICES - 1) // 2 + 5) // 6 + 2
 
 
 def encode_graph6(g: Graph) -> str:
@@ -24,40 +31,30 @@ def encode_graph6(g: Graph) -> str:
     bits, and each 6 bits become one character.
     """
     n = g.n
-    if n <= 62:
-        head = chr(n + 63)
-    else:
-        # 18-bit size form covers everything up to the package vertex cap.
-        head = chr(126) + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
+    # The size is 6 bits, or 6 set bits and 18 more (enough for the vertex cap).
+    bits = format(n, "06b") if n <= 62 else "111111" + format(n, "018b")
     top = 1 << n
-    bits = "".join([bin(r | top)[-1:-1 - j:-1] for j, r in enumerate(g.rows())])
+    bits += "".join([bin(r | top)[-1:-1 - j:-1] for j, r in enumerate(g.rows())])
     bits += "0" * (-len(bits) % 6)
-    return head + "".join([_SIXBITS[bits[p:p + 6]] for p in range(0, len(bits), 6)])
+    return "".join([_SIXBITS[bits[p:p + 6]] for p in range(0, len(bits), 6)])
 
 
 def decode_graph6(text: str) -> Graph:
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
+    s = text.strip().removeprefix(_HEADER)
     if not s:
         raise Graph6Error("empty graph6 string")
-    values = []
     for ch in s:
-        v = ord(ch) - 63
-        if not 0 <= v <= 63:
+        if ch not in _BITS:
             raise Graph6Error(f"invalid graph6 character {ch!r}")
-        values.append(v)
 
-    if values[0] < 63:
-        n = values[0]
-        body = values[1:]
+    if s[0] != "~":
+        n, body = int(_BITS[s[0]], 2), s[1:]
     else:
-        if len(values) < 4:
+        if len(s) < 4:
             raise Graph6Error("truncated graph6 size header")
-        if values[1] == 63:
+        if s[1] == "~":
             raise Graph6Error("8-byte graph6 sizes exceed the vertex cap")
-        n = (values[1] << 12) | (values[2] << 6) | values[3]
-        body = values[4:]
+        n, body = int("".join([_BITS[ch] for ch in s[1:4]]), 2), s[4:]
     if n < 1 or n > MAX_VERTICES:
         raise Graph6Error(f"graph6 order {n} outside 1..{MAX_VERTICES}")
 
@@ -65,22 +62,16 @@ def decode_graph6(text: str) -> Graph:
     expected = (nbits + 5) // 6
     if len(body) != expected:
         raise Graph6Error(f"graph6 body length {len(body)}, expected {expected} for n={n}")
-
-    bits = []
-    for value in body:
-        for k in range(5, -1, -1):
-            bits.append((value >> k) & 1)
-    if any(bits[nbits:]):
+    bits = "".join([_BITS[ch] for ch in body])
+    if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits in graph6 body")
 
+    # Column j is row j below the diagonal; each bit is mirrored into its row.
     rows = [0] * n
-    idx = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            idx += 1
+        rows[j] = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        for i in bits_to_vertices(rows[j]):
+            rows[i] |= 1 << j
     return Graph(n, rows)
 
 

@@ -99,16 +99,8 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
-            row = self._rows[u] >> (u + 1)
-            v = u + 1
-            while row:
-                if row & 1:
-                    yield (u, v)
-                row >>= 1
-                v += 1
-
-    def vertices(self) -> range:
-        return range(self.n)
+            for v in bits_to_vertices(self._rows[u] >> (u + 1) << (u + 1)):
+                yield (u, v)
 
     def is_regular(self) -> bool:
         d = self._rows[0].bit_count()
@@ -208,16 +200,12 @@ def complement(g: Graph) -> Graph:
 def line_graph(g: Graph) -> Graph:
     """Line graph: vertices are the edges of g in lexicographic order."""
     edge_list = list(g.edges())
-    m = len(edge_list)
-    rows = [0] * m
-    for i in range(m):
-        a, b = edge_list[i]
-        for j in range(i + 1, m):
-            c, d = edge_list[j]
-            if a == c or a == d or b == c or b == d:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(m, rows)
+    incident = [0] * g.n
+    for i, (a, b) in enumerate(edge_list):
+        incident[a] |= 1 << i
+        incident[b] |= 1 << i
+    return Graph(len(edge_list), [(incident[a] | incident[b]) & ~(1 << i)
+                                  for i, (a, b) in enumerate(edge_list)])
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

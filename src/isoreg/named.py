@@ -1,10 +1,9 @@
-"""Concrete graph constructions and the named-graph registry."""
+"""Paley, triangular and GQ(2,2) voltage-cover constructions, and the
+named-graph registry, which gives each named bicirculant by its symbol."""
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .graphs import MAX_VERTICES, Graph, complement
+from .graphs import MAX_VERTICES, Graph, complement, complete_graph, line_graph
 from .symbols import BicirculantSymbol, bicirculant, circulant
 
 
@@ -35,17 +34,10 @@ def paley(p: int) -> Graph:
 
 
 def triangular(m: int) -> Graph:
-    """Triangular graph T(m): 2-subsets of {1..m}, adjacent iff intersecting."""
+    """Triangular graph T(m) = L(K_m): 2-subsets of {1..m}, adjacent iff intersecting."""
     if m < 3:
         raise ValueError("triangular graph needs m >= 3")
-    pairs = list(combinations(range(1, m + 1), 2))
-    edges = []
-    for i in range(len(pairs)):
-        a = set(pairs[i])
-        for j in range(i + 1, len(pairs)):
-            if a & set(pairs[j]):
-                edges.append((i, j))
-    return Graph.from_edges(len(pairs), edges)
+    return line_graph(complete_graph(m))
 
 
 # PG(1,4) block order used for gq22 vertex numbering: infinity, 0, 1, w, w^2.
@@ -82,43 +74,21 @@ def gq22_voltage() -> Graph:
     for (i, j), k in field_sum.items():
         voltages[(_GQ22_BLOCKS[2 + i], _GQ22_BLOCKS[2 + j])] = _tau(k)
 
-    edges = []
-    for block in _GQ22_BLOCKS:
-        base = 3 * _GQ22_BLOCKS.index(block)
-        edges += [(base, base + 1), (base + 1, base + 2), (base, base + 2)]
+    edges = [(gq22_vertex(b, i), gq22_vertex(b, i + 1)) for b in _GQ22_BLOCKS for i in range(3)]
     for (x, y), sigma in voltages.items():
         for i in range(3):
             edges.append((gq22_vertex(x, i), gq22_vertex(y, sigma[i])))
     return Graph.from_edges(15, edges)
 
 
-def petersen() -> Graph:
-    return bicirculant(BicirculantSymbol(5, {1, -1}, {2, -2}, {0}))
-
-
-def clebsch() -> Graph:
-    return bicirculant(BicirculantSymbol(8, {1, -1, 4}, {3, -3, 4}, {0, 2}))
-
-
-def k4_box_k4() -> Graph:
-    return bicirculant(BicirculantSymbol(8, {1, -1}, {3, -3}, {0, 1, 3, 4}))
-
-
-def shrikhande_a() -> Graph:
-    return bicirculant(BicirculantSymbol(8, {1, -1}, {3, -3}, {0, 1, -1, 4}))
-
-
-def shrikhande_b() -> Graph:
-    return bicirculant(BicirculantSymbol(8, {1, -1, 2, -2}, {2, -2, 3, -3}, {1, 3}))
-
-
 _REGISTRY = {
     "c5": lambda: circulant(5, {1, 4}),
-    "petersen": petersen,
-    "clebsch": clebsch,
-    "k4xk4": k4_box_k4,
-    "shrikhande-a": shrikhande_a,
-    "shrikhande-b": shrikhande_b,
+    "petersen": lambda: bicirculant(BicirculantSymbol(5, {1, -1}, {2, -2}, {0})),
+    "clebsch": lambda: bicirculant(BicirculantSymbol(8, {1, -1, 4}, {3, -3, 4}, {0, 2})),
+    "k4xk4": lambda: bicirculant(BicirculantSymbol(8, {1, -1}, {3, -3}, {0, 1, 3, 4})),
+    "shrikhande-a": lambda: bicirculant(BicirculantSymbol(8, {1, -1}, {3, -3}, {0, 1, -1, 4})),
+    "shrikhande-b": lambda: bicirculant(
+        BicirculantSymbol(8, {1, -1, 2, -2}, {2, -2, 3, -3}, {1, 3})),
     "gq22": gq22_voltage,
     "t6-complement": lambda: complement(triangular(6)),
     "t7": lambda: triangular(7),

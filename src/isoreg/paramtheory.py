@@ -1,10 +1,10 @@
 """Integer parameter theory: admissible families, the local-parameter
 feasibility solver, and replayable non-existence certificates.
 
-Everything here is exact integer arithmetic.  Certificates carry their full
-derivation as typed steps, each decided by its kind's rule in `_RULES`;
-replaying a serialized certificate revalidates every step by that rule and
-regenerates the instance.
+Everything here is integer arithmetic, with no rational type.  Certificates
+carry their full derivation as typed steps, each decided by its kind's rule
+in `_RULES`; replaying a serialized certificate revalidates every step by
+that rule and regenerates the instance.
 
 `_CLAIMS` states each claim once: the certifier that `certify_range` and
 `replay_certificate` run for one index, and what every instance must show
@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .isoregularity import edge_iso_params
 from .named import named_graph
-from .srg import SrgParams
+from .srg import SrgParams, complement_params
 
 
 # ---------------------------------------------------------------------------
@@ -31,19 +30,14 @@ from .srg import SrgParams
 # bounds the length of a range, and so the size of a certificate.
 MAX_FAMILY_INDEX = 1000
 
+# Longest certificate file replay reads, in bytes: certify writes at most
+# 5,157,521 (tri2 over -1000..1000), and 7,080,288 re-indented by 4 spaces.
+MAX_CERTIFICATE_BYTES = 8 << 20
+
 
 def check_family_index(index: int) -> None:
     if abs(index) > MAX_FAMILY_INDEX:
         raise ValueError(f"family index {index} outside |index| <= {MAX_FAMILY_INDEX}")
-
-
-def bicirc_odd_family(m: int) -> tuple[SrgParams, int, int]:
-    """Parameters forced on a strongly regular bicirculant of twice-odd order,
-    together with the symbol cardinalities |S| and |T|."""
-    if m < 1:
-        raise ValueError("family index m must be at least 1")
-    params = SrgParams(2 * (2 * m * m + 2 * m + 1), m * (2 * m + 1), m * m - 1, m * m)
-    return params, m * (m + 1), m * m
 
 
 class LeungMaEntry(NamedTuple):
@@ -87,6 +81,13 @@ def leung_ma_families(m: int) -> list[LeungMaEntry]:
         out.append(LeungMaEntry("d+", 2 * m2, m2 + m, m2, m2 + m, m2 + m))
         out.append(LeungMaEntry("d-", 2 * m2, m2 - m, m2, m2 - m, m2 - m))
     return out
+
+
+def bicirc_odd_family(m: int) -> tuple[SrgParams, int, int]:
+    """Parameters forced on a strongly regular bicirculant of twice-odd order,
+    Leung-Ma family (a), with the symbol cardinalities |S| = d and |T| = c."""
+    a = leung_ma_families(m)[0]
+    return a.graph_params(), a.d, a.c
 
 
 class TricircEntry(NamedTuple):
@@ -141,26 +142,26 @@ def tricirc_families(s: int) -> tuple[TricircEntry, TricircEntry]:
 # Local-parameter relations and the feasibility solver
 
 
+def _edge_relations(p: SrgParams, q: int, r: int, w: int) -> dict[str, tuple[int, int]]:
+    """(lhs, rhs) at (Q, R, W) of the counting relations (i) and (ii) for a
+    3-isoregular edge and of their consequence W, each stated only here."""
+    n, k, lam, mu = p.as_tuple()
+    return {"i": (lam * (lam - q - 1), r * (k - lam - 1)),
+            "ii": (lam * mu * (k - 2 * lam + q), w * (k - mu) * (k - lam - 1)),
+            "W": (w * (k - mu), mu * (lam - r))}
+
+
 def edge_relations_check(p: SrgParams, q: int, r: int, w: int) -> bool:
     """Both counting relations for a 3-isoregular edge, plus their consequence."""
-    n, k, lam, mu = p.as_tuple()
-    return (
-        lam * (lam - q - 1) == r * (k - lam - 1)
-        and lam * mu * (k - 2 * lam + q) == w * (k - mu) * (k - lam - 1)
-        and w * (k - mu) == mu * (lam - r)
-    )
+    return all(lhs == rhs for lhs, rhs in _edge_relations(p, q, r, w).values())
 
 
 def nonedge_relations_check(p: SrgParams, rp: int, wp: int, v: int) -> bool:
-    """Both counting relations for a 3-isoregular non-edge."""
+    """Both counting relations for a 3-isoregular non-edge (False when mu = 0),
+    mu(k-2-2lambda+R') = V(k(k-lambda-1)/mu - k + mu - 1) multiplied by mu."""
     n, k, lam, mu = p.as_tuple()
-    if mu == 0:
-        return False
-    d22 = Fraction(k * (k - lam - 1), mu) - k + mu - 1
-    return (
-        mu * (lam - rp) == (k - mu) * wp
-        and Fraction(mu * (k - 2 - 2 * lam + rp)) == v * d22
-    )
+    return mu != 0 and mu * (lam - rp) == (k - mu) * wp and (
+        mu * mu * (k - 2 - 2 * lam + rp) == v * (k * (k - lam - 1) - mu * (k - mu + 1)))
 
 
 class LocalParamSolution(NamedTuple):
@@ -225,7 +226,7 @@ def _walk(p: SrgParams, local: bool) -> list[tuple[int, int, int, int]]:
         if num < 0 or (num % lam if lam else num) or wnum < 0 or wnum % (k - mu):
             continue  # Q or W is no non-negative integer
         q, w, v = num // lam if lam else 0, wnum // (k - mu), vnum // d22 if d22 > 0 else 0
-        if lam and q > lam - 1 or w > lam or lam * mu * (k - 2 * lam + q) != w * (k - mu) * a:
+        if lam and q > lam - 1 or w > lam or operator.ne(*_edge_relations(p, q, r, w)["ii"]):
             continue  # a bound or relation (ii) fails
         if local and (d22 < 0 or r > mu - 1 or w > mu or vnum < 0
                       or (vnum % d22 if d22 else vnum) or v > mu):
@@ -305,12 +306,7 @@ class Step(NamedTuple):
     holds: bool
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "description": self.description,
-            "data": self.data,
-            "holds": self.holds,
-        }
+        return self._asdict()
 
     @classmethod
     def from_json(cls, obj: dict) -> "Step":
@@ -516,17 +512,10 @@ def _eq2_step(p: SrgParams) -> Step:
                  lhs=p.k * (p.k - p.lam - 1), rhs=p.mu * (p.n - 1 - p.k))
 
 
-def _relation_i_step(p: SrgParams, q: int, r: int, description: str) -> Step:
-    """Edge relation (i), lambda(lambda-Q-1) = R(k-lambda-1), at (Q, R)."""
-    n, k, lam, mu = p.as_tuple()
-    return _step("SUBSTITUTION", description, lhs=lam * (lam - q - 1), rhs=r * (k - lam - 1))
-
-
-def _relation_ii_step(p: SrgParams, q: int, w: int, description: str) -> Step:
-    """Edge relation (ii), lambda mu(k-2lambda+Q) = W(k-mu)(k-lambda-1), at (Q, W)."""
-    n, k, lam, mu = p.as_tuple()
-    return _step("SUBSTITUTION", description,
-                 lhs=lam * mu * (k - 2 * lam + q), rhs=w * (k - mu) * (k - lam - 1))
+def _relation_step(p: SrgParams, relation: str, q: int, r: int, w: int, description: str) -> Step:
+    """Edge relation (i) or (ii) of `_edge_relations` at (Q, R, W)."""
+    lhs, rhs = _edge_relations(p, q, r, w)[relation]
+    return _step("SUBSTITUTION", description, lhs=lhs, rhs=rhs)
 
 
 def _oracle(steps: list[Step], entries: list[dict], key: str) -> dict:
@@ -589,8 +578,8 @@ def certify_bicirc_odd(m: int) -> Instance:
                 "is (m+1)/2 itself, forcing alpha = (m-1)/2",
                 divisor=(m + 1) // 2, lo=2, hi=m, multiples=[(m + 1) // 2],
             ),
-            _relation_i_step(p, q, r, f"derived Q={q}, R={r}, W={w} satisfy relation (i)"),
-            _relation_ii_step(p, q, w, "derived values satisfy relation (ii)"),
+            _relation_step(p, "i", q, r, w, f"derived Q={q}, R={r}, W={w} satisfy relation (i)"),
+            _relation_step(p, "ii", q, r, w, "derived values satisfy relation (ii)"),
             _step(
                 "DIVISIBILITY",
                 "V = m(m^2+2m-1)/(2(m+2)) is not an integer: m+2 never divides "
@@ -658,7 +647,7 @@ def certify_family_c(m: int) -> Instance:
     # a clique in the complement graph.
     q1, r1, w1 = 2 * m - 1, m * m, m + 1
     q2, r2, w2, v2 = m * m - m + 1, 2 * m, m * m - 1, m
-    comp_lam = n - 2 - 2 * k + mu
+    comp = complement_params(p)
     steps = [
         _eq2_step(p),
         _step(
@@ -687,8 +676,8 @@ def certify_family_c(m: int) -> Instance:
             "alpha - 2 in [0, m-2] divisible by m-2: alpha in {2, m} only",
             divisor=m - 2, lo=0, hi=m - 2, multiples=[0, m - 2],
         ),
-        _relation_i_step(
-            p, q1, r1,
+        _relation_step(
+            p, "i", q1, r1, w1,
             f"alpha = m gives (Q,R,W,V) = ({q1},{r1},{w1},{m * (m + 1)}); relation (i) holds",
         ),
         _step(
@@ -697,8 +686,8 @@ def certify_family_c(m: int) -> Instance:
             "extends {x} to a clique of size 1+m^2, above 1 + k/m",
             clique=m * m + 1, valency=k, eig=m, tuple=[q1, r1, w1],
         ),
-        _relation_i_step(
-            p, q2, r2,
+        _relation_step(
+            p, "i", q2, r2, w2,
             f"alpha = 2 gives (Q,R,W,V) = ({q2},{r2},{w2},{v2}); relation (i) holds",
         ),
         _step(
@@ -706,13 +695,13 @@ def certify_family_c(m: int) -> Instance:
             "alpha = 2: the complement's edge triangle parameter is "
             "Qbar = n-3-3k+3mu-V = lambdabar - 1, so the complement packs a "
             "clique of size lambdabar + 2 = m^2-m",
-            lhs=n - 3 - 3 * k + 3 * mu - v2, rhs=comp_lam - 1,
+            lhs=n - 3 - 3 * k + 3 * mu - v2, rhs=comp.lam - 1,
         ),
         _step(
             "HOFFMAN_CLIQUE",
             "alpha = 2: clique of size m^2-m in the complement, above "
             "1 + kbar/(m+1)",
-            clique=comp_lam + 2, valency=n - k - 1, eig=m + 1, tuple=[q2, r2, w2],
+            clique=comp.lam + 2, valency=comp.k, eig=m + 1, tuple=[q2, r2, w2],
         ),
     ]
     oracle = _solver_cross_check(p, steps)
@@ -790,8 +779,9 @@ def certify_tri_family1(s: int) -> Instance:
         r = alpha * (4 * s + 3)
         w = beta * s * (4 * s + 3)
         steps += [
-            _relation_ii_step(
-                p, q, w, f"beta = {beta} gives (Q,R,W) = ({q},{r},{w}); relation (ii) holds"
+            _relation_step(
+                p, "ii", q, r, w,
+                f"beta = {beta} gives (Q,R,W) = ({q},{r},{w}); relation (ii) holds",
             ),
             _step(
                 "GRAPH_CHECK",
@@ -842,8 +832,9 @@ def certify_tri_family2(s: int) -> Instance:
     if s == 2:
         r1 = s * s + s - 1
         steps += [
-            _relation_i_step(
-                p, 0, r1, f"alpha = 1 at s = 2 gives (Q,R,W) = (0,{r1},0); relation (i) holds"
+            _relation_step(
+                p, "i", 0, r1, 0,
+                f"alpha = 1 at s = 2 gives (Q,R,W) = (0,{r1},0); relation (i) holds",
             ),
             _step(
                 "GRAPH_CHECK",

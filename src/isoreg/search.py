@@ -186,15 +186,7 @@ class SearchStats(NamedTuple):
     complement_classes: int
 
     def to_json(self) -> dict:
-        return {
-            "candidates": self.candidates,
-            "srg": self.srg,
-            "nontrivial_srg": self.nontrivial_srg,
-            "iso3": self.iso3,
-            "survivors": self.survivors,
-            "classes": self.classes,
-            "complement_classes": self.complement_classes,
-        }
+        return self._asdict()
 
 
 class SearchResult(NamedTuple):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -441,6 +442,37 @@ def reference_feasible_local_params(p):
     return solutions
 
 
+def reference_nonedge_relations_check(p, rp, wp, v) -> bool:
+    """Reference non-edge check: both relations with D22 = k(k-lambda-1)/mu
+    - k + mu - 1 taken as a Fraction, False when mu = 0."""
+    from fractions import Fraction
+
+    n, k, lam, mu = p.as_tuple()
+    if mu == 0:
+        return False
+    d22 = Fraction(k * (k - lam - 1), mu) - k + mu - 1
+    return (
+        mu * (lam - rp) == (k - mu) * wp
+        and Fraction(mu * (k - 2 - 2 * lam + rp)) == v * d22
+    )
+
+
+def reference_line_graph(g: Graph) -> Graph:
+    """Reference line graph: every pair of edges of g, in lexicographic
+    order, compared for a shared end."""
+    edge_list = list(g.edges())
+    m = len(edge_list)
+    rows = [0] * m
+    for i in range(m):
+        a, b = edge_list[i]
+        for j in range(i + 1, m):
+            c, d = edge_list[j]
+            if a == c or a == d or b == c or b == d:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(m, rows)
+
+
 def reference_symmetric(n, rows) -> None:
     """Reference row validation of the Graph constructor: row range and
     loops row by row, then symmetry over every pair u < v in order.  Raises
@@ -668,41 +700,36 @@ def reference_multicirc_worker(args):
     return records, counts
 
 
-def reference_join_keys(mask: int, n: int, t_sizes, target) -> list[tuple]:
-    """Reference join keys (s, t, lambda, mu, A_T) of a symmetric mask X:
-    without a target it walks every lambda of X's own window and drops
-    afterwards those whose mu misses its window or is not integral."""
-    from isoreg.search import _diff_vector
-
-    vec = _diff_vector(mask, n)
+@cache
+def _definition_join_keys(mask: int, n: int, t_sizes: tuple) -> tuple[tuple, ...]:
     s = mask.bit_count()
-    inside = [x for d, x in enumerate(vec, 1) if mask >> d & 1]
-    outside = [x for d, x in enumerate(vec, 1) if not mask >> d & 1]
+    in_x = [bool(mask >> d & 1) for d in range(1, n)]
+    dx = [sum(1 for x in range(n) if mask >> x & 1 and mask >> (x + d) % n & 1)
+          for d in range(1, n)]
     keys = []
-    for t in t_sizes:
-        if target and s + t != target[1]:
-            continue
-        if not inside:
-            lams = [0]
-        elif target:
-            lams = [target[2]] if max(inside) <= target[2] <= min(inside) + t else []
-        else:
-            lams = range(max(inside), min(inside) + t + 1)
-        total = t * (t - 1) + s * (s - 1)
-        for lam in lams:
-            if outside:
-                mu, rem = divmod(total - lam * s, n - 1 - s)
-                if rem or not max(outside) <= mu <= min(outside) + t:
-                    continue
-                if target and mu != target[3]:
-                    continue
-            elif total == lam * s:
-                mu = 0
-            else:
-                continue
-            a = tuple((lam if mask >> d & 1 else mu) - x for d, x in enumerate(vec, 1))
-            keys.append((s, t, lam, mu, a))
-    return keys
+    for lam in range(2 * n) if any(in_x) else [0]:
+        for mu in range(2 * n) if not all(in_x) else [0]:
+            a = tuple((lam if x else mu) - c for x, c in zip(in_x, dx))
+            lo, hi, total = min(a, default=0), max(a, default=0), sum(a)
+            keys += [(s, t, lam, mu, a) for t in t_sizes
+                     if lo >= 0 and hi <= t and total == t * (t - 1)]
+    return tuple(sorted(keys))
+
+
+def reference_join_keys(mask: int, n: int, t_sizes, target) -> list[tuple]:
+    """Reference join keys (s, t, lambda, mu, A_T) of a symmetric mask X,
+    sorted, from the definition: every lambda and mu in 0..2n-1 (A_T <= t
+    <= n and dX <= n-2 bound both by 2n-2), lambda only 0 when X = {} and mu
+    only 0 when X = Z_n - {0}, where they are vacuous; A_T = lambda*1_X +
+    mu*1_Xhat - dX is kept for each allowed t when every entry lies in 0..t
+    and they sum to t(t-1).  A target keeps the keys with s + t = k and its
+    lambda and mu, a vacuous one excepted."""
+    keys = _definition_join_keys(mask, n, tuple(t_sizes))
+    full = (1 << n) - 2
+    return [key for key in keys if not target or (
+        key[0] + key[1] == target[1]
+        and (key[2] == target[2] or mask == 0)
+        and (key[3] == target[3] or mask == full))]
 
 
 def reference_bicirc_worker(args):

@@ -10,7 +10,8 @@ import pytest
 import isoreg
 
 from isoreg.cli import main
-from isoreg.paramtheory import feasible_edge_params
+from isoreg.formats import MAX_GRAPH6_FILE
+from isoreg.paramtheory import MAX_CERTIFICATE_BYTES, feasible_edge_params
 from isoreg.srg import SrgParams
 
 
@@ -1077,6 +1078,58 @@ def test_removed_no_prune_flag_is_usage_error():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "unrecognized arguments: --no-prune" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, what, limit",
+    [("build", "graph file", MAX_GRAPH6_FILE), ("replay", "certificate", MAX_CERTIFICATE_BYTES)],
+    ids=["build", "replay"],
+)
+def test_file_over_its_read_bound_is_input_error(capsys, tmp_path, command, what, limit):
+    # A sparse file one byte over the bound is refused by its length alone;
+    # one at the bound is read and refused for what it holds.
+    path = tmp_path / "zeros"
+    arg = "@" + str(path) if command == "build" else str(path)
+    for size in (limit + 1, limit):
+        with open(path, "wb") as fh:
+            fh.truncate(size)
+        code, out, err = run_cli(capsys, command, arg)
+        assert (code, out) == (2, "") and err.count("\n") == 1, size
+        assert (err == f"error: {what} is longer than {limit} bytes\n") == (size > limit), err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("argv", [("build", "@/dev/zero"), ("replay", "/dev/zero")], ids=" ".join)
+def test_endless_file_is_input_error(argv):
+    # An endless file is read up to its bound, not until memory runs out.
+    # The child runs under an 800 MB address-space limit and a timeout, so a
+    # regression fails instead of exhausting memory.
+    src = os.path.dirname(os.path.dirname(isoreg.__file__))
+    code = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20)); "
+        "from isoreg.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "is longer than" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+def test_largest_graph_file_builds(capsys, tmp_path, line_end):
+    # A MAX_VERTICES cycle with the header and a line end is within the bound.
+    from isoreg import cycle_graph, encode_graph6
+    from isoreg.graphs import MAX_VERTICES
+
+    text = encode_graph6(cycle_graph(MAX_VERTICES))
+    path = tmp_path / "cycle.g6"
+    path.write_bytes(b">>graph6<<" + text.encode("ascii") + line_end)
+    code, out, err = run_cli(capsys, "build", "@" + str(path))
+    assert (code, out, err) == (0, text + "\n", "")
 
 
 def _readme_commands():

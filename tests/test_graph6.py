@@ -88,6 +88,32 @@ def test_decode_errors():
         decode_graph6(corrupted)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty graph6 string"),
+        (" >>graph6<<\n", "empty graph6 string"),
+        ("Dh\x7f", "invalid graph6 character '\\x7f'"),
+        ("~\x7f", "invalid graph6 character '\\x7f'"),  # before the header checks
+        ("~??", "truncated graph6 size header"),
+        ("~~", "truncated graph6 size header"),  # before the 8-byte check
+        ("~~??????", "8-byte graph6 sizes exceed the vertex cap"),
+        ("?", "graph6 order 0 outside 1..4096"),
+        ("~@?@", "graph6 order 4097 outside 1..4096"),
+        ("~@?@~", "graph6 order 4097 outside 1..4096"),  # before the body length
+        ("Dh", "graph6 body length 1, expected 2 for n=5"),
+        ("Dhcc", "graph6 body length 3, expected 2 for n=5"),
+        ("Dhd", "nonzero padding bits in graph6 body"),
+        ("Dhe", "nonzero padding bits in graph6 body"),  # the first padding bit
+    ],
+)
+def test_decode_error_texts(text, message):
+    # Each error class keeps its text, and the checks keep their order.
+    with pytest.raises(Graph6Error) as err:
+        decode_graph6(text)
+    assert str(err.value) == message
+
+
 def test_dot_export():
     dot = to_dot(cycle_graph(3), name="triangle")
     assert dot.splitlines()[0] == "graph triangle {"

@@ -1,5 +1,8 @@
 """Graph type, symbol constructions, and named graphs."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from isoreg import (
@@ -19,6 +22,7 @@ from isoreg import (
     is_isomorphic,
     line_graph,
     named_graph,
+    named_tags,
     paley,
     parse_symbol,
     srg_params,
@@ -26,6 +30,9 @@ from isoreg import (
     triangular,
     tricirculant,
 )
+from isoreg.formats import encode_graph6
+
+from conftest import reference_line_graph
 
 
 def test_graph_rejects_loops_and_asymmetry():
@@ -198,6 +205,49 @@ def test_triangular_examples():
     assert srg_params(triangular(7)).as_tuple() == (21, 10, 5, 4)
     with pytest.raises(ValueError):
         triangular(2)
+
+
+@pytest.mark.parametrize("m", range(3, 10))
+def test_triangular_is_line_graph_of_complete_graph(m):
+    # T(m) by its definition: the 2-subsets of {1..m} in lexicographic
+    # order, adjacent when they meet.
+    pairs = list(combinations(range(1, m + 1), 2))
+    edges = [(i, j) for j in range(len(pairs)) for i in range(j) if set(pairs[i]) & set(pairs[j])]
+    assert triangular(m) == line_graph(complete_graph(m)) == Graph.from_edges(len(pairs), edges)
+
+
+def test_line_graph_matches_pair_loop():
+    # Incident-edge masks against the loop over every pair of edges, on
+    # seeded random graphs of every density and on the corpus.
+    rng = random.Random(26)
+    graphs = [named_graph(tag) for tag in named_tags() if tag != "paley-<p>"]
+    for n in range(2, 31):
+        p = (0.05, 0.2, 0.5, 0.9, 1.0)[n % 5]
+        edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < p] or [(0, 1)]
+        graphs.append(Graph.from_edges(n, edges))
+    for g in graphs:
+        assert line_graph(g) == reference_line_graph(g), g
+
+
+# The graph6 of every registry tag, paley-<p> at p = 13: a change to how a
+# named graph is built or labelled shows here.
+_NAMED_GRAPH6 = {
+    "c5": "Dhc",
+    "clebsch": "OhdHKeAOT?ICIKDM@R_I[",
+    "gq22": "N{S{aKj`QSeFaKSPcpW",
+    "k4xk4": "OhCGKELpbEUKuCZIEq_uS",
+    "petersen": "IheA@GUAo",
+    "shrikhande-a": "OhCGKFHxBcFKfCRiCyceS",
+    "shrikhande-b": "OzK[]KD_aBSESEIJAeoSu",
+    "t6-complement": "N??yrPoe\\TUWrHtQ[q?",
+    "t7": "T~~}DERa{NkWShQdgpxbKITSdKwpeohTkKXn",
+    "paley-13": "LlthgsL`mEkLkL",
+}
+
+
+def test_named_graph6_pinned():
+    tags = [tag.replace("<p>", "13") for tag in named_tags()]
+    assert {tag: encode_graph6(named_graph(tag)) for tag in tags} == _NAMED_GRAPH6
 
 
 def test_line_graph_and_product():

@@ -1,6 +1,7 @@
 """Parameter families, the feasibility solver, and certificate replay."""
 
 import json
+from itertools import product
 
 import pytest
 
@@ -34,6 +35,7 @@ from conftest import (
     nontrivial_params,
     reference_feasible_edge_params,
     reference_feasible_local_params,
+    reference_nonedge_relations_check,
 )
 
 
@@ -50,6 +52,15 @@ def test_bicirc_odd_family_values():
         assert verify_identity(p)
         assert s_size == (p.n // 2 - 1) // 2  # |S| = (n-1)/2
     with pytest.raises(ValueError):
+        bicirc_odd_family(0)
+
+
+def test_bicirc_odd_family_matches_closed_form():
+    # Leung-Ma family (a) with |S| = d and |T| = c, against the closed form.
+    for m in range(1, 1001):
+        params = SrgParams(2 * (2 * m * m + 2 * m + 1), m * (2 * m + 1), m * m - 1, m * m)
+        assert bicirc_odd_family(m) == (params, m * (m + 1), m * m), m
+    with pytest.raises(ValueError, match="family index m must be at least 1"):
         bicirc_odd_family(0)
 
 
@@ -204,6 +215,34 @@ def test_even_m_candidates_agree_with_solver():
     for family, params in (("b", SrgParams(64, 28, 12, 12)), ("c", SrgParams(64, 36, 20, 20))):
         cand = even_m_candidates(4, family)
         assert cand.as_tuple() in {s.as_tuple() for s in feasible_local_params(params)}
+
+
+def test_relation_checks_match_reference():
+    # The non-edge check in integers against D22 taken as a Fraction, and
+    # the edge check against its three relations written out, on every
+    # nontrivial set with n <= 40, every set with n <= 10 (most of them not
+    # strongly regular, so D22 is often no integer) and sets with mu = 0,
+    # each at R', W', V (Q, R, W) in 0..4 and at its solver's tuples.
+    sets = [*nontrivial_params(5, 40),
+            *(SrgParams(n, k, lam, mu) for n in range(2, 11) for k in range(n)
+              for lam in range(k + 1) for mu in range(k + 1)),
+            SrgParams(6, 2, 1, 0), SrgParams(9, 2, 1, 0), SrgParams(10, 3, 0, 0)]
+    assert sum(p.mu == 0 for p in sets) > 3
+    holds = 0
+    for p in sets:
+        n, k, lam, mu = p.as_tuple()
+        tuples = list(product(range(5), repeat=3))
+        if p.is_nontrivial():
+            tuples += [(s.r, s.w, s.v) for s in feasible_local_params(p)]
+        for x, y, z in tuples:
+            got = nonedge_relations_check(p, x, y, z)
+            assert got == reference_nonedge_relations_check(p, x, y, z), (p, x, y, z)
+            holds += got
+            assert edge_relations_check(p, x, y, z) == (
+                lam * (lam - x - 1) == y * (k - lam - 1)
+                and lam * mu * (k - 2 * lam + x) == z * (k - mu) * (k - lam - 1)
+                and z * (k - mu) == mu * (lam - y)), (p, x, y, z)
+    assert holds > 100
 
 
 def test_relation_checks():

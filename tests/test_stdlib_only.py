@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library, as
 pyproject.toml's empty dependency list promises, and nothing that slows
-every CLI start: no module imports dataclasses, which pulls in inspect."""
+every CLI start: no module imports dataclasses, which pulls in inspect, and
+a CLI start imports neither fractions nor decimal, which fractions pulls in."""
 
 import ast
 import os
@@ -46,7 +47,7 @@ def test_cli_start_leaves_dataclasses_and_inspect_unimported():
     # -S keeps site-packages hooks out, so only isoreg's own imports count.
     code = (
         "import sys, isoreg.cli; isoreg.cli.build_parser(); "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
