@@ -34,7 +34,6 @@ from .srg import (
     is_nontrivial_srg,
     srg_params,
     subconstituent,
-    verify_identity,
 )
 from .isoregularity import (
     DPartition,

@@ -15,6 +15,7 @@ import os
 import sys
 
 from .formats import (
+    ASCII_SPACE,
     MAX_GRAPH6_FILE,
     Graph6Error,
     decode_graph6,
@@ -69,7 +70,7 @@ def _resolve_graph(text: str) -> tuple[str, Graph]:
     """Named tag, circ:/bi:/tri: symbol text, g6:STRING, or @FILE of graph6."""
     if text.startswith("@"):
         try:
-            payload = _read_ascii(text[1:], MAX_GRAPH6_FILE, "graph file").strip()
+            payload = _read_ascii(text[1:], MAX_GRAPH6_FILE, "graph file").strip(ASCII_SPACE)
         except OSError as exc:
             raise InputError(f"cannot read graph file: {exc}") from exc
         return _resolve_graph("g6:" + payload)
@@ -166,23 +167,19 @@ def _cmd_check(args) -> int:
     base = {"graph": name, "graph6": encode_graph6(g), "check": args.what}
     if args.what == "srg":
         p = srg_params(g)
+        holds = p is not None
         base["srg"] = None if p is None else p.to_json()
-        base["nontrivial"] = nontrivial = p is not None and p.is_nontrivial()
+        base["nontrivial"] = nontrivial = holds and p.is_nontrivial()
         if nontrivial:
             base["eigenvalues"] = list(eigenvalues(p))
             base["hoffman_bound"] = hoffman_bound(p)
-        _emit(base, args.out)
-        return 0 if p is not None else 1
-    if args.what == "isoreg":
-        k = 3 if args.k is None else args.k
+    elif args.what == "isoreg":
+        base["k"] = k = 3 if args.k is None else args.k
         verdict = is_k_isoregular(g, k)
-        base["k"] = k
-        base["isoregular"] = verdict.holds
+        holds = base["isoregular"] = verdict.holds
         base["profile"] = None if verdict.profile is None else verdict.profile.to_json()
         base["witness"] = None if verdict.witness is None else verdict.witness.to_json()
-        _emit(base, args.out)
-        return 0 if verdict.holds else 1
-    if args.what == "local3":
+    elif args.what == "local3":
         if args.vertex is None:
             vertices = range(g.n)
         elif 0 <= args.vertex < g.n:
@@ -190,20 +187,15 @@ def _cmd_check(args) -> int:
         else:
             raise InputError(f"--vertex {args.vertex} outside 0..{g.n - 1}")
         reports = [is_locally_3isoregular_at(g, x) for x in vertices]
-        holds = any(r.holds for r in reports)
-        base["locally_3isoregular"] = holds
+        holds = base["locally_3isoregular"] = any(r.holds for r in reports)
         base["vertices"] = [r.to_json() for r in reports]
-        _emit(base, args.out)
-        return 0 if holds else 1
-    if args.what == "tvertex":
-        t = 4 if args.t is None else args.t
+    else:
+        base["t"] = t = 4 if args.t is None else args.t
         verdict = t_vertex_condition(g, t)
-        base["t"] = t
-        base["holds"] = verdict.holds
+        holds = base["holds"] = verdict.holds
         base["witness"] = None if verdict.witness is None else verdict.witness.to_json()
-        _emit(base, args.out)
-        return 0 if verdict.holds else 1
-    raise InputError(f"unknown check {args.what!r}")
+    _emit(base, args.out)
+    return 0 if holds else 1
 
 
 def _cmd_params(args) -> int:
@@ -273,9 +265,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    jobs = _env_jobs() if args.jobs is None else args.jobs
-    if jobs < 1:
-        raise InputError(f"--jobs must be an integer >= 1, got {jobs}")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be an integer >= 1, got {args.jobs}")
     # Flags that shape the bicirculant space only; another mode would ignore
     # them.
     flags = {"--iso3": args.iso3, "--s-size": args.s_size, "--sp-size": args.sp_size,
@@ -297,13 +288,13 @@ def _cmd_search(args) -> int:
             sp_is_complement=args.sp_complement,
             require_iso3=args.iso3,
         )
-        result = search_bicirculant(spec, jobs=jobs)
+        result = search_bicirculant(spec, jobs=args.jobs)
     elif args.mode == "tricirc":
         if args.params is None:
             raise InputError("tricirculant search needs --params")
-        result = search_tricirculant_srg(args.n, _parse_params(args.params, args.n), jobs=jobs)
-    elif args.mode == "bicirc-odd":
-        run = confirm_nonexistence_bicirc_odd(args.n, jobs=jobs)
+        result = search_tricirculant_srg(args.n, _parse_params(args.params, args.n), jobs=args.jobs)
+    else:
+        run = confirm_nonexistence_bicirc_odd(args.n, jobs=args.jobs)
         result = run.result
         claim_ok = result.stats.iso3 == 0 and run.locally_iso3_classes == 0 and run.structure_ok
         extra = {
@@ -313,8 +304,6 @@ def _cmd_search(args) -> int:
             "structure_ok": run.structure_ok,
             "structure_failures": list(run.structure_failures),
         }
-    else:
-        raise InputError(f"unknown search mode {args.mode!r}")
     for survivor in result.survivors:
         _write(json.dumps(survivor.to_json(), sort_keys=True) + "\n", None)
     summary = {"mode": args.mode, "n": args.n, **extra, "stats": result.stats.to_json()}
@@ -347,19 +336,6 @@ def _cmd_families(args) -> int:
         raise InputError(f"--max {args.max} gives no {args.family} row")
     _emit({"family": args.family, "rows": rows}, args.out)
     return 0
-
-
-def _env_jobs() -> int:
-    """Worker count from ISOREG_JOBS, an integer >= 1; 1 when unset.  Read
-    only by a search that is not given --jobs."""
-    text = os.environ.get("ISOREG_JOBS", "1")
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise InputError(f"ISOREG_JOBS must be an integer >= 1, got {text!r}")
-    return jobs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--sp-size", type=int)
     p_search.add_argument("--t-size", type=int)
     p_search.add_argument("--sp-complement", action="store_true")
-    p_search.add_argument("--jobs", type=int, help="worker count (default ISOREG_JOBS, else 1)")
+    p_search.add_argument("--jobs", type=int, default=1, help="worker count (default 1)")
     p_search.set_defaults(fn=_cmd_search)
 
     p_fam = sub.add_parser("families", help="parameter family tables")

@@ -17,6 +17,8 @@ class Graph6Error(ValueError):
 _SIXBITS = {format(v, "06b"): chr(63 + v) for v in range(64)}
 _BITS = {ch: bits for bits, ch in _SIXBITS.items()}
 _HEADER = ">>graph6<<"
+# The whitespace graph6 text may carry around it: ASCII only.
+ASCII_SPACE = " \t\n\r\v\f"
 
 # The longest graph6 file: the header, the 4 size and ceil(N(N-1)/12) body
 # characters of a MAX_VERTICES graph (1,397,764 together) and a CRLF line end.
@@ -40,7 +42,10 @@ def encode_graph6(g: Graph) -> str:
 
 
 def decode_graph6(text: str) -> Graph:
-    s = text.strip().removeprefix(_HEADER)
+    """The graph of graph6 text, with or without the >>graph6<< header.
+    Only ASCII whitespace around it is dropped; any other character outside
+    the graph6 alphabet is an error."""
+    s = text.strip(ASCII_SPACE).removeprefix(_HEADER)
     if not s:
         raise Graph6Error("empty graph6 string")
     for ch in s:

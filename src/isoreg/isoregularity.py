@@ -106,13 +106,7 @@ class IsoWitness(NamedTuple):
     valency_b: int
 
     def to_json(self) -> dict:
-        return {
-            "type": self.type.name,
-            "subset_a": list(self.subset_a),
-            "valency_a": self.valency_a,
-            "subset_b": list(self.subset_b),
-            "valency_b": self.valency_b,
-        }
+        return {**self._asdict(), "type": self.type.name}
 
 
 class IsoProfile(NamedTuple):
@@ -128,11 +122,7 @@ class IsoProfile(NamedTuple):
         return (v["K3"], v["K1,2"], v["K2+K1"], v["3K1"])
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "valencies": dict(sorted(self.valencies.items())),
-            "vacuous": sorted(self.vacuous),
-        }
+        return {**self._asdict(), "vacuous": sorted(self.vacuous)}
 
 
 class KIsoregularity(NamedTuple):
@@ -406,15 +396,7 @@ class TVertexWitness(NamedTuple):
     count_b: int
 
     def to_json(self) -> dict:
-        return {
-            "j": self.j,
-            "pair_class": self.pair_class,
-            "type": self.type.name,
-            "pair_a": list(self.pair_a),
-            "count_a": self.count_a,
-            "pair_b": list(self.pair_b),
-            "count_b": self.count_b,
-        }
+        return {**self._asdict(), "type": self.type.name}
 
 
 class TVertexResult(NamedTuple):

@@ -65,28 +65,37 @@ class LeungMaEntry(NamedTuple):
         }
 
 
+# The cyclic partial-difference-triple parameter families, up to
+# complementation: label -> (least m the family admits, its (n, c, d, lambda,
+# mu) in m and m^2).
+_LEUNG_MA = {
+    "a": (1, lambda m, m2: (2 * m2 + 2 * m + 1, m2, m2 + m, m2 - 1, m2)),
+    "b": (2, lambda m, m2: (2 * m2, m2, m2 - m, m2 - m, m2 - m)),
+    "c": (3, lambda m, m2: (2 * m2, m2, m2 + m, m2 + m, m2 + m)),
+    "d+": (2, lambda m, m2: (2 * m2, m2 + m, m2, m2 + m, m2 + m)),
+    "d-": (2, lambda m, m2: (2 * m2, m2 - m, m2, m2 - m, m2 - m)),
+}
+
+
+def _leung_ma_entry(label: str, m: int) -> LeungMaEntry:
+    """Family `label` at m; an error below the least m it admits."""
+    least, form = _LEUNG_MA[label]
+    if m < least:
+        raise ValueError(f"family index m must be at least {least}")
+    return LeungMaEntry(label, *form(m, m * m))
+
+
 def leung_ma_families(m: int) -> list[LeungMaEntry]:
-    """The cyclic partial-difference-triple parameter families, up to
-    complementation; only the families whose stated bound admits m."""
+    """The Leung-Ma families whose bound admits m."""
     if m < 1:
         raise ValueError("family index m must be at least 1")
-    m2 = m * m
-    out = []
-    out.append(LeungMaEntry("a", 2 * m2 + 2 * m + 1, m2, m2 + m, m2 - 1, m2))
-    if m >= 2:
-        out.append(LeungMaEntry("b", 2 * m2, m2, m2 - m, m2 - m, m2 - m))
-    if m >= 3:
-        out.append(LeungMaEntry("c", 2 * m2, m2, m2 + m, m2 + m, m2 + m))
-    if m >= 2:
-        out.append(LeungMaEntry("d+", 2 * m2, m2 + m, m2, m2 + m, m2 + m))
-        out.append(LeungMaEntry("d-", 2 * m2, m2 - m, m2, m2 - m, m2 - m))
-    return out
+    return [_leung_ma_entry(label, m) for label, (least, _) in _LEUNG_MA.items() if m >= least]
 
 
 def bicirc_odd_family(m: int) -> tuple[SrgParams, int, int]:
     """Parameters forced on a strongly regular bicirculant of twice-odd order,
     Leung-Ma family (a), with the symbol cardinalities |S| = d and |T| = c."""
-    a = leung_ma_families(m)[0]
+    a = _leung_ma_entry("a", m)
     return a.graph_params(), a.d, a.c
 
 
@@ -97,20 +106,12 @@ class TricircEntry(NamedTuple):
     s: int
     params: SrgParams
     valid: bool
-    disc: int
-    disc_root: Optional[int]
+    discriminant: int
+    discriminant_root: Optional[int]
     order_coprime: Optional[bool]
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "s": self.s,
-            "params": self.params.to_json(),
-            "valid": self.valid,
-            "discriminant": self.disc,
-            "discriminant_root": self.disc_root,
-            "order_coprime": self.order_coprime,
-        }
+        return {**self._asdict(), "params": self.params.to_json()}
 
 
 def _tricirc_entry(family: int, s: int, p: SrgParams) -> TricircEntry:
@@ -310,6 +311,8 @@ class Step(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Step":
+        """The step of a JSON object; the step rules type kind, data and holds."""
+        _require_type("step description", obj["description"], str)
         return cls(obj["kind"], obj["description"], obj["data"], obj["holds"])
 
 
@@ -436,6 +439,17 @@ SOLUTION = "SOLUTION"
 DEGENERATE = "DEGENERATE"
 
 
+# The JSON type of each container and string slot, as an input error names it.
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
+
+
+def _require_type(what: str, value, json_type: type) -> None:
+    """An input error unless value has this JSON type.  A slot of another
+    type would otherwise replay as a failed claim, not as malformed input."""
+    if type(value) is not json_type:
+        raise ValueError(f"{what} is not {_JSON_TYPES[json_type]}")
+
+
 def _require_integers(what: str, values) -> None:
     """An input error unless every value is an integer.  A JSON boolean is
     not one, although Python compares True equal to 1."""
@@ -456,29 +470,30 @@ class Instance(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "index": self.index,
+            **self._asdict(),
             "params": None if self.params is None else self.params.to_json(),
-            "verdict": self.verdict,
             "steps": [s.to_json() for s in self.steps],
-            "solution": self.solution,
-            "oracle": self.oracle,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Instance":
         """The instance of a JSON object.  Its index, parameters, solution
-        values and oracle tuples must be integers; the step rules type the
-        step fields."""
+        values and oracle tuples must be integers, and its other slots have
+        the types of docs/schemas/certificate.schema.json; the step rules
+        type the step fields."""
         params, solution, oracle = obj["params"], obj["solution"], obj["oracle"]
         _require_integers("instance index", [obj["index"]])
+        _require_type("instance verdict", obj["verdict"], str)
+        _require_type("instance steps", obj["steps"], list)
         if params is not None:
             params = SrgParams.from_json(params)
             _require_integers("instance params", params)
         if solution is not None:
-            if type(solution) is not dict:
-                raise ValueError("instance solution is not an object")
+            _require_type("instance solution", solution, dict)
             _require_integers("instance solution", solution.values())
         if oracle is not None:
+            _require_type("oracle feasible", oracle["feasible"], list)
+            _require_type("oracle consistent", oracle["consistent"], bool)
             for entry in oracle["feasible"]:
                 _require_integers("oracle tuple", entry["tuple"])
         return cls(obj["index"], params, obj["verdict"],
@@ -491,14 +506,12 @@ class Certificate(NamedTuple):
     instances: tuple[Instance, ...]
 
     def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "indices": list(self.indices),
-            "instances": [inst.to_json() for inst in self.instances],
-        }
+        return {**self._asdict(), "instances": [inst.to_json() for inst in self.instances]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
+        _require_type("certificate claim", obj["claim"], str)
+        _require_type("certificate indices", obj["indices"], list)
         _require_integers("certificate indices", obj["indices"])
         return cls(
             obj["claim"],
@@ -602,7 +615,7 @@ def certify_family_b(m: int) -> Instance:
     """Even-order family (b), odd index: the parameter system is infeasible."""
     if m % 2 == 0 or m < 3:
         raise ValueError("family (b) certificate covers odd m >= 3")
-    p = next(e for e in leung_ma_families(m) if e.label == "b").graph_params()
+    p = _leung_ma_entry("b", m).graph_params()
     steps = [
         _eq2_step(p),
         _step(
@@ -640,7 +653,7 @@ def certify_family_c(m: int) -> Instance:
     (on the complement and on the graph respectively)."""
     if m % 2 == 0 or m < 3:
         raise ValueError("family (c) certificate covers odd m >= 3")
-    p = next(e for e in leung_ma_families(m) if e.label == "c").graph_params()
+    p = _leung_ma_entry("c", m).graph_params()
     n, k, lam, mu = p.as_tuple()
     # Branch alpha = m: the tuple (2m-1, m^2, m+1, m(m+1)).  Branch alpha = 2:
     # the tuple (m^2-m+1, 2m, m^2-1, m); its complement edge parameters force

@@ -541,10 +541,10 @@ class OddRunResult(NamedTuple):
 
 
 def _family_index_for(n: int) -> Optional[int]:
-    root = isqrt(2 * n - 1)
-    if root * root != 2 * n - 1 or root % 2 == 0:
-        return None
-    return (root - 1) // 2
+    """The index m of the Leung-Ma family (a) graph on 2n vertices, or None.
+    That order grows like 4m^2, so isqrt(n // 2) is the one candidate."""
+    m = isqrt(n // 2)
+    return m if m >= 1 and bicirc_odd_family(m)[0].n == 2 * n else None
 
 
 def confirm_nonexistence_bicirc_odd(n: int, jobs: int = 1) -> OddRunResult:

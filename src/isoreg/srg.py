@@ -131,11 +131,6 @@ def block_srg_params(n: int, blocks: Sequence[Sequence[int]]) -> Optional[SrgPar
     return _srg_from_pairs(r * n, degrees.pop(), pairs)
 
 
-def verify_identity(p: SrgParams) -> bool:
-    """k(k - lambda - 1) = mu(n - 1 - k)."""
-    return p.identity_holds()
-
-
 def complement_params(p: SrgParams) -> SrgParams:
     q = SrgParams(p.n, p.n - p.k - 1, p.n - 2 - 2 * p.k + p.mu, p.n - 2 * p.k + p.lam)
     if q.k < 0 or q.lam < 0 or q.mu < 0:

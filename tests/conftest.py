@@ -366,6 +366,26 @@ def reference_t_vertex_condition(g: Graph, t: int):
     return TVertexResult(True, t)
 
 
+def reference_leung_ma_families(m):
+    """Reference Leung-Ma table: the closed forms written out entry by entry,
+    as the package listed them before one table held them."""
+    from isoreg.paramtheory import LeungMaEntry
+
+    if m < 1:
+        raise ValueError("family index m must be at least 1")
+    m2 = m * m
+    out = []
+    out.append(LeungMaEntry("a", 2 * m2 + 2 * m + 1, m2, m2 + m, m2 - 1, m2))
+    if m >= 2:
+        out.append(LeungMaEntry("b", 2 * m2, m2, m2 - m, m2 - m, m2 - m))
+    if m >= 3:
+        out.append(LeungMaEntry("c", 2 * m2, m2, m2 + m, m2 + m, m2 + m))
+    if m >= 2:
+        out.append(LeungMaEntry("d+", 2 * m2, m2 + m, m2, m2 + m, m2 + m))
+        out.append(LeungMaEntry("d-", 2 * m2, m2 - m, m2, m2 - m, m2 - m))
+    return out
+
+
 def reference_feasible_edge_params(p):
     """Reference edge-side solver: the scan of every R in [0, lambda] that
     the progression walk replaced, as (Q, R, W) tuples."""

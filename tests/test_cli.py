@@ -66,6 +66,33 @@ def test_malformed_graph6_is_usage_error(capsys):
     assert code == 2 and "graph6" in err
 
 
+@pytest.mark.parametrize("text", ["Dhc\x1f", "\x1cDhc\x85", "Dhc\u2028"], ids=ascii)
+def test_graph6_wrapped_in_non_ascii_whitespace_is_usage_error(capsys, tmp_path, text):
+    # Only space, tab, CR, LF, VT and FF may surround graph6 text.
+    code, out, err = run_cli(capsys, "build", "g6:" + text)
+    assert (code, out) == (2, "") and "invalid graph6 character" in err
+    path = tmp_path / "g.g6"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "build", "@" + str(path))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    if text.isascii():
+        assert "invalid graph6 character" in err
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("header", ["", ">>graph6<<"], ids=["bare", "header"])
+@pytest.mark.parametrize("command", [("build", "--format", "json"), ("check", "srg")], ids=" ".join)
+def test_graph_file_report_names_its_text_without_whitespace(capsys, tmp_path, command,
+                                                             header, line_end):
+    # A report names an @FILE graph g6: plus the file's text, line end and
+    # surrounding ASCII whitespace dropped.
+    path = tmp_path / "c5.g6"
+    path.write_bytes((" " + header + "Dhc" + line_end).encode("ascii"))
+    code, out, err = run_cli(capsys, *command, "@" + str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["graph"] == "g6:" + header + "Dhc"
+
+
 def test_check_srg_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "check", "srg", "petersen")
     payload = json.loads(out)
@@ -219,28 +246,26 @@ def test_both_searches_count_every_srg_they_build(capsys):
 
 
 def test_jobs_env_default(capsys, monkeypatch):
-    # The worker count a search runs with: ISOREG_JOBS without --jobs, the
-    # flag over the variable (which is then not read), else 1.
+    # --jobs, default 1, is the one worker-count setting; ISOREG_JOBS, which
+    # once set the count when the flag was absent, is not read.
     import isoreg.cli as cli
 
     search, seen = cli.search_bicirculant, []
     monkeypatch.setattr(cli, "search_bicirculant",
                         lambda spec, jobs: seen.append(jobs) or search(spec, jobs=1))
     monkeypatch.setenv("ISOREG_JOBS", "3")
-    assert run_cli(capsys, "search", "bicirc", "--n", "5")[0] == 0
-    monkeypatch.setenv("ISOREG_JOBS", "abc")
     assert run_cli(capsys, "search", "bicirc", "--n", "5", "--jobs", "2")[0] == 0
-    monkeypatch.delenv("ISOREG_JOBS")
     assert run_cli(capsys, "search", "bicirc", "--n", "5")[0] == 0
-    assert seen == [3, 2, 1]
+    assert seen == [2, 1]
 
 
-def test_bad_jobs_env_is_usage_error(capsys, monkeypatch):
+def test_bad_jobs_env_is_not_read_by_search(capsys, monkeypatch):
+    # A value the variable could not hold as a worker count changes nothing.
+    want = run_cli(capsys, "search", "bicirc", "--n", "5")
+    assert want[0] == 0
     for value in ("abc", "0", "-2", ""):
         monkeypatch.setenv("ISOREG_JOBS", value)
-        code, out, err = run_cli(capsys, "search", "bicirc", "--n", "5")
-        assert code == 2 and out == ""
-        assert err.startswith("error: ISOREG_JOBS must be an integer >= 1")
+        assert run_cli(capsys, "search", "bicirc", "--n", "5") == want, value
 
 
 @pytest.mark.parametrize("argv", [("check", "srg", "petersen"), ("build", "c5")], ids=" ".join)
@@ -353,9 +378,9 @@ def test_malformed_range(capsys):
     assert code == 2
 
 
-def _one_step_certificate(kind, data, holds=True):
+def _one_step_certificate(kind, data, holds=True, description=""):
     """A bicirc-odd certificate whose one instance holds one step."""
-    step = {"kind": kind, "description": "", "data": data, "holds": holds}
+    step = {"kind": kind, "description": description, "data": data, "holds": holds}
     instance = {"index": 2, "params": None, "verdict": "CONTRADICTION", "steps": [step],
                 "solution": None, "oracle": None}
     return {"claim": "bicirc-odd", "indices": [2], "instances": [instance]}
@@ -456,6 +481,24 @@ _HOSTILE_CERTIFICATES = {
     "oracle-list": (_one_instance_certificate(oracle=[]), "malformed certificate: TypeError("),
     "oracle-without-consistent": (_one_instance_certificate(oracle={"feasible": []}),
                                   "malformed certificate: KeyError('consistent')"),
+    # A container or string slot of another JSON type would regenerate
+    # differently, or fail the claim, and so replay as exit 1.
+    "indices-object": ({**_one_instance_certificate(), "indices": {}},
+                       "certificate indices is not a list"),
+    "claim-integer": ({**_one_instance_certificate(), "claim": 3},
+                      "certificate claim is not a string"),
+    "steps-object": (_one_instance_certificate(steps={}), "instance steps is not a list"),
+    "verdict-integer": (_one_instance_certificate(verdict=1), "instance verdict is not a string"),
+    "description-integer": (
+        _one_step_certificate("SUBSTITUTION", {"lhs": 1, "rhs": 1}, description=5),
+        "step description is not a string",
+    ),
+    "oracle-feasible-object": (_one_instance_certificate(oracle={"feasible": {}, "consistent": True}),
+                               "oracle feasible is not a list"),
+    "oracle-consistent-string": (
+        _one_instance_certificate(oracle={"feasible": [], "consistent": "yes"}),
+        "oracle consistent is not a boolean",
+    ),
 }
 
 
@@ -905,7 +948,7 @@ def test_search_size_at_range_ends_runs(capsys):
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_search_jobs_below_one_is_usage_error(capsys, jobs):
-    # As with ISOREG_JOBS, a worker count below 1 is an input error, not 1.
+    # A worker count below 1 is an input error, not 1.
     code, out, err = run_cli(capsys, "search", "bicirc", "--n", "5", "--jobs", jobs)
     assert (code, out) == (2, "") and err == f"error: --jobs must be an integer >= 1, got {jobs}\n"
 

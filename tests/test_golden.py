@@ -30,6 +30,10 @@ closed-form formatter printed them (tests/test_srg.py pins that text over
 "check tvertex" reports at t = 3 and 4 were recorded from the code that typed
 induced subgraphs by trying every vertex ordering, with a separate size-3
 path in the t-vertex condition, before one degree-sequence table typed them.
+The "check srg" reports of C6 and K6 and the two "check local3 --vertex"
+reports were recorded from the code that emitted each check kind's report
+with its own copy of the output and exit-code tail, before the four kinds
+shared one.
 """
 
 import hashlib
@@ -140,6 +144,17 @@ REPORTS = {
         0, "138d66087e8387ba04edd0c1121a04fd2754d1545a0c16e52b2aaf48d255eec1"),
     "check local3 clebsch": (
         0, "a7fdcb2303250d55b7dbffa6fe7ae624308d98d28a5dbde07455f4c1eefce697"),
+    # C6 is regular but not strongly regular: "srg" is null.
+    "check srg circ:n=6;S=1,-1": (
+        1, "98817329eb618b0b087c3b286b355b0945044788d04dfed045b7610362a8fbc3"),
+    # K6 is trivially strongly regular, so the report has no eigenvalues.
+    "check srg circ:n=6;S=1,2,3,4,5": (
+        0, "e9492f1d11ec1d70042c0f168f7cce645362ecbbb9dcce28007d08e6ad7c9ac3"),
+    "check local3 clebsch --vertex 3": (
+        0, "66cc8c5cf3e623afc76204c19168a2b002e0ee20ef3a75065ec9ec886add0581"),
+    # Fails on the edge side at x = 0, so "nonedge" is null.
+    "check local3 petersen --vertex 0": (
+        1, "dd75a398e561347bf38e2160ccb70931f0466def36143b8d957a695fbacb4105"),
     # No solution: "solutions" is an empty list.
     "params solve 50 21 8 9": (
         0, "802b6af8323dc4ad5d66613f80143df2204a686f58768d76a9a36a292a62dcf0"),

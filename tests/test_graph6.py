@@ -54,6 +54,9 @@ def test_encoder_matches_bit_loop_reference():
 def test_header_variants():
     g = cycle_graph(5)
     assert decode_graph6(">>graph6<<" + encode_graph6(g)) == g
+    # ASCII whitespace around the text is dropped.
+    for text in (" Dhc\r\n", ">>graph6<<Dhc\n", "\t\vDhc\f"):
+        assert decode_graph6(text) == g, text
 
 
 def test_single_vertex():
@@ -95,6 +98,11 @@ def test_decode_errors():
         (" >>graph6<<\n", "empty graph6 string"),
         ("Dh\x7f", "invalid graph6 character '\\x7f'"),
         ("~\x7f", "invalid graph6 character '\\x7f'"),  # before the header checks
+        # Whitespace other than ASCII whitespace is not dropped: str.strip()
+        # would drop these, and none is a graph6 character.
+        ("Dhc\x1f", "invalid graph6 character '\\x1f'"),
+        ("\x1cDhc\x85", "invalid graph6 character '\\x1c'"),
+        ("Dhc\u2028", "invalid graph6 character '\\u2028'"),
         ("~??", "truncated graph6 size header"),
         ("~~", "truncated graph6 size header"),  # before the 8-byte check
         ("~~??????", "8-byte graph6 sizes exceed the vertex cap"),

@@ -26,7 +26,6 @@ from isoreg import (
     replay_certificate,
     srg_params,
     tricirc_families,
-    verify_identity,
 )
 from isoreg.paramtheory import MAX_FAMILY_INDEX, Certificate, validate_step
 
@@ -35,6 +34,7 @@ from conftest import (
     nontrivial_params,
     reference_feasible_edge_params,
     reference_feasible_local_params,
+    reference_leung_ma_families,
     reference_nonedge_relations_check,
 )
 
@@ -49,7 +49,7 @@ def test_bicirc_odd_family_values():
     assert (p.as_tuple(), s_size, t_size) == ((26, 10, 3, 4), 6, 4)
     for m in range(1, 101):
         p, s_size, t_size = bicirc_odd_family(m)
-        assert verify_identity(p)
+        assert p.identity_holds()
         assert s_size == (p.n // 2 - 1) // 2  # |S| = (n-1)/2
     with pytest.raises(ValueError):
         bicirc_odd_family(0)
@@ -80,7 +80,17 @@ def test_leung_ma_values():
 
     for m in range(1, 60):
         for entry in leung_ma_families(m):
-            assert verify_identity(entry.graph_params()), (m, entry.label)
+            assert entry.graph_params().identity_holds(), (m, entry.label)
+
+
+def test_leung_ma_families_match_reference():
+    # The table read by label lists the entries, in order, that the closed
+    # forms written out one by one list.
+    for m in range(1, MAX_FAMILY_INDEX + 1):
+        assert leung_ma_families(m) == reference_leung_ma_families(m), m
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="family index m must be at least 1"):
+            leung_ma_families(m)
 
 
 def test_tricirc_families():
@@ -93,9 +103,9 @@ def test_tricirc_families():
     for s in range(-40, 41):
         for entry in tricirc_families(s):
             if entry.valid:
-                assert verify_identity(entry.params), (entry.family, s)
+                assert entry.params.identity_holds(), (entry.family, s)
             # The square root in the order hypothesis is always exact here.
-            assert entry.disc_root is not None, (entry.family, s)
+            assert entry.discriminant_root is not None, (entry.family, s)
 
 
 # -- solver -------------------------------------------------------------------

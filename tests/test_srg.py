@@ -18,7 +18,6 @@ from isoreg import (
     path_graph,
     srg_params,
     subconstituent,
-    verify_identity,
 )
 
 from isoreg.graphs import vertices_to_bits
@@ -35,16 +34,16 @@ def test_srg_params_named():
 
 
 def test_verify_identity():
-    assert verify_identity(SrgParams(16, 6, 2, 2))
-    assert verify_identity(SrgParams(10, 3, 0, 1))
-    assert not verify_identity(SrgParams(10, 3, 1, 1))
+    assert SrgParams(16, 6, 2, 2).identity_holds()
+    assert SrgParams(10, 3, 0, 1).identity_holds()
+    assert not SrgParams(10, 3, 1, 1).identity_holds()
 
 
 def test_identity_holds_across_corpus():
     for name, g in build_corpus().items():
         p = srg_params(g)
         if p is not None:
-            assert verify_identity(p), name
+            assert p.identity_holds(), name
 
 
 def test_complement_params():

@@ -2,11 +2,13 @@
 equality and hashing by field values, and the repr text."""
 
 import importlib
+import json
 import pkgutil
 
 import pytest
 
 import isoreg
+from isoreg.formats import indented_json
 from isoreg.isoregularity import (
     DPartition,
     EdgeLocalParams,
@@ -102,6 +104,19 @@ def test_equal_fields_make_equal_values(value, hashable):
     else:
         with pytest.raises(TypeError):
             hash(value)
+
+
+SERIALISED = [value for value, _ in VALUES if hasattr(value, "to_json")]
+
+
+@pytest.mark.parametrize("value", SERIALISED, ids=[type(v).__name__ for v in SERIALISED])
+def test_to_json_is_plain_json(value):
+    # Reports go through indented_json and search lines through json.dumps,
+    # so a to_json result must be JSON both take alike: a frozenset or other
+    # non-JSON field left in an _asdict() fails here, not only in a digest.
+    payload = value.to_json()
+    json.dumps(payload)
+    assert indented_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
 def test_local_param_solution_writes_an_empty_trace():
