@@ -3,8 +3,8 @@ feasibility solver, and replayable non-existence certificates.
 
 Everything here is integer arithmetic, with no rational type.  Certificates
 carry their full derivation as typed steps, each decided by its kind's rule
-in `_RULES`; replaying a serialized certificate revalidates every step by
-that rule and regenerates the instance.
+in `_RULES`; replay types every slot of a serialized certificate once, then
+revalidates every step by its rule and regenerates the instance.
 
 `_CLAIMS` states each claim once: the certifier that `certify_range` and
 `replay_certificate` run for one index, and what every instance must show
@@ -298,7 +298,7 @@ class Step(NamedTuple):
 
     `_RULES` states each kind's fields and rule once.  Certifiers build every
     step with `_step`, which takes `holds` from that rule, and replay
-    (`validate_step`) applies the same rule to the recorded data.
+    (`validate_step`) types the recorded data, then applies the same rule.
     """
 
     kind: str
@@ -311,8 +311,8 @@ class Step(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Step":
-        """The step of a JSON object; the step rules type kind, data and holds."""
-        _require_type("step description", obj["description"], str)
+        """The step of a JSON object; `validate_step` types kind, data and holds."""
+        _require_slots("step", obj)
         return cls(obj["kind"], obj["description"], obj["data"], obj["holds"])
 
 
@@ -327,9 +327,11 @@ _GRAPH_ASSERTIONS = {
     "every-edge-3-isoregular-q0-r0-w1": lambda p: p is not None and p.as_tuple() == (0, 0, 1),
 }
 
-# The type of each step field, as an input error names it; a field not
-# listed is an integer.  A JSON boolean is not an integer.  `tuple`, the edge
-# tuple a step settles, is read by the oracle and not by a rule.
+# The type of each replayed slot, as an input error names it.  A step field
+# not listed is an integer; `tuple`, the edge tuple a step settles, is read by
+# the oracle and not by a rule.  `validate_step` types a step's kind, data and
+# holds, and `_require_slots` every other slot: params and solution may be
+# null, and an oracle entry may omit any slot but its tuple.
 _FIELD_TYPES = {
     "values": "a list of two integers",
     "multiples": "a list of integers",
@@ -339,17 +341,54 @@ _FIELD_TYPES = {
     "graph": "a checked graph",
     "assertion": "a graph assertion",
 }
+_SLOT_TYPES = {
+    "certificate": {"claim": "a string", "indices": "a list of integers", "instances": "a list"},
+    "instance": {"index": "an integer", "params": "an object of integers", "verdict": "a string",
+                 "steps": "a list", "solution": "an object of integers"},
+    "step": {"description": "a string"},
+    "oracle": {"feasible": "a list", "consistent": "a boolean"},
+    "oracle entry": {"tuple": "a list of integers", "vacuous": "a list of strings",
+                     "eliminated_by": "a string", "settled_by": "a string"},
+}
+_NULLABLE_SLOTS = ("params", "solution")
+_OPTIONAL_SLOTS = ("vacuous", "eliminated_by", "settled_by")
+# Each type an input error names, and its test.  A JSON boolean is not an
+# integer, although Python compares True equal to 1.
 _TYPE_TESTS = {
     "an integer": lambda x: type(x) is int,
+    "a boolean": lambda x: type(x) is bool,
+    "a string": lambda x: type(x) is str,
+    "a list": lambda x: type(x) is list,
+    "an object": lambda x: type(x) is dict,
     "a list of integers": lambda x: type(x) is list and all(type(v) is int for v in x),
     "a list of two integers": (
         lambda x: type(x) is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int
     ),
-    "a boolean": lambda x: type(x) is bool,
+    "a list of strings": lambda x: type(x) is list and all(type(v) is str for v in x),
+    "an object of integers": lambda x: type(x) is dict and all(type(v) is int for v in x.values()),
     "a relation": lambda x: type(x) is str and x in _RELATIONS,
     "a checked graph": lambda x: type(x) is str and x in _CHECKED_GRAPHS,
     "a graph assertion": lambda x: type(x) is str and x in _GRAPH_ASSERTIONS,
 }
+
+
+def _require(what: str, value, type_name: str):
+    """value, if it has the type `_TYPE_TESTS` names; else an input error
+    naming the slot."""
+    if not _TYPE_TESTS[type_name](value):
+        raise ValueError(f"{what} is not {type_name}")
+    return value
+
+
+def _require_slots(what: str, obj) -> dict:
+    """obj, if it is an object whose slots have the types `_SLOT_TYPES[what]`
+    gives; a missing slot is a KeyError."""
+    _require(what, obj, "an object")
+    for slot, type_name in _SLOT_TYPES[what].items():
+        if slot in obj or slot not in _OPTIONAL_SLOTS:
+            if obj[slot] is not None or slot not in _NULLABLE_SLOTS:
+                _require(f"{what} {slot}", obj[slot], type_name)
+    return obj
 
 
 def _divisor(data: dict) -> int:
@@ -399,63 +438,40 @@ _RULES = {
 }
 
 
-def _verdict(kind: str, data: dict) -> bool:
-    """Decide a step from its data by its kind's rule in `_RULES`.  An unknown
-    kind, or data that lacks a field (KeyError) or holds one of another type
-    (ValueError), is malformed input, found before any arithmetic."""
-    forms = _RULES.get(kind) if type(kind) is str else None
-    if forms is None:
-        raise ValueError(f"unknown step kind {kind!r}")
-    if type(data) is not dict:
-        raise ValueError(f"{kind} step data is not an object")
-    for fields, rule in forms:
-        if fields[0] in data:
+def _form(kind: str, data: dict) -> tuple:
+    """The (fields, rule) of `_RULES[kind]` that data takes."""
+    for form in _RULES[kind]:
+        if form[0][0] in data:
             break
-    for name in (*fields, "tuple") if "tuple" in data else fields:
-        value = data[name]
-        # An integer in an integer field, the common case, passes at once.
-        if type(value) is not int or name in _FIELD_TYPES:
-            type_name = _FIELD_TYPES.get(name, "an integer")
-            if not _TYPE_TESTS[type_name](value):
-                raise ValueError(f"{kind} step field {name!r} is not {type_name}")
-    return rule(data)
+    return form
 
 
 def _step(kind: str, description: str, **data) -> Step:
     """The step of this kind on data, holding exactly when its rule does."""
-    return Step(kind, description, data, _verdict(kind, data))
+    return Step(kind, description, data, _form(kind, data)[1](data))
 
 
 def validate_step(step: Step) -> bool:
-    """Recompute a step's verdict from its recorded data; True when it
-    agrees with the recorded `holds`, which must be a boolean."""
-    if type(step.holds) is not bool:
-        raise ValueError(f"step holds {step.holds!r} is not a boolean")
-    return _verdict(step.kind, step.data) == step.holds
+    """Recompute a step's verdict from its recorded data; True when it agrees
+    with the recorded `holds`.  Replay's one step boundary: an unknown kind,
+    a `holds` that is not a boolean, or data that lacks a field (KeyError) or
+    holds one of another type is malformed input, found before any
+    arithmetic."""
+    kind, data = step.kind, step.data
+    _require(f"step holds {step.holds!r}", step.holds, "a boolean")
+    if type(kind) is not str or kind not in _RULES:
+        raise ValueError(f"unknown step kind {kind!r}")
+    fields, rule = _form(kind, _require(f"{kind} step data", data, "an object"))
+    for name in (*fields, "tuple") if "tuple" in data else fields:
+        # An integer in an integer field, the common case, passes at once.
+        if type(data[name]) is not int or name in _FIELD_TYPES:
+            _require(f"{kind} step field {name!r}", data[name], _FIELD_TYPES.get(name, "an integer"))
+    return rule(data) == step.holds
 
 
 CONTRADICTION = "CONTRADICTION"
 SOLUTION = "SOLUTION"
 DEGENERATE = "DEGENERATE"
-
-
-# The JSON type of each container and string slot, as an input error names it.
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
-
-
-def _require_type(what: str, value, json_type: type) -> None:
-    """An input error unless value has this JSON type.  A slot of another
-    type would otherwise replay as a failed claim, not as malformed input."""
-    if type(value) is not json_type:
-        raise ValueError(f"{what} is not {_JSON_TYPES[json_type]}")
-
-
-def _require_integers(what: str, values) -> None:
-    """An input error unless every value is an integer.  A JSON boolean is
-    not one, although Python compares True equal to 1."""
-    for v in values:
-        if type(v) is not int:
-            raise ValueError(f"{what} holds a {type(v).__name__}, not an integer")
 
 
 class Instance(NamedTuple):
@@ -477,27 +493,14 @@ class Instance(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Instance":
-        """The instance of a JSON object.  Its index, parameters, solution
-        values and oracle tuples must be integers, and its other slots have
-        the types of docs/schemas/certificate.schema.json; the step rules
-        type the step fields."""
-        params, solution, oracle = obj["params"], obj["solution"], obj["oracle"]
-        _require_integers("instance index", [obj["index"]])
-        _require_type("instance verdict", obj["verdict"], str)
-        _require_type("instance steps", obj["steps"], list)
-        if params is not None:
-            params = SrgParams.from_json(params)
-            _require_integers("instance params", params)
-        if solution is not None:
-            _require_type("instance solution", solution, dict)
-            _require_integers("instance solution", solution.values())
+        """The instance of a JSON object, each slot typed by `_SLOT_TYPES`."""
+        params, oracle = _require_slots("instance", obj)["params"], obj["oracle"]
         if oracle is not None:
-            _require_type("oracle feasible", oracle["feasible"], list)
-            _require_type("oracle consistent", oracle["consistent"], bool)
-            for entry in oracle["feasible"]:
-                _require_integers("oracle tuple", entry["tuple"])
-        return cls(obj["index"], params, obj["verdict"],
-                   tuple(Step.from_json(s) for s in obj["steps"]), solution, oracle)
+            for entry in _require_slots("oracle", oracle)["feasible"]:
+                _require_slots("oracle entry", entry)
+        return cls(obj["index"], None if params is None else SrgParams.from_json(params),
+                   obj["verdict"], tuple(Step.from_json(s) for s in obj["steps"]),
+                   obj["solution"], oracle)
 
 
 class Certificate(NamedTuple):
@@ -510,14 +513,9 @@ class Certificate(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Certificate":
-        _require_type("certificate claim", obj["claim"], str)
-        _require_type("certificate indices", obj["indices"], list)
-        _require_integers("certificate indices", obj["indices"])
-        return cls(
-            obj["claim"],
-            tuple(obj["indices"]),
-            tuple(Instance.from_json(i) for i in obj["instances"]),
-        )
+        _require_slots("certificate", obj)
+        instances = tuple(Instance.from_json(i) for i in obj["instances"])
+        return cls(obj["claim"], tuple(obj["indices"]), instances)
 
 
 def _eq2_step(p: SrgParams) -> Step:

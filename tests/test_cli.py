@@ -394,8 +394,13 @@ def _one_instance_certificate(**fields):
     return cert
 
 
+def _one_oracle_certificate(entry):
+    """``_one_instance_certificate`` whose oracle holds one entry."""
+    return _one_instance_certificate(oracle={"feasible": [entry], "consistent": True})
+
+
 _HOSTILE_CERTIFICATES = {
-    "array": ([], "malformed certificate"),
+    "array": ([], "certificate is not an object"),
     "missing-key": ({"claim": "bicirc-odd"}, "malformed certificate: KeyError('indices')"),
     "divisor-zero": (
         _one_step_certificate("DIVISIBILITY", {"value": 1, "divisor": 0, "divides": False}),
@@ -451,23 +456,23 @@ _HOSTILE_CERTIFICATES = {
     # would regenerate as if it were that integer.
     "indices-boolean": (
         {**_one_instance_certificate(), "indices": [True]},
-        "certificate indices holds a bool, not an integer",
+        "certificate indices is not a list of integers",
     ),
     "index-boolean": (_one_instance_certificate(index=True),
-                      "instance index holds a bool, not an integer"),
+                      "instance index is not an integer"),
     "params-boolean": (
         _one_instance_certificate(params={"n": 10, "k": 3, "lambda": False, "mu": True}),
-        "instance params holds a bool, not an integer",
+        "instance params is not an object of integers",
     ),
     "solution-boolean": (
         _one_instance_certificate(solution={"Q": False, "R": False, "W": True}),
-        "instance solution holds a bool, not an integer",
+        "instance solution is not an object of integers",
     ),
     "solution-list": (_one_instance_certificate(solution=[0]),
                       "instance solution is not an object"),
     "oracle-tuple-boolean": (
         _one_instance_certificate(oracle={"feasible": [{"tuple": [True, 0, 0]}], "consistent": True}),
-        "oracle tuple holds a bool, not an integer",
+        "oracle entry tuple is not a list of integers",
     ),
     "step-tuple-boolean": (
         _one_step_certificate("HOFFMAN_CLIQUE", {"clique": 5, "valency": 6, "eig": 3,
@@ -478,7 +483,7 @@ _HOSTILE_CERTIFICATES = {
     # refused, not a traceback.
     "oracle-empty": (_one_instance_certificate(oracle={}),
                      "malformed certificate: KeyError('feasible')"),
-    "oracle-list": (_one_instance_certificate(oracle=[]), "malformed certificate: TypeError("),
+    "oracle-list": (_one_instance_certificate(oracle=[]), "oracle is not an object"),
     "oracle-without-consistent": (_one_instance_certificate(oracle={"feasible": []}),
                                   "malformed certificate: KeyError('consistent')"),
     # A container or string slot of another JSON type would regenerate
@@ -499,6 +504,23 @@ _HOSTILE_CERTIFICATES = {
         _one_instance_certificate(oracle={"feasible": [], "consistent": "yes"}),
         "oracle consistent is not a boolean",
     ),
+    # An oracle entry is compared with its regeneration, never read, so a
+    # slot of another type would replay as a failed claim.
+    "oracle-entry-integer": (_one_oracle_certificate(7), "oracle entry is not an object"),
+    "oracle-tuple-object": (_one_oracle_certificate({"tuple": {}}),
+                            "oracle entry tuple is not a list of integers"),
+    "oracle-eliminated-by-integer": (
+        _one_oracle_certificate({"tuple": [0, 0, 0, 0], "eliminated_by": 7}),
+        "oracle entry eliminated_by is not a string",
+    ),
+    "oracle-vacuous-string": (
+        _one_oracle_certificate({"tuple": [0, 0, 0, 0], "vacuous": "Q", "eliminated_by": ""}),
+        "oracle entry vacuous is not a list of strings",
+    ),
+    "oracle-settled-by-null": (
+        _one_oracle_certificate({"tuple": [0, 0, 0], "settled_by": None}),
+        "oracle entry settled_by is not a string",
+    ),
 }
 
 
@@ -515,16 +537,18 @@ def test_replay_hostile_certificate_is_input_error(capsys, tmp_path, name):
 
 
 @pytest.mark.parametrize(
-    "family, index, forge",
+    "family, index, forge, message",
     [
         ("tri1", -1, lambda cert: cert["instances"][0].update(
-            solution={"Q": False, "R": False, "W": True})),
+            solution={"Q": False, "R": False, "W": True}),
+         "instance solution is not an object of integers"),
         ("tri2", 1, lambda cert: (cert.update(indices=[True]),
-                                  cert["instances"][0].update(index=True))),
+                                  cert["instances"][0].update(index=True)),
+         "certificate indices is not a list of integers"),
     ],
     ids=["solution", "index"],
 )
-def test_replay_refuses_booleans_for_integers(capsys, tmp_path, family, index, forge):
+def test_replay_refuses_booleans_for_integers(capsys, tmp_path, family, index, forge, message):
     # A forged certificate whose integers are JSON booleans equal to them:
     # the solution (0, 0, 1) and the index 1.  Replay refuses it as input.
     cert_file = tmp_path / "cert.json"
@@ -535,7 +559,7 @@ def test_replay_refuses_booleans_for_integers(capsys, tmp_path, family, index, f
     cert_file.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, "replay", str(cert_file))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and "holds a bool, not an integer" in err
+    assert err.startswith("error: ") and message in err
 
 
 def test_claim_needs_a_consistent_solver_cross_check(capsys, monkeypatch, tmp_path):
@@ -748,6 +772,55 @@ def test_replay_refuses_every_boolean_for_an_integer(capsys, tmp_path, family):
         code, out, err = run_cli(capsys, "replay", str(cert_file))
         assert (code, out) == (2, ""), path
         assert "integer" in err, path
+
+
+# The certificates of the slot fuzz, and a value of each JSON type.
+_FUZZ_RANGES = {"tri1": "-1..0", "bicirc-odd": "2..3", "family-c": "3..3"}
+_FUZZ_VALUES = (7, "x", True, None, [], {})
+
+
+def _json_type(value) -> str:
+    return "null" if value is None else type(value).__name__
+
+
+def _slots(node, path=()):
+    """The path and value of every slot of a JSON tree: each object member
+    and each list element, at any depth."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield (*path, key), child
+            yield from _slots(child, (*path, key))
+
+
+def test_replay_refuses_every_slot_of_another_type(capsys, tmp_path):
+    # Each slot of three certificates, replaced one at a time by each value
+    # of a JSON type the slot does not allow, is an input error: exit 2 with
+    # one error line, never a traceback and never exit 1 as if the claim had
+    # failed.  params, solution and oracle allow an object or null.
+    cert_file = tmp_path / "cert.json"
+    mutations = 0
+    for family, index_range in _FUZZ_RANGES.items():
+        code, payload, _ = run_cli(capsys, "certify", family, f"--range={index_range}")
+        assert code == 0
+        payload = json.loads(payload)
+        for path, original in list(_slots(payload)):
+            node = payload
+            for key in path[:-1]:
+                node = node[key]
+            allowed = {_json_type(original)}
+            if path[-1] in ("params", "solution", "oracle"):
+                allowed |= {"dict", "null"}
+            for value in _FUZZ_VALUES:
+                if _json_type(value) in allowed:
+                    continue
+                node[path[-1]] = value
+                cert_file.write_text(json.dumps(payload))
+                node[path[-1]] = original
+                code, out, err = run_cli(capsys, "replay", str(cert_file))
+                assert (code, out) == (2, ""), (family, path, value)
+                assert err.startswith("error: ") and err.count("\n") == 1, (family, path, value)
+                mutations += 1
+    assert mutations == 1985
 
 
 def test_certify_range_outside_index_bound(capsys):

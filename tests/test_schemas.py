@@ -187,9 +187,11 @@ def test_certify_and_replay_match_schemas(capsys, tmp_path, family, span):
 def test_certificate_step_variants_are_the_rule_table():
     # One step variant per form of each kind in the replay rule table, with
     # exactly its required fields and their types; "tuple" is the one
-    # optional field, an integer list that only the certifiers read.
+    # optional field, an integer list that only the certifiers read.  The
+    # other slots replay types are the slot table's.
     from isoreg.paramtheory import (
-        _CHECKED_GRAPHS, _FIELD_TYPES, _GRAPH_ASSERTIONS, _RELATIONS, _RULES,
+        _CHECKED_GRAPHS, _FIELD_TYPES, _GRAPH_ASSERTIONS, _NULLABLE_SLOTS, _OPTIONAL_SLOTS,
+        _RELATIONS, _RULES, _SLOT_TYPES, _TYPE_TESTS,
     )
 
     integers = {"type": "array", "items": {"type": "integer"}}
@@ -217,6 +219,51 @@ def test_certificate_step_variants_are_the_rule_table():
         assert list(properties) == data["required"]
         variants.append((kind, properties))
     assert variants == expected
+
+    # Each slot table against its schema object: the same slots, each of the
+    # same type (an enum's members of that type), null where the table
+    # allows it, and required unless optional.  An oracle is its own table,
+    # and `validate_step` types a step's holds.
+    as_schema.update({
+        "a string": {"type": "string"},
+        "a list": {"type": "array"},
+        "a list of strings": {"type": "array", "items": {"type": "string"}},
+        "an object of integers": {"type": "object", "additionalProperties": {"type": "integer"}},
+    })
+    certificate = _schema("certificate")
+    instance = certificate["properties"]["instances"]["items"]
+    oracle = instance["properties"]["oracle"]
+    objects = {"certificate": certificate, "instance": instance, "step": step["items"],
+               "oracle": oracle, "oracle entry": oracle["properties"]["feasible"]["items"]}
+    typed_apart = {"instance": {"oracle"}, "step": {"holds"}}
+    assert oracle["type"] == ["object", "null"]
+    assert list(objects) == list(_SLOT_TYPES)
+    for name, node in objects.items():
+        slots = _SLOT_TYPES[name]
+        assert set(node["properties"]) == set(slots) | typed_apart.get(name, set()), name
+        assert {slot for slot in slots if slot not in _OPTIONAL_SLOTS} <= set(node["required"])
+        assert not set(_OPTIONAL_SLOTS) & set(node["required"]), name
+        for slot, type_name in slots.items():
+            actual, want = node["properties"][slot], dict(as_schema[type_name])
+            if "enum" in actual:
+                assert all(_TYPE_TESTS[type_name](v) for v in actual["enum"]), (name, slot)
+                continue
+            if slot in _NULLABLE_SLOTS:
+                want["type"] = [want["type"], "null"]
+            assert {key: actual.get(key) for key in want} == want, (name, slot)
+
+
+@pytest.mark.parametrize("name", ["oracle-entry-integer", "oracle-tuple-object",
+                                  "oracle-eliminated-by-integer", "oracle-vacuous-string",
+                                  "oracle-settled-by-null"])
+def test_hostile_oracle_entries_break_the_schema(name):
+    # Each malformed oracle entry that replay refuses breaks the schema too,
+    # while the same certificate with a well-formed entry conforms.
+    from test_cli import _HOSTILE_CERTIFICATES, _one_oracle_certificate
+
+    schema = _schema("certificate")
+    assert schema_errors(_one_oracle_certificate({"tuple": [0, 0, 0], "settled_by": ""}), schema) == []
+    assert schema_errors(_HOSTILE_CERTIFICATES[name][0], schema)
 
 
 def test_certificate_claims_are_the_claim_table():
