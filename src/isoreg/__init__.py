@@ -3,15 +3,9 @@ integer parameter certificates, and exhaustive symbol searches."""
 
 from .graphs import (
     Graph,
-    cartesian_product,
     complement,
-    complete_bipartite,
     complete_graph,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
     line_graph,
-    path_graph,
 )
 from .symbols import (
     BicirculantSymbol,
@@ -31,7 +25,6 @@ from .srg import (
     complement_params,
     eigenvalues,
     hoffman_bound,
-    is_nontrivial_srg,
     srg_params,
     subconstituent,
 )
@@ -82,7 +75,6 @@ from .search import (
     confirm_nonexistence_bicirc_odd,
     search_bicirculant,
     search_tricirculant_srg,
-    symmetric_subsets,
 )
 
 __version__ = "0.1.0"

@@ -32,6 +32,7 @@ from .isoregularity import (
 from .named import named_graph
 from .paramtheory import (
     MAX_CERTIFICATE_BYTES,
+    MAX_INTEGER_LITERAL,
     Certificate,
     bicirc_odd_family,
     certify_range,
@@ -240,7 +241,13 @@ def _cmd_certify(args) -> int:
 
 def _cmd_replay(args) -> int:
     try:
-        payload = json.loads(_read_ascii(args.certificate, MAX_CERTIFICATE_BYTES, "certificate"))
+        # An integer literal over MAX_INTEGER_LITERAL characters is read as a
+        # float, in linear time; no slot type accepts one, so replay refuses
+        # it at its slot.
+        payload = json.loads(
+            _read_ascii(args.certificate, MAX_CERTIFICATE_BYTES, "certificate"),
+            parse_int=lambda s: int(s) if len(s) <= MAX_INTEGER_LITERAL else float(s),
+        )
     # A deeply nested array or object exhausts the decoder's recursion.
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot load certificate: {exc}") from exc

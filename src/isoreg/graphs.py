@@ -88,9 +88,6 @@ class Graph:
     def degree(self, u: int) -> int:
         return self._rows[u].bit_count()
 
-    def degrees(self) -> list[int]:
-        return [r.bit_count() for r in self._rows]
-
     def neighbors(self, u: int) -> list[int]:
         return bits_to_vertices(self._rows[u])
 
@@ -105,20 +102,6 @@ class Graph:
     def is_regular(self) -> bool:
         d = self._rows[0].bit_count()
         return all(r.bit_count() == d for r in self._rows)
-
-    def is_connected(self) -> bool:
-        seen = 1
-        frontier = 1
-        full = (1 << self.n) - 1
-        while frontier:
-            nxt = 0
-            for u in bits_to_vertices(frontier):
-                nxt |= self._rows[u]
-            frontier = nxt & ~seen
-            seen |= frontier
-            if seen == full:
-                return True
-        return seen == full
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; vertex i of the result is vertices[i]."""
@@ -208,50 +191,6 @@ def line_graph(g: Graph) -> Graph:
                                   for i, (a, b) in enumerate(edge_list)])
 
 
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Box product; vertex (i, j) of the factors becomes i*h.n + j."""
-    n = g.n * h.n
-    rows = [0] * n
-    for i in range(g.n):
-        for j in range(h.n):
-            u = i * h.n + j
-            row = 0
-            for jj in h.neighbors(j):
-                row |= 1 << (i * h.n + jj)
-            for ii in g.neighbors(i):
-                row |= 1 << (ii * h.n + j)
-            rows[u] = row
-    return Graph(n, rows)
-
-
-def disjoint_union(*graphs: Graph) -> Graph:
-    n = sum(g.n for g in graphs)
-    rows: list[int] = []
-    offset = 0
-    for g in graphs:
-        rows.extend(r << offset for r in g.rows())
-        offset += g.n
-    return Graph(n, rows)
-
-
 def complete_graph(n: int) -> Graph:
     mask = (1 << n) - 1
     return Graph(n, [mask & ~(1 << u) for u in range(n)])
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n, [0] * n)
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])

@@ -34,6 +34,11 @@ MAX_FAMILY_INDEX = 1000
 # 5,157,521 (tri2 over -1000..1000), and 7,080,288 re-indented by 4 spaces.
 MAX_CERTIFICATE_BYTES = 8 << 20
 
+# Longest integer literal replay converts to an integer, with margin over the
+# 18 characters certify writes at most (every claim, |index| <= 1000); the
+# time to convert a literal grows with the square of its length.
+MAX_INTEGER_LITERAL = 40
+
 
 def check_family_index(index: int) -> None:
     if abs(index) > MAX_FAMILY_INDEX:
@@ -343,7 +348,7 @@ _FIELD_TYPES = {
 }
 _SLOT_TYPES = {
     "certificate": {"claim": "a string", "indices": "a list of integers", "instances": "a list"},
-    "instance": {"index": "an integer", "params": "an object of integers", "verdict": "a string",
+    "instance": {"index": "an integer", "params": "an object of integers", "verdict": "a verdict",
                  "steps": "a list", "solution": "an object of integers"},
     "step": {"description": "a string"},
     "oracle": {"feasible": "a list", "consistent": "a boolean"},
@@ -369,6 +374,7 @@ _TYPE_TESTS = {
     "a relation": lambda x: type(x) is str and x in _RELATIONS,
     "a checked graph": lambda x: type(x) is str and x in _CHECKED_GRAPHS,
     "a graph assertion": lambda x: type(x) is str and x in _GRAPH_ASSERTIONS,
+    "a verdict": lambda x: type(x) is str and x in (CONTRADICTION, SOLUTION, DEGENERATE),
 }
 
 

@@ -93,19 +93,6 @@ class SearchCapError(ValueError):
         self.estimate = estimate
 
 
-def symmetric_subsets(n: int, size: Optional[int] = None) -> list[tuple[int, ...]]:
-    """All S subsets of Z_n minus 0 with S = -S, as sorted residue tuples in
-    lexicographic order; optionally restricted to a fixed cardinality."""
-    if n < 2:
-        raise ValueError("modulus must be at least 2")
-    out = [
-        tuple(d for d in range(1, n) if (mask >> d) & 1)
-        for mask in _symmetric_masks(n, None if size is None else [size])
-    ]
-    out.sort(key=lambda residues: (len(residues), residues))
-    return out
-
-
 def _symmetric_count(n: int, size: int) -> int:
     """How many symmetric S of Z_n minus 0 have |S| = size: a choice of
     size//2 of the (n-1)//2 pairs {d, n-d}, plus {n/2} when n is even and

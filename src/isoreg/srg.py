@@ -90,7 +90,7 @@ def srg_params(g: Graph) -> Optional[SrgParams]:
 
     Vacuous counts (no edges, or no non-adjacent pairs) report 0, so complete
     and empty graphs come out as trivial parameter sets rather than None;
-    is_nontrivial_srg separates those.
+    SrgParams.is_nontrivial separates those.
     """
     if not g.is_regular():
         return None
@@ -181,11 +181,3 @@ def subconstituent(g: Graph, v: int, i: int) -> Graph:
     if not members:
         raise ValueError(f"no vertices at distance {i} from {v}")
     return g.induced(members)
-
-
-def is_nontrivial_srg(g: Graph) -> bool:
-    """Strongly regular with both the graph and its complement connected,
-    which for a strongly regular graph is 0 < mu < k < n - 1
-    (SrgParams.is_nontrivial)."""
-    p = srg_params(g)
-    return p is not None and p.is_nontrivial()

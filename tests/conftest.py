@@ -11,16 +11,56 @@ from isoreg import (
     Graph,
     SrgParams,
     complement,
-    complete_bipartite,
     complete_graph,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
     named_graph,
-    path_graph,
     paley,
     triangular,
 )
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    rows: list[int] = []
+    offset = 0
+    for g in graphs:
+        rows.extend(r << offset for r in g.rows())
+        offset += g.n
+    return Graph(offset, rows)
+
+
+def cartesian_product(g: Graph, h: Graph) -> Graph:
+    """Box product; vertex (i, j) of the factors becomes i*h.n + j."""
+    return Graph.from_edges(
+        g.n * h.n,
+        [(i * h.n + j, i * h.n + jj) for i in range(g.n) for j, jj in h.edges()]
+        + [(i * h.n + j, ii * h.n + j) for i, ii in g.edges() for j in range(h.n)],
+    )
+
+
+def is_connected(g: Graph) -> bool:
+    """Reference for the nontriviality shortcut: a strongly regular graph is
+    nontrivial iff it and its complement are connected."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        reach = [v for v in g.neighbors(frontier.pop()) if v not in seen]
+        seen.update(reach)
+        frontier.extend(reach)
+    return len(seen) == g.n
+
+
+def symmetric_subsets(n: int) -> list[tuple[int, ...]]:
+    """Every S of Z_n minus 0 with S = -S, as sorted residue tuples, by size
+    and then lexicographically; a scan of every subset, so small n only."""
+    return [
+        s
+        for size in range(n)
+        for s in combinations(range(1, n), size)
+        if all(n - d in s for d in s)
+    ]
 
 
 def build_corpus() -> dict[str, Graph]:
@@ -52,9 +92,9 @@ def build_corpus() -> dict[str, Graph]:
     corpus["3k2"] = disjoint_union(complete_graph(2), complete_graph(2), complete_graph(2))
     corpus["c4"] = cycle_graph(4)
     corpus["c6"] = cycle_graph(6)
-    corpus["p4"] = path_graph(4)
-    corpus["empty-4"] = empty_graph(4)
-    corpus["k33"] = complete_bipartite(3, 3)
+    corpus["p4"] = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    corpus["empty-4"] = Graph(4, [0] * 4)
+    corpus["k33"] = Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
     return corpus
 
 
@@ -170,7 +210,8 @@ def reference_fingerprint(g: Graph) -> tuple:
         sum(g.adjacent(v, w) for v, w in combinations(g.neighbors(u), 2)) for u in range(g.n)
     ]
     components = [_neighborhood_components(g, u) for u in range(g.n)]
-    return (g.n, g.edge_count(), sorted(g.degrees()), sorted(triangles), sorted(components))
+    degrees = [g.degree(u) for u in range(g.n)]
+    return (g.n, g.edge_count(), sorted(degrees), sorted(triangles), sorted(components))
 
 
 def backtracking_isomorphism(g: Graph, h: Graph):
@@ -183,7 +224,7 @@ def backtracking_isomorphism(g: Graph, h: Graph):
         return None
 
     def refined_colors(x: Graph) -> list[int]:
-        colors = x.degrees()
+        colors = [x.degree(u) for u in range(x.n)]
         for _ in range(x.n):
             signatures = [
                 (colors[u], tuple(sorted(colors[v] for v in x.neighbors(u)))) for u in range(x.n)

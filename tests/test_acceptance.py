@@ -13,7 +13,6 @@ from isoreg import (
     complement,
     complete_graph,
     confirm_nonexistence_bicirc_odd,
-    cycle_graph,
     decode_graph6,
     edge_iso_params,
     edge_relations_check,
@@ -25,7 +24,6 @@ from isoreg import (
     is_k_isoregular,
     is_locally_3isoregular,
     is_locally_3isoregular_at,
-    is_nontrivial_srg,
     iso_profile,
     iso_type,
     line_graph,
@@ -43,7 +41,7 @@ from isoreg import (
 )
 from isoreg.cli import main as cli_main
 
-from conftest import build_corpus
+from conftest import build_corpus, cycle_graph
 
 
 def _report(criterion: int, started: float, text: str) -> None:
@@ -114,7 +112,7 @@ def test_criterion_3_relations_as_theorems():
     measured_edges = measured_nonedges = 0
     for name, g in corpus.items():
         p = srg_params(g)
-        nontrivial = p is not None and is_nontrivial_srg(g)
+        nontrivial = p is not None and p.is_nontrivial()
         if nontrivial:
             for u in range(g.n):
                 for v in range(u + 1, g.n):

@@ -493,7 +493,8 @@ _HOSTILE_CERTIFICATES = {
     "claim-integer": ({**_one_instance_certificate(), "claim": 3},
                       "certificate claim is not a string"),
     "steps-object": (_one_instance_certificate(steps={}), "instance steps is not a list"),
-    "verdict-integer": (_one_instance_certificate(verdict=1), "instance verdict is not a string"),
+    "verdict-integer": (_one_instance_certificate(verdict=1), "instance verdict is not a verdict"),
+    "verdict-unknown": (_one_instance_certificate(verdict="FOO"), "instance verdict is not a verdict"),
     "description-integer": (
         _one_step_certificate("SUBSTITUTION", {"lhs": 1, "rhs": 1}, description=5),
         "step description is not a string",
@@ -560,6 +561,38 @@ def test_replay_refuses_booleans_for_integers(capsys, tmp_path, family, index, f
     code, out, err = run_cli(capsys, "replay", str(cert_file))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+def _long_index_certificate(path, digits):
+    """``_one_instance_certificate`` whose index is a literal of the given
+    number of digits."""
+    text = json.dumps(_one_instance_certificate(index=None))
+    path.write_text(text.replace('"index": null', '"index": ' + "7" * digits))
+
+
+def test_replay_refuses_long_integer_literal(capsys, tmp_path):
+    # A literal over MAX_INTEGER_LITERAL characters is refused at its slot,
+    # not converted, and not echoed.
+    path = tmp_path / "cert.json"
+    _long_index_certificate(path, 5_000)
+    code, out, err = run_cli(capsys, "replay", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: instance index ") and len(err.encode()) < 200
+
+
+def test_replay_refuses_long_integer_literal_without_digit_limit(tmp_path):
+    # With the interpreter's own digit limit lifted, a 300,000-digit literal
+    # would be converted, in seconds, and echoed whole in the error.
+    path = tmp_path / "cert.json"
+    _long_index_certificate(path, 300_000)
+    src = os.path.dirname(os.path.dirname(isoreg.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isoreg.cli", "replay", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "0"},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: instance index ") and len(proc.stderr.encode()) < 200
 
 
 def test_claim_needs_a_consistent_solver_cross_check(capsys, monkeypatch, tmp_path):
@@ -1238,10 +1271,10 @@ def test_endless_file_is_input_error(argv):
 @pytest.mark.parametrize("line_end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
 def test_largest_graph_file_builds(capsys, tmp_path, line_end):
     # A MAX_VERTICES cycle with the header and a line end is within the bound.
-    from isoreg import cycle_graph, encode_graph6
+    from isoreg import circulant, encode_graph6
     from isoreg.graphs import MAX_VERTICES
 
-    text = encode_graph6(cycle_graph(MAX_VERTICES))
+    text = encode_graph6(circulant(MAX_VERTICES, {1, -1}))
     path = tmp_path / "cycle.g6"
     path.write_bytes(b">>graph6<<" + text.encode("ascii") + line_end)
     code, out, err = run_cli(capsys, "build", "@" + str(path))

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from isoreg import Graph, Graph6Error, complete_graph, cycle_graph, decode_graph6, encode_graph6, to_dot
+from isoreg import Graph, Graph6Error, complete_graph, decode_graph6, encode_graph6, to_dot
 
-from conftest import build_corpus, reference_encode_graph6
+from conftest import build_corpus, cycle_graph, reference_encode_graph6
 
 
 def reference_encode(g: Graph) -> str:

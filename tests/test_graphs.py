@@ -10,14 +10,9 @@ from isoreg import (
     Graph,
     TricirculantSymbol,
     bicirculant,
-    cartesian_product,
     circulant,
     complement,
-    complete_bipartite,
     complete_graph,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
     gq22_voltage,
     is_isomorphic,
     line_graph,
@@ -32,7 +27,14 @@ from isoreg import (
 )
 from isoreg.formats import encode_graph6
 
-from conftest import reference_line_graph
+from conftest import (
+    cartesian_product,
+    cycle_graph,
+    disjoint_union,
+    is_connected,
+    reference_line_graph,
+    symmetric_subsets,
+)
 
 
 def test_graph_rejects_loops_and_asymmetry():
@@ -54,14 +56,14 @@ def test_graph_basics():
     assert g.neighbors(2) == [1, 3]
     assert g.edge_count() == 3
     assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
-    assert g.is_connected()
-    assert not disjoint_union(g, g).is_connected()
+    assert is_connected(g)
+    assert not is_connected(disjoint_union(g, g))
     assert g.induced([1, 2, 3]) == Graph.from_edges(3, [(0, 1), (1, 2)])
 
 
 def test_circulant_examples():
     assert circulant(5, {1, 4}) == cycle_graph(5)
-    assert circulant(4, set()) == empty_graph(4)
+    assert circulant(4, set()) == Graph(4, [0] * 4)
     assert circulant(6, {1, 2, 3, 4, 5}) == complete_graph(6)
 
 
@@ -181,7 +183,7 @@ def test_symbol_equivalences_give_isomorphic_graphs(n):
 
 def test_tricirculant_trivial_cases():
     empty9 = tricirculant(TricirculantSymbol(3, (), (), (), (), (), ()))
-    assert empty9 == empty_graph(9)
+    assert empty9 == Graph(9, [0] * 9)
     s = {1, 2, 3, 4}
     three_k5 = tricirculant(TricirculantSymbol(5, s, s, s, (), (), ()))
     assert is_isomorphic(
@@ -252,7 +254,7 @@ def test_named_graph6_pinned():
 
 def test_line_graph_and_product():
     assert is_isomorphic(
-        line_graph(complete_bipartite(4, 4)),
+        line_graph(Graph.from_edges(8, [(i, j) for i in range(4) for j in range(4, 8)])),
         cartesian_product(complete_graph(4), complete_graph(4)),
     )
     assert is_isomorphic(cartesian_product(complete_graph(2), complete_graph(2)), cycle_graph(4))
@@ -263,7 +265,7 @@ def test_line_graph_and_product():
 def test_complement_involution():
     pet = named_graph("petersen")
     assert complement(complement(pet)) == pet
-    assert complement(complete_graph(4)) == empty_graph(4)
+    assert complement(complete_graph(4)) == Graph(4, [0] * 4)
 
 
 def test_gq22_voltage_facts():
@@ -303,7 +305,6 @@ def test_builders_match_reference_on_random_symbols():
     import random
 
     from isoreg import BicirculantSymbol, TricirculantSymbol, bicirculant, tricirculant
-    from isoreg.search import symmetric_subsets
 
     from conftest import reference_bicirculant, reference_tricirculant
 
@@ -329,7 +330,6 @@ def _random_symbols(seed, count):
     import random
 
     from isoreg import Symbol
-    from isoreg.search import symmetric_subsets
 
     rng = random.Random(seed)
     out = []
@@ -371,8 +371,6 @@ def test_symbol_complement_is_graph_complement_on_random_symbols():
 def test_tricirculant_multiply_gives_isomorphic_graph(n):
     import random
     from math import gcd
-
-    from isoreg.search import symmetric_subsets
 
     rng = random.Random(n)
     sym_sets = symmetric_subsets(n)

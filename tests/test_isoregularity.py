@@ -8,7 +8,6 @@ import pytest
 from isoreg import (
     Graph,
     complement,
-    cycle_graph,
     d_partition,
     d_partition_expected_sizes,
     edge_iso_params,
@@ -16,7 +15,6 @@ from isoreg import (
     is_k_isoregular,
     is_locally_3isoregular,
     is_locally_3isoregular_at,
-    is_nontrivial_srg,
     iso_profile,
     iso_type,
     named_graph,
@@ -31,6 +29,8 @@ from isoreg.search import triples_isoregular
 from conftest import (
     brute_valency,
     build_corpus,
+    cycle_graph,
+    disjoint_union,
     labelled_small_graphs,
     reference_iso_code,
     reference_t_vertex_condition,
@@ -383,7 +383,7 @@ def test_edge_relations_hold_for_all_measured_pairs():
 
     for name, g in build_corpus().items():
         p = srg_params(g)
-        if p is None or not is_nontrivial_srg(g):
+        if p is None or not p.is_nontrivial():
             continue
         for u in range(g.n):
             for v in range(u + 1, g.n):
@@ -456,7 +456,6 @@ def _random_tvertex_graphs(seed, count):
     checks reach j = 3 and 4, and the unions can fail on equal pairs there."""
     import random
 
-    from isoreg import disjoint_union
     from isoreg.symbols import circulant
 
     rng = random.Random(seed)
@@ -510,7 +509,8 @@ def test_t4_witness_for_shrikhande():
 
 def test_subconstituent_characterization_matches_isoregularity():
     for name, g in build_corpus().items():
-        if srg_params(g) is None or not is_nontrivial_srg(g):
+        p = srg_params(g)
+        if p is None or not p.is_nontrivial():
             continue
         assert (
             subconstituent_characterization(g) == is_k_isoregular(g, 3).holds

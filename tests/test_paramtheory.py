@@ -168,12 +168,12 @@ def test_solver_matches_measured_profiles():
     # size-3 profile is a solver output.  The solution need not be unique:
     # at (16,9,4,6) the relations also admit (0,3,2,6) alongside the
     # measured (1,2,4,3).
-    from isoreg import is_k_isoregular, is_nontrivial_srg
+    from isoreg import is_k_isoregular
 
     found = 0
     for name, g in build_corpus().items():
         p = srg_params(g)
-        if p is None or not is_nontrivial_srg(g):
+        if p is None or not p.is_nontrivial():
             continue
         if not is_k_isoregular(g, 3).holds:
             continue

@@ -30,7 +30,6 @@ def test_traced_sample_passes_its_self_checks(tmp_path):
                    "replay.validate"],
     }
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("ISOREG_JOBS", None)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "child.py"), json.dumps(spec)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,

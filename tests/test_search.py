@@ -12,18 +12,25 @@ from isoreg import (
     search_bicirculant,
     search_tricirculant_srg,
     symbol_graph,
-    symmetric_subsets,
 )
 from isoreg.formats import decode_graph6
 from isoreg.search import triples_isoregular
 
 
 def test_symmetric_subsets_examples():
-    assert symmetric_subsets(5) == [(), (1, 4), (2, 3), (1, 2, 3, 4)]
-    assert symmetric_subsets(8, 3) == [(1, 4, 7), (2, 4, 6), (3, 4, 5)]
-    assert len(symmetric_subsets(13, 6)) == 20
-    assert symmetric_subsets(5, 3) == []  # no self-paired element at odd n
-    for s in symmetric_subsets(9):
+    from isoreg.search import _mask_to_set, _symmetric_count, _symmetric_masks
+
+    assert [_mask_to_set(m, 5) for m in _symmetric_masks(5)] == [
+        set(), {1, 4}, {2, 3}, {1, 2, 3, 4}
+    ]
+    assert [_mask_to_set(m, 8) for m in _symmetric_masks(8, [3])] == [
+        {1, 4, 7}, {2, 4, 6}, {3, 4, 5}
+    ]
+    assert len(_symmetric_masks(13, [6])) == _symmetric_count(13, 6) == 20
+    # No self-paired element at odd n.
+    assert _symmetric_masks(5, [3]) == [] and _symmetric_count(5, 3) == 0
+    for m in _symmetric_masks(9):
+        s = _mask_to_set(m, 9)
         assert all((9 - x) % 9 in s for x in s)
 
 
@@ -94,8 +101,8 @@ def test_symmetric_masks_by_size_match_brute_force():
             assert _symmetric_count(n, size) == len(want), (n, size)
         assert _symmetric_masks(n, []) == _symmetric_masks(n, [-1, n]) == []
     # A size restriction builds no other mask, so a large modulus is cheap.
-    assert symmetric_subsets(60, 0) == [()]
-    assert len(symmetric_subsets(60, 2)) == 29
+    assert _symmetric_masks(60, [0]) == [0]
+    assert len(_symmetric_masks(60, [2])) == _symmetric_count(60, 2) == 29
 
 
 def test_search_caps():
@@ -245,6 +252,8 @@ def test_parameter_nontriviality_matches_connectivity(monkeypatch):
     from isoreg import Symbol, complement, srg_params
     from isoreg.search import _mask_to_set
 
+    from conftest import is_connected
+
     seen = []
     judge = search_mod._judge
 
@@ -266,7 +275,7 @@ def test_parameter_nontriviality_matches_connectivity(monkeypatch):
             search_tricirculant_srg(n, target)
     assert len(seen) == 282 + 394
     for g, p in seen:
-        connected = g.is_connected() and complement(g).is_connected()
+        connected = is_connected(g) and is_connected(complement(g))
         assert p.is_nontrivial() == connected, p.as_tuple()
     assert 0 < sum(p.is_nontrivial() for _, p in seen) < len(seen)
 
@@ -318,7 +327,7 @@ def _bicirc_specs(n):
     S-hat size combination, every parameter set the space contains as a
     target, and each of those with lambda + 1, a target that the strongly
     regular graphs of its valency miss."""
-    from conftest import reference_bicirc_run
+    from conftest import reference_bicirc_run, symmetric_subsets
 
     sizes = sorted({len(s) for s in symmetric_subsets(n)})
     base = SearchSpec(n=n)
@@ -409,7 +418,7 @@ def test_tricirc_worker_matches_reference(monkeypatch, n, target, pruned_referen
     from collections import Counter
     from itertools import product
 
-    from conftest import reference_tricirc_worker, srg_symbols_built
+    from conftest import reference_tricirc_worker, srg_symbols_built, symmetric_subsets
 
     records, counts = reference_tricirc_worker(
         (n, target.as_tuple(), pruned_reference, False, 0, 1))

@@ -8,14 +8,13 @@ from math import isqrt
 import pytest
 
 from isoreg import (
+    Graph,
     SrgParams,
     complement,
     complement_params,
     eigenvalues,
     hoffman_bound,
-    is_nontrivial_srg,
     named_graph,
-    path_graph,
     srg_params,
     subconstituent,
 )
@@ -24,13 +23,19 @@ from isoreg.graphs import vertices_to_bits
 from isoreg.srg import block_srg_params
 from isoreg.symbols import _LAYOUT, Symbol, negated_mask, row_blocks, symbol_graph
 
-from conftest import build_corpus, max_clique, nontrivial_params
+from conftest import (
+    build_corpus,
+    is_connected,
+    max_clique,
+    nontrivial_params,
+    symmetric_subsets,
+)
 
 
 def test_srg_params_named():
     assert srg_params(named_graph("petersen")).as_tuple() == (10, 3, 0, 1)
     assert srg_params(named_graph("clebsch")).as_tuple() == (16, 5, 0, 2)
-    assert srg_params(path_graph(4)) is None
+    assert srg_params(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])) is None
 
 
 def test_verify_identity():
@@ -56,7 +61,7 @@ def test_complement_params():
 def test_complement_params_match_measured():
     for name, g in build_corpus().items():
         p = srg_params(g)
-        if p is None or not is_nontrivial_srg(g):
+        if p is None or not p.is_nontrivial():
             continue
         assert srg_params(complement(g)) == complement_params(p), name
 
@@ -160,8 +165,8 @@ def test_spectral_text_pinned_over_parameter_sweep():
 def test_subconstituents():
     sub = subconstituent(named_graph("paley-13"), 0, 1)
     assert sub.n == 6
-    assert sorted(sub.degrees()) == [2] * 6
-    assert sub.is_connected()  # a single hexagon
+    assert [sub.degree(u) for u in range(sub.n)] == [2] * 6
+    assert is_connected(sub)  # a single hexagon
 
     cleb = named_graph("clebsch")
     sub1 = subconstituent(cleb, 0, 1)
@@ -170,7 +175,7 @@ def test_subconstituents():
     gq = named_graph("gq22")
     sub = subconstituent(gq, 0, 1)
     assert (sub.n, sub.edge_count()) == (6, 3)
-    assert sorted(sub.degrees()) == [1] * 6  # 3K2
+    assert [sub.degree(u) for u in range(sub.n)] == [1] * 6  # 3K2
 
     with pytest.raises(ValueError):
         subconstituent(cleb, 0, 3)
@@ -178,9 +183,9 @@ def test_subconstituents():
 
 def test_is_nontrivial_srg():
     corpus = build_corpus()
-    assert not is_nontrivial_srg(corpus["k6"])
-    assert not is_nontrivial_srg(corpus["3k2"])
-    assert is_nontrivial_srg(corpus["petersen"])
+    assert not srg_params(corpus["k6"]).is_nontrivial()
+    assert not srg_params(corpus["3k2"]).is_nontrivial()
+    assert srg_params(corpus["petersen"]).is_nontrivial()
 
 
 def test_eigenvalues_reject_trivial():
@@ -246,8 +251,6 @@ def test_block_srg_params_matches_graph_on_vacuous_symbols(n):
 def test_block_srg_params_matches_graph_on_every_small_symbol():
     # Every bicirculant symbol for n <= 6 and every tricirculant symbol for
     # n <= 3.
-    from isoreg.search import symmetric_subsets
-
     count = hits = 0
     for n, r in [(n, 2) for n in range(2, 7)] + [(2, 3), (3, 3)]:
         diagonals = symmetric_subsets(n)
