@@ -194,11 +194,6 @@ class LocalParamSolution(NamedTuple):
         }
 
 
-def _require_nontrivial(p: SrgParams) -> None:
-    if not p.is_nontrivial():
-        raise ValueError(f"parameters {p.as_tuple()} are not a nontrivial SRG")
-
-
 def _crt_range(congruences: list[tuple[int, int]], lo: int, hi: int) -> range:
     """The x in [lo, hi] with x = c (mod m) for every (c, m), m >= 1: by the
     Chinese remainder theorem one arithmetic progression, or none."""
@@ -215,7 +210,8 @@ def _crt_range(congruences: list[tuple[int, int]], lo: int, hi: int) -> range:
 def _walk(p: SrgParams, local: bool) -> list[tuple[int, int, int, int]]:
     """(Q, R, W, V) for each R of the progression `_crt_range` gives that
     passes every check, in ascending order of R; V is checked only if local."""
-    _require_nontrivial(p)
+    if not p.is_nontrivial():
+        raise ValueError(f"parameters {p.as_tuple()} are not a nontrivial SRG")
     n, k, lam, mu = p.as_tuple()
     a, d22, c = k - lam - 1, n - 2 * k + mu - 2, 2 * lam + 2 - k
     # Q and W integral; R >= 0 and W <= lambda; W >= 0 and Q >= 0.
@@ -375,6 +371,7 @@ _TYPE_TESTS = {
     "a checked graph": lambda x: type(x) is str and x in _CHECKED_GRAPHS,
     "a graph assertion": lambda x: type(x) is str and x in _GRAPH_ASSERTIONS,
     "a verdict": lambda x: type(x) is str and x in (CONTRADICTION, SOLUTION, DEGENERATE),
+    "a known step kind": lambda x: type(x) is str and x in _RULES,
 }
 
 
@@ -464,9 +461,8 @@ def validate_step(step: Step) -> bool:
     holds one of another type is malformed input, found before any
     arithmetic."""
     kind, data = step.kind, step.data
-    _require(f"step holds {step.holds!r}", step.holds, "a boolean")
-    if type(kind) is not str or kind not in _RULES:
-        raise ValueError(f"unknown step kind {kind!r}")
+    _require("step holds", step.holds, "a boolean")
+    _require("step kind", kind, "a known step kind")
     fields, rule = _form(kind, _require(f"{kind} step data", data, "an object"))
     for name in (*fields, "tuple") if "tuple" in data else fields:
         # An integer in an integer field, the common case, passes at once.
@@ -604,8 +600,7 @@ def certify_bicirc_odd(m: int) -> Instance:
                 value=m * (m * m + 2 * m - 1), divisor=2 * (m + 2), divides=False,
             ),
         ]
-    oracle = _solver_cross_check(p, steps)
-    return Instance(m, p, CONTRADICTION, tuple(steps), oracle=oracle)
+    return Instance(m, p, CONTRADICTION, tuple(steps), oracle=_solver_cross_check(p, steps))
 
 
 def _solver_cross_check(p: SrgParams, steps: list[Step]) -> dict:
@@ -647,8 +642,7 @@ def certify_family_b(m: int) -> Instance:
             divisor=m + 2, lo=2, hi=m, multiples=[],
         ),
     ]
-    oracle = _solver_cross_check(p, steps)
-    return Instance(m, p, CONTRADICTION, tuple(steps), oracle=oracle)
+    return Instance(m, p, CONTRADICTION, tuple(steps), oracle=_solver_cross_check(p, steps))
 
 
 def certify_family_c(m: int) -> Instance:
@@ -721,8 +715,7 @@ def certify_family_c(m: int) -> Instance:
             clique=comp.lam + 2, valency=comp.k, eig=m + 1, tuple=[q2, r2, w2],
         ),
     ]
-    oracle = _solver_cross_check(p, steps)
-    return Instance(m, p, CONTRADICTION, tuple(steps), oracle=oracle)
+    return Instance(m, p, CONTRADICTION, tuple(steps), oracle=_solver_cross_check(p, steps))
 
 
 def _tri_oracle(p: SrgParams, steps: list[Step]) -> dict:
@@ -810,8 +803,7 @@ def certify_tri_family1(s: int) -> Instance:
         ]
         solution = {"Q": q, "R": r, "W": w}
     verdict = SOLUTION if solution is not None else CONTRADICTION
-    oracle = _tri_oracle(p, steps)
-    return Instance(s, p, verdict, tuple(steps), solution=solution, oracle=oracle)
+    return Instance(s, p, verdict, tuple(steps), solution=solution, oracle=_tri_oracle(p, steps))
 
 
 def certify_tri_family2(s: int) -> Instance:
@@ -884,8 +876,7 @@ def certify_tri_family2(s: int) -> Instance:
             value=1, divisor=2 * s - 1, divides=False,
         ),
     ]
-    oracle = _tri_oracle(p, steps)
-    return Instance(s, p, CONTRADICTION, tuple(steps), oracle=oracle)
+    return Instance(s, p, CONTRADICTION, tuple(steps), oracle=_tri_oracle(p, steps))
 
 
 # ---------------------------------------------------------------------------

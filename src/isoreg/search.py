@@ -68,7 +68,7 @@ from itertools import combinations, islice, product
 from math import comb, isqrt, prod
 from typing import Iterable, NamedTuple, Optional
 
-from .graphs import MAX_VERTICES, Graph, complement
+from .graphs import MAX_VERTICES, Graph, bits_to_vertices, complement
 from .isomorphism import invariant_fingerprint, is_isomorphic
 from .isoregularity import triples_isoregular
 from .formats import encode_graph6
@@ -83,14 +83,7 @@ TRICIRC_ORDER_CAP = 40
 
 
 class SearchCapError(ValueError):
-    """A search refused for its size; estimate is the candidate count, when
-    one was taken."""
-
-    def __init__(self, message: str, estimate: Optional[int] = None):
-        if estimate is not None:
-            message += f" (estimated {estimate} candidates)"
-        super().__init__(message)
-        self.estimate = estimate
+    """A search refused for its size."""
 
 
 def _symmetric_count(n: int, size: int) -> int:
@@ -102,20 +95,16 @@ def _symmetric_count(n: int, size: int) -> int:
     return comb((n - 1) // 2, size // 2)
 
 
-def _symmetric_masks(n: int, sizes: Optional[Iterable[int]] = None) -> list[int]:
-    """The symmetric masks with the given sizes (every size when None),
-    grouped by size; no mask of another size is built."""
+def _symmetric_masks(n: int, sizes: Iterable[int]) -> list[int]:
+    """The symmetric masks with the given sizes, grouped by size; no mask of
+    another size is built."""
     pairs = [(1 << d) | (1 << (n - d)) for d in range(1, (n + 1) // 2)]
     masks = []
-    for size in range(n) if sizes is None else sizes:
+    for size in sizes:
         if _symmetric_count(n, size):
             middle = 1 << (n // 2) if size % 2 else 0
             masks.extend(middle | sum(c) for c in combinations(pairs, size // 2))
     return masks
-
-
-def _mask_to_set(mask: int, n: int) -> frozenset[int]:
-    return frozenset(d for d in range(n) if (mask >> d) & 1)
 
 
 def _rotate(mask: int, d: int, n: int) -> int:
@@ -185,16 +174,16 @@ class SearchResult(NamedTuple):
 def _judge(rule: tuple, diags, conns, negs, records: list, counts: list[int]) -> None:
     """Judge one candidate, given as masks: diagonal a, connection c of
     ``_LAYOUT[r]`` and negs[c], the mask of -conns[c]; rule is the run's
-    (n, target, build, require_iso3).  counts holds the srg hits (every
-    strongly regular graph built, whatever its parameters), the nontrivial
-    target matches (0 < mu < k, which for a strongly regular graph means it
-    and its complement are connected) and the 3-isoregular ones among them.
-    Only a nontrivial target match is recorded, as (symbol, graph,
-    parameters, profile), and with require_iso3 only a 3-isoregular one."""
-    n, target, build, require_iso3 = rule
+    (n, target, build).  counts holds the srg hits (every strongly regular
+    graph built, whatever its parameters), the nontrivial target matches
+    (0 < mu < k, which for a strongly regular graph means it and its
+    complement are connected) and the 3-isoregular ones among them.  Only a
+    nontrivial target match is recorded, as (symbol, graph, parameters,
+    profile)."""
+    n, target, build = rule
     if block_srg_params(n, row_blocks(diags, conns, negs)) is None:
         return
-    sym = Symbol(n, [_mask_to_set(m, n) for m in diags], [_mask_to_set(m, n) for m in conns])
+    sym = Symbol(n, map(bits_to_vertices, diags), map(bits_to_vertices, conns))
     g = build(sym)
     p = srg_params(g)
     if p is None:
@@ -206,8 +195,6 @@ def _judge(rule: tuple, diags, conns, negs, records: list, counts: list[int]) ->
     profile = triples_isoregular(g)
     if profile is not None:
         counts[2] += 1
-    elif require_iso3:
-        return
     records.append((sym, g, p, profile))
 
 
@@ -378,13 +365,15 @@ def search_bicirculant(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     sp_count = 1 if spec.sp_is_complement else sum(_symmetric_count(n, b) for b in sp_sizes)
     candidates = s_count * sp_count * sum(comb(n, b) for b in t_sizes)
     if candidates > CANDIDATE_CAP:
-        raise SearchCapError("bicirculant space too large", candidates)
+        raise SearchCapError(f"bicirculant space too large (estimated {candidates} candidates)")
     s_masks = _symmetric_masks(n, s_sizes)
     sp_masks = _symmetric_masks(n, sp_sizes)
 
-    rule = (n, spec.target.as_tuple() if spec.target else None, bicirculant, spec.require_iso3)
+    rule = (n, spec.target.as_tuple() if spec.target else None, bicirculant)
     args = (s_masks, sp_masks, t_sizes, spec.sp_is_complement, rule)
     records, counts = _run_shards(_bicirc_worker, args, jobs)
+    if spec.require_iso3:
+        records = [rec for rec in records if rec[3] is not None]
     return _finish(records, candidates, counts)
 
 
@@ -413,34 +402,32 @@ def _finish(records: list, candidates: int, counts: list[int]) -> SearchResult:
     fingerprint) bucket that it matches, or founds one."""
     survivors = []
     class_reps: list[int] = []
-    rep_graphs: list[Graph] = []
     buckets: dict[tuple, list[tuple[Graph, int]]] = {}
     for i, (sym, g, params, profile) in enumerate(records):
         bucket = buckets.setdefault((params, invariant_fingerprint(g)), [])
         class_id = next((cid for rep, cid in bucket if is_isomorphic(g, rep)), None)
         if class_id is None:
-            class_id = len(rep_graphs)
+            class_id = len(class_reps)
             bucket.append((g, class_id))
-            rep_graphs.append(g)
             class_reps.append(i)
         survivors.append(Survivor(sym, params, profile, g, class_id))
-    stats = SearchStats(candidates, *counts, len(survivors), len(rep_graphs),
-                        _complement_class_count(rep_graphs))
+    stats = SearchStats(candidates, *counts, len(survivors), len(class_reps),
+                        _complement_class_count([survivors[i].graph for i in class_reps]))
     return SearchResult(tuple(survivors), tuple(class_reps), stats)
 
 
-def _complement_class_count(rep_graphs: list[Graph]) -> int:
+def _complement_class_count(reps: list[Graph]) -> int:
     """Classes counted after identifying each class with its complement."""
     paired = set()
     count = 0
-    for i, g in enumerate(rep_graphs):
+    for i, g in enumerate(reps):
         if i in paired:
             continue
         count += 1
         paired.add(i)
         cg = complement(g)
-        for j in range(i + 1, len(rep_graphs)):
-            if j not in paired and is_isomorphic(cg, rep_graphs[j]):
+        for j in range(i + 1, len(reps)):
+            if j not in paired and is_isomorphic(cg, reps[j]):
                 paired.add(j)
                 break
     return count
@@ -505,8 +492,8 @@ def search_tricirculant_srg(n: int, target: SrgParams, jobs: int = 1) -> SearchR
             shapes.append(((c01, c12, c20), sizes))
             candidates += count
     if candidates > CANDIDATE_CAP:
-        raise SearchCapError("tricirculant space too large", candidates)
-    rule = (n, target.as_tuple(), tricirculant, False)
+        raise SearchCapError(f"tricirculant space too large (estimated {candidates} candidates)")
+    rule = (n, target.as_tuple(), tricirculant)
     records, counts = _run_shards(_tricirc_worker, (shapes, rule), jobs)
     return _finish(records, candidates, counts)
 

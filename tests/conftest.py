@@ -689,7 +689,8 @@ def reference_multicirc_worker(args):
     from itertools import product
     from operator import add
 
-    from isoreg.search import _diff_vector, _mask_to_set
+    from isoreg.graphs import bits_to_vertices
+    from isoreg.search import _diff_vector
     from isoreg.srg import block_srg_params, srg_params
     from isoreg.symbols import _LAYOUT, Symbol, negated_mask, row_blocks
 
@@ -748,8 +749,8 @@ def reference_multicirc_worker(args):
                             continue
                         if block_srg_params(n, row_blocks(diags, conns, negs)) is None:
                             continue
-                        sym = Symbol(n, [_mask_to_set(m, n) for m in diags],
-                                     [_mask_to_set(m, n) for m in conns])
+                        sym = Symbol(n, map(bits_to_vertices, diags),
+                                     map(bits_to_vertices, conns))
                         g = build(sym)
                         p = srg_params(g)
                         if p is None:
@@ -797,7 +798,8 @@ def reference_bicirc_worker(args):
     """Reference bicirculant shard worker: nested T -> S -> S' loops, each S'
     pruned again for every surviving S.  It takes the argument tuple the
     search built for it before the r-orbit worker replaced it."""
-    from isoreg.search import _diff_vector, _mask_to_set
+    from isoreg.graphs import bits_to_vertices
+    from isoreg.search import _diff_vector
     from isoreg.srg import srg_params
     from isoreg.symbols import BicirculantSymbol, bicirculant
 
@@ -836,9 +838,7 @@ def reference_bicirc_worker(args):
                     total = [vec[d] + bt[d] for d in range(n - 1)]
                     if not reference_orbit_consistent(total, sp_mask, n, lam, mu):
                         continue
-                sym = BicirculantSymbol(
-                    n, _mask_to_set(s_mask, n), _mask_to_set(sp_mask, n), _mask_to_set(t_mask, n)
-                )
+                sym = BicirculantSymbol(n, *map(bits_to_vertices, (s_mask, sp_mask, t_mask)))
                 g = bicirculant(sym)
                 p = srg_params(g)
                 if p is None:
@@ -917,7 +917,7 @@ def reference_bicirc_run(spec, use_pruning=True, nontrivial_only=True):
     from isoreg.search import _symmetric_masks
 
     n = spec.n
-    sym_masks = _symmetric_masks(n)
+    sym_masks = _symmetric_masks(n, range(n))
     s_masks = [m for m in sym_masks if spec.s_size is None or m.bit_count() == spec.s_size]
     if spec.sp_is_complement:
         sp_masks, sp_count = [], 1
@@ -938,7 +938,8 @@ def reference_tricirc_worker(args):
     T20, S0, S1 and S2, each diagonal pruned inside the loop above it.  It
     counts every strongly regular graph it builds; with nontrivial_only off
     the records include the trivial target matches."""
-    from isoreg.search import _diff_vector, _mask_to_set, _symmetric_masks
+    from isoreg.graphs import bits_to_vertices
+    from isoreg.search import _diff_vector, _symmetric_masks
     from isoreg.srg import srg_params
     from isoreg.symbols import TricirculantSymbol, tricirculant
 
@@ -946,7 +947,7 @@ def reference_tricirc_worker(args):
     k = target[1]
     lam = target[2]
     mu = target[3]
-    sym_masks = _symmetric_masks(n)
+    sym_masks = _symmetric_masks(n, range(n))
     sym_by_size: dict[int, list[int]] = {}
     for m in sym_masks:
         sym_by_size.setdefault(m.bit_count(), []).append(m)
@@ -997,13 +998,7 @@ def reference_tricirc_worker(args):
                                 if not reference_orbit_consistent(total, s2, n, lam, mu):
                                     continue
                             sym = TricirculantSymbol(
-                                n,
-                                _mask_to_set(s0, n),
-                                _mask_to_set(s1, n),
-                                _mask_to_set(s2, n),
-                                _mask_to_set(t01, n),
-                                _mask_to_set(t12, n),
-                                _mask_to_set(t20, n),
+                                n, *map(bits_to_vertices, (s0, s1, s2, t01, t12, t20))
                             )
                             g = tricirculant(sym)
                             p = srg_params(g)

@@ -442,15 +442,24 @@ _HOSTILE_CERTIFICATES = {
     ),
     "unknown-kind": (
         _one_step_certificate("LEMMA", {"lhs": 1, "rhs": 1}),
-        "unknown step kind 'LEMMA'",
+        "step kind is not a known step kind",
     ),
     "holds-not-boolean": (
         _one_step_certificate("SUBSTITUTION", {"lhs": 1, "rhs": 1}, holds="yes"),
-        "step holds 'yes' is not a boolean",
+        "step holds is not a boolean",
     ),
     "holds-zero": (
         _one_step_certificate("SUBSTITUTION", {"lhs": 1, "rhs": 2}, holds=0),
-        "step holds 0 is not a boolean",
+        "step holds is not a boolean",
+    ),
+    # A slot of unbounded length is named, not echoed.
+    "holds-long-string": (
+        _one_step_certificate("SUBSTITUTION", {"lhs": 1, "rhs": 1}, holds="y" * 10**6),
+        "step holds is not a boolean",
+    ),
+    "kind-long-string": (
+        _one_step_certificate("L" * 10**6, {"lhs": 1, "rhs": 1}),
+        "step kind is not a known step kind",
     ),
     # Python compares True equal to 1, so a JSON boolean in an integer slot
     # would regenerate as if it were that integer.
@@ -528,13 +537,13 @@ _HOSTILE_CERTIFICATES = {
 @pytest.mark.parametrize("name", sorted(_HOSTILE_CERTIFICATES))
 def test_replay_hostile_certificate_is_input_error(capsys, tmp_path, name):
     # A malformed certificate is an input error (exit 2), never a traceback
-    # and never exit 1, the "claim fails" code.
+    # and never exit 1, the "claim fails" code; its one error line is short.
     payload, message = _HOSTILE_CERTIFICATES[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(payload))
     code, out, err = run_cli(capsys, "replay", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and len(err.encode()) < 200
 
 
 @pytest.mark.parametrize(

@@ -18,19 +18,20 @@ from isoreg.search import triples_isoregular
 
 
 def test_symmetric_subsets_examples():
-    from isoreg.search import _mask_to_set, _symmetric_count, _symmetric_masks
+    from isoreg.graphs import bits_to_vertices
+    from isoreg.search import _symmetric_count, _symmetric_masks
 
-    assert [_mask_to_set(m, 5) for m in _symmetric_masks(5)] == [
+    assert [frozenset(bits_to_vertices(m)) for m in _symmetric_masks(5, range(5))] == [
         set(), {1, 4}, {2, 3}, {1, 2, 3, 4}
     ]
-    assert [_mask_to_set(m, 8) for m in _symmetric_masks(8, [3])] == [
+    assert [frozenset(bits_to_vertices(m)) for m in _symmetric_masks(8, [3])] == [
         {1, 4, 7}, {2, 4, 6}, {3, 4, 5}
     ]
     assert len(_symmetric_masks(13, [6])) == _symmetric_count(13, 6) == 20
     # No self-paired element at odd n.
     assert _symmetric_masks(5, [3]) == [] and _symmetric_count(5, 3) == 0
-    for m in _symmetric_masks(9):
-        s = _mask_to_set(m, 9)
+    for m in _symmetric_masks(9, range(9)):
+        s = frozenset(bits_to_vertices(m))
         assert all((9 - x) % 9 in s for x in s)
 
 
@@ -94,7 +95,7 @@ def test_symmetric_masks_by_size_match_brute_force():
             m for m in range(0, 1 << n, 2)
             if all((m >> d & 1) == (m >> (n - d) & 1) for d in range(1, n))
         ]
-        assert sorted(_symmetric_masks(n)) == symmetric
+        assert sorted(_symmetric_masks(n, range(n))) == symmetric
         for size in range(n):
             want = [m for m in symmetric if m.bit_count() == size]
             assert sorted(_symmetric_masks(n, [size])) == want, (n, size)
@@ -117,11 +118,14 @@ def test_search_caps():
             search_bicirculant(SearchSpec(n=n, s_size=0, sp_size=0, t_size=0))
     with pytest.raises(SearchCapError) as info:
         search_bicirculant(SearchSpec(n=20000))
-    assert info.value.estimate is None
+    assert str(info.value) == "2n = 40000 above the vertex cap 4096"
     # The odd run reaches as far as the candidate cap.
     with pytest.raises(SearchCapError) as info:
         confirm_nonexistence_bicirc_odd(15)
-    assert info.value.estimate == 536870912
+    assert str(info.value) == "bicirculant space too large (estimated 536870912 candidates)"
+    with pytest.raises(SearchCapError) as info:
+        search_tricirculant_srg(9, SrgParams(27, 10, 1, 5))
+    assert str(info.value) == "tricirculant space too large (estimated 1093481532 candidates)"
 
 
 def test_search_jobs_deterministic():
@@ -250,7 +254,7 @@ def test_parameter_nontriviality_matches_connectivity(monkeypatch):
     # that raised the srg counter is one.
     import isoreg.search as search_mod
     from isoreg import Symbol, complement, srg_params
-    from isoreg.search import _mask_to_set
+    from isoreg.graphs import bits_to_vertices
 
     from conftest import is_connected
 
@@ -262,8 +266,7 @@ def test_parameter_nontriviality_matches_connectivity(monkeypatch):
         judge(rule, diags, conns, negs, records, counts)
         if counts[0] > before:
             n = rule[0]
-            g = symbol_graph(Symbol(n, [_mask_to_set(m, n) for m in diags],
-                                    [_mask_to_set(m, n) for m in conns]))
+            g = symbol_graph(Symbol(n, map(bits_to_vertices, diags), map(bits_to_vertices, conns)))
             seen.append((g, srg_params(g)))
 
     monkeypatch.setattr(search_mod, "_judge", recording_judge)
@@ -466,7 +469,7 @@ def test_tricirc_worker_walks_only_sized_triples(monkeypatch, n):
 
     monkeypatch.setattr(search, "_diagonal_triples", recording_walk)
     monkeypatch.setattr(search, "_judge", lambda *args: None)
-    masks = search._symmetric_masks(n)
+    masks = search._symmetric_masks(n, range(n))
     for target in _tricirc_targets(n):
         walked.clear()
         candidates = search_tricirculant_srg(n, target).stats.candidates
@@ -489,7 +492,7 @@ def _multicirc_bicirc_run(spec):
     from isoreg.symbols import bicirculant
 
     n = spec.n
-    sym_masks = _symmetric_masks(n)
+    sym_masks = _symmetric_masks(n, range(n))
     s_masks = [m for m in sym_masks if spec.s_size is None or m.bit_count() == spec.s_size]
     sp_masks = [m for m in sym_masks if spec.sp_size is None or m.bit_count() == spec.sp_size]
     t_masks = [m for m in range(1 << n) if spec.t_size is None or m.bit_count() == spec.t_size]
@@ -666,7 +669,7 @@ def test_join_keys_match_reference(n):
     from conftest import reference_join_keys
     from isoreg.search import _join_keys, _symmetric_masks
 
-    masks = _symmetric_masks(n)
+    masks = _symmetric_masks(n, range(n))
     t_sizes = range(n + 1)
     targets = set()
     for m in masks:
